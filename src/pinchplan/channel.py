@@ -177,6 +177,21 @@ def precompute_gain_map(
     return GainMap(gains=gains, dist_sq=d2, valid=vis.valid.copy())
 
 
+def _candidate_matrix(gain_map: GainMap, params: ChannelParams) -> np.ndarray:
+    """Scaled gains of every (waveguide, tap) on the valid cells, shape (N, M, V).
+
+    Bit-equal to scaling the boolean-masked tensor, but C-contiguous: a
+    boolean mask over the two trailing axes puts the cell axis outermost, so
+    every (waveguide, tap) row a solver reads would step over N*M values per
+    cell. Solvers build this per call and keep no copy.
+    """
+    n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
+    cells = np.flatnonzero(gain_map.valid)
+    mat = np.take(gain_map.gains.reshape(n_wg, n_tap, -1), cells, axis=2)
+    mat *= params.snr_scale
+    return mat
+
+
 def _selection_array(selected, gain_map: GainMap) -> np.ndarray:
     sel = np.asarray(selected, dtype=int)
     if sel.shape != (gain_map.n_waveguides,):

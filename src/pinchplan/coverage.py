@@ -12,11 +12,12 @@ gain maps for cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, IO
 
 import numpy as np
 
-from .channel import ChannelParams, GainMap, avg_snr
+from .channel import ChannelParams, GainMap, _candidate_matrix, avg_snr
 
 # A field value this close (relatively) below the threshold still counts as
 # covered, so closed comparisons survive float roundoff.
@@ -108,19 +109,22 @@ def best_candidate(
     """
     _check_threshold(threshold)
     resid = residual_field[gain_map.valid]
-    gains = params.snr_scale * gain_map.gains[wg][:, gain_map.valid]
-    m, _, _ = _best_tap(resid, gains, threshold)
+    m, _, _ = _best_tap(resid, _candidate_matrix(gain_map, params)[wg], threshold)
     return m
 
 
 def _best_tap(resid_v: np.ndarray, gains_v: np.ndarray, threshold: float):
     """(tap, count, margin) over candidate fields resid_v + gains_v[m]."""
     thr_eff = threshold * (1.0 - COVERAGE_SLACK)
+    cand = np.empty_like(resid_v)
+    over = np.empty_like(resid_v)
+    hit = np.empty(resid_v.shape, dtype=bool)
     best = None
     for m in range(gains_v.shape[0]):
-        cand = resid_v + gains_v[m]
-        count = int(np.count_nonzero(cand >= thr_eff))
-        margin = float(np.maximum(cand - threshold, 0.0).sum())
+        np.add(resid_v, gains_v[m], out=cand)
+        count = int(np.count_nonzero(np.greater_equal(cand, thr_eff, out=hit)))
+        np.subtract(cand, threshold, out=over)
+        margin = float(np.maximum(over, 0.0, out=over).sum())
         if best is None or count > best[1] or (count == best[1] and margin > best[2]):
             best = (m, count, margin)
     return best
@@ -136,17 +140,18 @@ def _ascent_once(
     n_wg = gains_v.shape[0]
     sel = list(sel0)
     field_v = gains_v[np.arange(n_wg), sel].sum(axis=0)
+    resid_v = np.empty_like(field_v)
     sweeps_used = 0
     for _ in range(max_sweeps):
         sweeps_used += 1
         changed = False
         for n in range(n_wg):
-            resid_v = field_v - gains_v[n, sel[n]]
+            np.subtract(field_v, gains_v[n, sel[n]], out=resid_v)
             m, count, _ = _best_tap(resid_v, gains_v[n], threshold)
             if m != sel[n]:
                 sel[n] = m
                 changed = True
-            field_v = resid_v + gains_v[n, m]
+            np.add(resid_v, gains_v[n, m], out=field_v)
             if on_update is not None:
                 on_update(n, m, count)
         if not changed:
@@ -185,7 +190,7 @@ def coordinate_ascent(
     n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
     sel0 = _selection(initial, n_wg, n_tap)
 
-    gains_v = params.snr_scale * gain_map.gains[:, :, gain_map.valid]  # (N, M, V)
+    gains_v = _candidate_matrix(gain_map, params)
     thr_eff = threshold * (1.0 - COVERAGE_SLACK)
 
     rng = np.random.default_rng(seed)
@@ -234,18 +239,25 @@ def check_enum_budget(n_waveguides: int, n_taps: int, budget: int) -> int:
 
 
 def _enumerate_fields(gains_v: np.ndarray):
-    """Yield (selection tuple, summed field) over all activations, lexicographic."""
-    n_wg, n_tap, _ = gains_v.shape
+    """Yield (selection tuple, summed field) over all activations, lexicographic.
 
-    def rec(n: int, base: np.ndarray):
-        if n == n_wg:
-            yield (), base
-            return
+    The field is a reused buffer: it is valid only until the next item is
+    drawn, so copy it to keep it. Row n+1 of `partial` holds the running sum
+    of waveguides 0..n from zero; a new prefix recomputes only the rows from
+    its first changed tap on.
+    """
+    n_wg, n_tap, n_cells = gains_v.shape
+    last = n_wg - 1
+    partial = np.zeros((n_wg, n_cells))
+    field = np.empty(n_cells)
+    for head in product(range(n_tap), repeat=last):
+        # lexicographic order: the last nonzero tap of the prefix moved, later ones reset
+        first = max((n for n, m in enumerate(head) if m), default=0)
+        for n in range(first, last):
+            np.add(partial[n], gains_v[n, head[n]], out=partial[n + 1])
         for m in range(n_tap):
-            for tail, field in rec(n + 1, base + gains_v[n, m]):
-                yield (m, *tail), field
-
-    yield from rec(0, np.zeros(gains_v.shape[2]))
+            np.add(partial[last], gains_v[last, m], out=field)
+            yield head + (m,), field
 
 
 def exact_enumerate(
@@ -261,11 +273,12 @@ def exact_enumerate(
         raise ValueError("no valid grid cells to cover")
     check_enum_budget(gain_map.n_waveguides, gain_map.n_taps, budget)
 
-    gains_v = params.snr_scale * gain_map.gains[:, :, gain_map.valid]
+    gains_v = _candidate_matrix(gain_map, params)
     thr_eff = threshold * (1.0 - COVERAGE_SLACK)
+    hit = np.empty(gains_v.shape[2], dtype=bool)
     best_sel, best_count = None, -1
     for sel, field in _enumerate_fields(gains_v):
-        count = int(np.count_nonzero(field >= thr_eff))
+        count = int(np.count_nonzero(np.greater_equal(field, thr_eff, out=hit)))
         if count > best_count:
             best_sel, best_count = sel, count
 

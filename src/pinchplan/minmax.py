@@ -11,11 +11,12 @@ small instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, GainMap, avg_snr
+from .channel import ChannelParams, GainMap, _candidate_matrix, avg_snr
 from .coverage import (
     Activation,
     DEFAULT_ENUM_BUDGET,
@@ -74,19 +75,23 @@ def _deficit_descent(target: float, gains_v: np.ndarray, sel: list, max_sweeps: 
     if deficit == 0.0:
         return 0.0
 
+    resid_v = np.empty_like(field_v)
+    gap = np.empty_like(field_v)
     for _ in range(max_sweeps):
         improved = False
         for n in range(n_wg):
-            resid_v = field_v - gains_v[n, sel[n]]
+            np.subtract(field_v, gains_v[n, sel[n]], out=resid_v)
             best = None
             for m in range(n_tap):
-                gap = np.maximum(target - (resid_v + gains_v[n, m]), 0.0)
+                np.add(resid_v, gains_v[n, m], out=gap)
+                np.subtract(target, gap, out=gap)
+                np.maximum(gap, 0.0, out=gap)
                 key = (float(gap.sum()), float(gap.max()))
                 if best is None or key < best[1]:
                     best = (m, key)
             m, (new_deficit, _) = best
             sel[n] = m
-            field_v = resid_v + gains_v[n, m]
+            np.add(resid_v, gains_v[n, m], out=field_v)
             if new_deficit < deficit:
                 improved = True
             deficit = new_deficit
@@ -112,8 +117,8 @@ def deficit_feasibility(
     seeded uniform selections. Returns (True, activation) as soon as one
     reaches a zero deficit, which certifies the target outright, so a True
     verdict is always sound no matter how the starts were chosen; otherwise
-    (False, activation) with the lowest-deficit end state, which may be
-    conservative.
+    (False, activation) with the lowest-deficit end state (the first start's
+    when no deficit compares below it, e.g. NaN), which may be conservative.
     """
     if target < 0:
         raise ValueError("SNR target must be non-negative")
@@ -123,7 +128,7 @@ def deficit_feasibility(
         raise ValueError("restarts must be at least 1")
     _require_valid(gain_map)
     n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
-    gains_v = params.snr_scale * gain_map.gains[:, :, gain_map.valid]  # (N, M, V)
+    gains_v = _candidate_matrix(gain_map, params)
 
     rng = np.random.default_rng(seed)
     best_deficit, best_sel = np.inf, None
@@ -135,7 +140,7 @@ def deficit_feasibility(
         deficit = _deficit_descent(target, gains_v, sel, max_sweeps)
         if deficit == 0.0:
             return True, Activation(selected=tuple(sel))
-        if deficit < best_deficit:
+        if start == 0 or deficit < best_deficit:
             best_deficit, best_sel = deficit, tuple(sel)
     return False, Activation(selected=best_sel)
 
@@ -148,15 +153,8 @@ def maxmin_upper_bound(gain_map: GainMap, params: ChannelParams) -> float:
     return float(envelope[gain_map.valid].min())
 
 
-def _exact_feasible(
-    target: float,
-    gain_map: GainMap,
-    params: ChannelParams,
-    budget: int,
-) -> tuple[bool, Activation | None]:
+def _exact_feasible(target: float, gains_v: np.ndarray) -> tuple[bool, Activation | None]:
     """Exhaustive feasibility: first activation (lexicographic) meeting target."""
-    check_enum_budget(gain_map.n_waveguides, gain_map.n_taps, budget)
-    gains_v = params.snr_scale * gain_map.gains[:, :, gain_map.valid]
     for sel, field in _enumerate_fields(gains_v):
         if field.min() >= target:
             return True, Activation(selected=sel)
@@ -192,16 +190,19 @@ def bisection_maxmin(
         _selection(initial, gain_map.n_waveguides, gain_map.n_taps)
     if exact_feasibility:
         check_enum_budget(gain_map.n_waveguides, gain_map.n_taps, budget)
+        gains_v = _candidate_matrix(gain_map, params)
 
     # any activation meets target 0, so the initial selection starts certified
     best = initial
     t_lo, t_hi = 0.0, maxmin_upper_bound(gain_map, params)
+    if not math.isfinite(t_hi):
+        raise ValueError("SNR upper bound is not finite; check the channel parameters")
     iters = 0
     evals = 0
     while t_hi - t_lo > eps_t:
         t_mid = 0.5 * (t_lo + t_hi)
         if exact_feasibility:
-            ok, found = _exact_feasible(t_mid, gain_map, params, budget)
+            ok, found = _exact_feasible(t_mid, gains_v)
         else:
             ok, found = deficit_feasibility(
                 t_mid, gain_map, params, best, max_sweeps, restarts, seed + iters
@@ -232,7 +233,7 @@ def exact_maxmin(
     """Exhaustively maximize the worst-grid SNR (lexicographically smallest argmax)."""
     _require_valid(gain_map)
     total = check_enum_budget(gain_map.n_waveguides, gain_map.n_taps, budget)
-    gains_v = params.snr_scale * gain_map.gains[:, :, gain_map.valid]
+    gains_v = _candidate_matrix(gain_map, params)
     best_sel, best_val = None, -np.inf
     for sel, field in _enumerate_fields(gains_v):
         worst = field.min()

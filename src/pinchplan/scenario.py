@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -180,6 +181,8 @@ class Scenario:
 
 
 def _check_keys(section: dict, path: str, required: set[str], optional: set[str] = frozenset()):
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{path} must be a JSON object")
     unknown = set(section) - required - optional
     if unknown:
         raise ScenarioError(f"unknown key(s) in {path}: {', '.join(sorted(unknown))}")
@@ -192,7 +195,13 @@ def _number(section: dict, key: str, path: str) -> float:
     val = section[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ScenarioError(f"{path}.{key} must be a number")
-    return float(val)
+    try:
+        num = float(val)
+    except OverflowError:  # an integer literal beyond the float range
+        num = math.inf
+    if not math.isfinite(num):
+        raise ScenarioError(f"{path}.{key} must be a finite number")
+    return num
 
 
 def _integer(section: dict, key: str, path: str) -> int:

@@ -197,3 +197,26 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("minmax", "channel", "tx_power_dbm", float("inf")),
+        ("coverage", "channel", "freq_hz", float("inf")),
+        ("coverage", "region", None, 5),
+    ],
+)
+def test_bad_scenario_values_exit_2_without_traceback(tmp_path, capsys, command, section, key, value):
+    cfg = scenario_dict(waveguides=2, taps=3, nx=6, ny=4)
+    if key is None:
+        cfg[section] = value
+    else:
+        cfg[section][key] = value
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")  # writes Infinity literals
+    code, out = run(tmp_path, command, "--config", str(path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid input" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())

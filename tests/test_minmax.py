@@ -107,6 +107,25 @@ def test_deficit_feasibility_validation():
         deficit_feasibility(1.0, gm, UNIT_PARAMS, init, restarts=0)
 
 
+def test_deficit_feasibility_non_finite_field_stays_well_formed():
+    # NaN deficits never compare below anything; the first start is reported
+    gm = synthetic_map(np.full((2, 3, 2, 1), np.nan))
+    init = Activation(selected=(2, 0))
+    ok, act = deficit_feasibility(1.0, gm, UNIT_PARAMS, init, restarts=4)
+    assert not ok
+    assert len(act.selected) == 2 and all(0 <= m < 3 for m in act.selected)
+    ok, act = deficit_feasibility(np.inf, synthetic_map(np.ones((2, 3, 2, 1))), UNIT_PARAMS, init)
+    assert not ok and len(act.selected) == 2
+
+
+def test_bisection_refuses_non_finite_bound():
+    infinite_power = ChannelParams(
+        freq_hz=1e9, tx_power_w=np.inf, noise_power_w=1.0, cluster_powers=(0.0,), n_eff=1.0
+    )
+    with pytest.raises(ValueError, match="not finite"):
+        bisection_maxmin(synthetic_map(np.ones((2, 2, 2, 1))), infinite_power)
+
+
 def test_deficit_restarts_only_add_certificates():
     # the first descent start is the caller's initial, so a single-start True
     # verdict survives any restart count; extra starts may only add True rungs

@@ -205,3 +205,31 @@ def test_applied_defaults_full_list():
         assert name in scn.applied_defaults
     assert scn.solver.threshold_db == 18.0
     assert scn.solver.seed == 0
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400])
+def test_non_finite_numbers_rejected(value):
+    for section, key in (("channel", "tx_power_dbm"), ("channel", "freq_hz"), ("region", "x_len")):
+        cfg = scenario_dict()
+        cfg[section][key] = value
+        with pytest.raises(ScenarioError, match=f"{section}.{key} must be a finite number"):
+            scenario_from_dict(cfg)
+    cfg = scenario_dict()
+    cfg["solver"]["eps_t"] = value
+    with pytest.raises(ScenarioError, match="finite"):
+        scenario_from_dict(cfg)
+
+
+@pytest.mark.parametrize("section", ["region", "grid", "channel", "solver"])
+@pytest.mark.parametrize("value", [5, "x", [1, 2], None])
+def test_sections_must_be_objects(section, value):
+    cfg = scenario_dict()
+    cfg[section] = value
+    with pytest.raises(ScenarioError, match=f"{section} must be"):
+        scenario_from_dict(cfg)
+
+
+def test_blockage_entries_must_be_objects():
+    cfg = scenario_dict(blockages=[7])
+    with pytest.raises(ScenarioError, match=r"blockages\[0\] must be a JSON object"):
+        scenario_from_dict(cfg)

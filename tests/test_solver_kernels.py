@@ -1,0 +1,138 @@
+"""The shared candidate matrix, the enumerator's buffer contract and pinned plans.
+
+The plan pins were measured on the bundled table1 scenario at grid scale
+0.25 before the solvers moved onto the contiguous matrix; the move keeps
+every elementwise operation in the same order, so the plans, counts and
+the worst-grid SNR stay bit-identical.
+"""
+
+from itertools import product
+
+import numpy as np
+import pytest
+
+from pinchplan import (
+    Activation,
+    ChannelParams,
+    GainMap,
+    bisection_maxmin,
+    coordinate_ascent,
+    exact_enumerate,
+    exact_maxmin,
+    load_bundled,
+)
+from pinchplan.channel import _candidate_matrix, db_to_linear
+from pinchplan.coverage import _enumerate_fields
+from conftest import (
+    all_activation_fields,
+    brute_best_coverage,
+    brute_best_worst,
+    envelope_quantile,
+    random_scenario,
+)
+
+UNIT_PARAMS = ChannelParams(
+    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, cluster_powers=(0.0,), n_eff=1.0
+)
+
+
+@pytest.fixture(scope="module")
+def quarter_table1():
+    scn = load_bundled("table1").with_grid_scale(0.25)
+    return scn, scn.gain_map()
+
+
+def test_candidate_matrix_contiguous_and_bit_equal(quarter_table1):
+    scn, gm = quarter_table1
+    p = scn.params
+    mat = _candidate_matrix(gm, p)
+    assert mat.flags.c_contiguous
+    assert mat.shape == (gm.n_waveguides, gm.n_taps, int(np.count_nonzero(gm.valid)))
+    assert np.array_equal(mat, p.snr_scale * gm.gains[:, :, gm.valid])
+
+
+def test_candidate_matrix_random_masks():
+    rng = np.random.default_rng(70)
+    for _ in range(5):
+        scn = random_scenario(rng, k_max=2)
+        gm, p = scn.gain_map(), scn.params
+        mat = _candidate_matrix(gm, p)
+        assert mat.flags.c_contiguous
+        assert np.array_equal(mat, p.snr_scale * gm.gains[:, :, gm.valid])
+
+
+def test_pinned_plans_table1_quarter(quarter_table1):
+    scn, gm = quarter_table1
+    p = scn.params
+    res = bisection_maxmin(gm, p, eps_t=scn.solver.eps_t, seed=scn.solver.seed)
+    assert res.activation.selected == (1, 5, 9, 1)
+    assert res.t_star == 122.2581707229541
+    assert res.bisection_iters == 21
+
+    assert exact_maxmin(gm, p).activation.selected == (1, 5, 9, 1)
+
+    thr = db_to_linear(24.0)
+    assert scn.threshold_linear == thr
+    res = exact_enumerate(gm, p, thr)
+    assert (res.activation.selected, res.covered_count) == ((3, 8, 6, 2), 2134)
+
+    start = Activation.centered(gm.n_waveguides, gm.n_taps)
+    res = coordinate_ascent(start, gm, p, thr)
+    assert (res.activation.selected, res.covered_count) == ((4, 8, 2, 5), 2083)
+    res = coordinate_ascent(start, gm, p, thr, restarts=16, seed=scn.solver.seed)
+    assert (res.activation.selected, res.covered_count) == ((9, 5, 3, 8), 2122)
+
+
+@pytest.mark.parametrize("n_wg", [1, 2, 3])
+def test_enumerate_fields_order_and_values(n_wg):
+    rng = np.random.default_rng(71 + n_wg)
+    gains_v = rng.uniform(0.5, 2.0, (n_wg, 3, 5))
+    items = [(sel, field.copy()) for sel, field in _enumerate_fields(gains_v)]
+    assert [sel for sel, _ in items] == list(product(range(3), repeat=n_wg))
+    for sel, field in items:
+        want = np.zeros(5)
+        for n, m in enumerate(sel):
+            want = want + gains_v[n, m]  # running sum from zero, as documented
+        assert np.array_equal(field, want)
+
+
+def test_enumerate_fields_yields_one_reused_buffer():
+    gains_v = np.arange(12, dtype=float).reshape(2, 2, 3)
+    it = _enumerate_fields(gains_v)
+    _, first = next(it)
+    kept = first.copy()
+    _, second = next(it)
+    assert second is first  # valid only until the next item: callers copy
+    assert not np.array_equal(first, kept)
+
+
+def test_exhaustive_search_matches_oracles_three_waveguides():
+    # three waveguides exercise the partial-sum rows the two-waveguide tests skip
+    rng = np.random.default_rng(72)
+    for _ in range(6):
+        scn = random_scenario(rng, waveguides=3, taps=3, k_max=2)
+        gm, p = scn.gain_map(), scn.params
+        thr = envelope_quantile(gm, p, rng.uniform(0.3, 0.9))
+        res = exact_enumerate(gm, p, thr)
+        assert (res.covered_count, res.activation) == brute_best_coverage(gm, p, thr)
+        res = exact_maxmin(gm, p)
+        want_val, want_act = brute_best_worst(gm, p)
+        assert res.t_star == pytest.approx(want_val, rel=1e-12)
+        # without blockages waveguides 0 and 2 mirror each other, so two
+        # activations can tie exactly and the oracle's summation order may
+        # round the other one up; then the pick must be one of those ties
+        ties = {
+            Activation(sel)
+            for sel, field in all_activation_fields(gm, p)
+            if field[gm.valid].min() >= want_val * (1 - 1e-12)
+        }
+        assert res.activation == want_act or (len(ties) > 1 and res.activation in ties)
+
+
+def test_exhaustive_search_lexicographic_ties_three_waveguides():
+    rng = np.random.default_rng(73)
+    base = rng.uniform(1.0, 2.0, (3, 1, 3, 2))
+    gains = np.repeat(base, 3, axis=1)  # three identical taps per waveguide
+    gm = GainMap(gains=gains, dist_sq=np.ones_like(gains), valid=np.ones((3, 2), dtype=bool))
+    assert exact_enumerate(gm, UNIT_PARAMS, 3.5).activation.selected == (0, 0, 0)
+    assert exact_maxmin(gm, UNIT_PARAMS).activation.selected == (0, 0, 0)
