@@ -18,13 +18,33 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Blockage, CandidateGrid, GeometryError, GridSpec, Region, VisibilityMap, WaveguideLayout
+from .geometry import (
+    Blockage,
+    CandidateGrid,
+    GeometryError,
+    GridSpec,
+    Region,
+    VisibilityMap,
+    WaveguideLayout,
+    points_visibility,
+)
 
 C_LIGHT = 299_792_458.0  # m/s, exact
 
 
+def _pow10(exponent: float, value: float, unit: str) -> float:
+    try:
+        out = 10.0 ** float(exponent)
+    except OverflowError:
+        out = math.inf
+    if out == math.inf:
+        raise ValueError(f"{float(value):g} {unit} is too large: its linear value overflows")
+    return out
+
+
 def db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
+    """10^(value_db/10); ValueError when the result overflows a float."""
+    return _pow10(value_db / 10.0, value_db, "dB")
 
 
 def linear_to_db(value: float) -> float:
@@ -32,7 +52,8 @@ def linear_to_db(value: float) -> float:
 
 
 def dbm_to_watt(value_dbm: float) -> float:
-    return 10.0 ** ((value_dbm - 30.0) / 10.0)
+    """10^((value_dbm - 30)/10) W; ValueError when the result overflows a float."""
+    return _pow10((value_dbm - 30.0) / 10.0, value_dbm, "dBm")
 
 
 @dataclass(frozen=True)
@@ -282,31 +303,18 @@ def fixed_array_gain_map(
         raise ValueError("need at least one array element")
     e = np.arange(n_elements, dtype=float)
     y_el = (e - (n_elements - 1) / 2.0) * (params.wavelength / 2.0)
-    x_el = np.full(n_elements, region.x_len / 2.0)
+
+    points = np.empty((n_elements, 3))
+    points[:, 0] = region.x_len / 2.0
+    points[:, 1] = y_el
+    points[:, 2] = region.height
+    vis = points_visibility(points, blockages, grid)
+    los = vis.los[:, None, :, :]
 
     gx = grid.x_centers()
     gy = grid.y_centers()
-    from .geometry import _slab_blocked  # same closed-set test as the tap tensor
-
-    ex = np.repeat(gx, grid.ny)
-    ey = np.tile(gy, grid.nx)
-    ez = np.zeros_like(ex)
-    los = np.ones((n_elements, 1, grid.nx, grid.ny), dtype=bool)
-    valid = np.ones((grid.nx, grid.ny), dtype=bool)
-    for blk in blockages:
-        for k in range(n_elements):
-            hit = _slab_blocked(x_el[k], y_el[k], region.height, ex, ey, ez, blk)
-            los[k, 0] &= ~hit.reshape(grid.nx, grid.ny)
-        inside = (
-            (gx[:, None] >= blk.x_min)
-            & (gx[:, None] <= blk.x_max)
-            & (gy[None, :] >= blk.y_min)
-            & (gy[None, :] <= blk.y_max)
-        )
-        valid &= ~inside
-
-    dx = gx[None, :, None] - x_el[:, None, None]
+    dx = gx[None, :, None] - points[:, 0, None, None]
     dy = gy[None, None, :] - y_el[:, None, None]
     d2 = (dx * dx + dy * dy + region.height**2)[:, None, :, :]
     gains = (los * params.los_ref_gain + params.nlos_power) / d2
-    return GainMap(gains=gains, dist_sq=d2, valid=valid)
+    return GainMap(gains=gains, dist_sq=d2, valid=vis.valid)

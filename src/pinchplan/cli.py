@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import zipfile
@@ -60,15 +61,27 @@ def _write_summary(out: Path, name: str, summary: RunSummary) -> Path:
 
 
 def _write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
-    """Uncompressed npz with a frozen timestamp so reruns are byte-identical."""
+    """Uncompressed npz with a frozen timestamp so reruns are byte-identical.
+
+    Each array streams straight into its zip member (the bytes `writestr`
+    would store), so no serialized copy of it is held in memory.
+    """
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
-            import io
-
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.ascontiguousarray(arrays[name]))
             info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, buf.getvalue())
+            with zf.open(info, "w") as fh:
+                np.lib.format.write_array(fh, np.ascontiguousarray(arrays[name]))
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -78,6 +91,8 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise ValueError(f"{flag} expects a comma-separated list of numbers, got {text!r}")
     if not values:
         raise ValueError(f"{flag} list is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{flag} values must be finite numbers, got {text!r}")
     return values
 
 
@@ -306,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     common.add_argument("--out", default="out", help="output directory (created if missing)")
     common.add_argument("--exact", action="store_true", help="use exhaustive enumeration (budget-guarded)")
-    common.add_argument("--grid-scale", type=float, default=None, help="rescale grid resolution by this factor")
+    common.add_argument("--grid-scale", type=_finite_float, default=None, help="rescale grid resolution by this factor")
 
     parser = argparse.ArgumentParser(prog="pinchplan", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pinchplan {__version__}")
@@ -316,13 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gainmap)
 
     p = sub.add_parser("coverage", parents=[common], help="maximize threshold coverage")
-    p.add_argument("--gamma-db", type=float, default=None, help="SNR threshold in dB (default: scenario value)")
+    p.add_argument("--gamma-db", type=_finite_float, default=None, help="SNR threshold in dB (default: scenario value)")
     p.add_argument("--restarts", type=int, default=1, help="extra seeded restarts for the ascent")
     p.add_argument("--milp", default=None, metavar="FILE", help="also write the MILP as an LP file")
     p.set_defaults(func=_cmd_coverage)
 
     p = sub.add_parser("minmax", parents=[common], help="maximize the worst-grid average SNR")
-    p.add_argument("--eps-t", type=float, default=None, help="bisection bracket width, linear SNR")
+    p.add_argument("--eps-t", type=_finite_float, default=None, help="bisection bracket width, linear SNR")
     p.add_argument("--exact-feasibility", action="store_true", help="bisect with exhaustive feasibility checks")
     p.add_argument(
         "--restarts", type=int, default=DEFAULT_FEAS_RESTARTS,

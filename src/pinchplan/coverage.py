@@ -24,11 +24,18 @@ from .channel import ChannelParams, GainMap, _candidate_matrix, avg_snr
 COVERAGE_SLACK = 1e-12
 
 DEFAULT_ENUM_BUDGET = 1_000_000
+# Bytes the (waveguide, tap, nx, ny) float64 gain tensor may take; scenarios
+# over it are refused before anything is allocated.
+TENSOR_BYTES_BUDGET = 1 << 30
 DEFAULT_MAX_SWEEPS = 50
+
+# Valid cells per block of LP linking rows: the coefficient block is
+# (N*M, _LP_CHUNK) floats, so no full (N*M, V) copy is made.
+_LP_CHUNK = 256
 
 
 class BudgetError(RuntimeError):
-    """An exhaustive enumeration would exceed its activation budget."""
+    """An exhaustive enumeration or a gain tensor would exceed its budget."""
 
 
 @dataclass(frozen=True)
@@ -296,6 +303,13 @@ def exact_enumerate(
     )
 
 
+def _one_based_cells(cells: np.ndarray, ny: int):
+    """1-based (u, v) of flat cell indices, converted _LP_CHUNK cells at a time."""
+    for start in range(0, len(cells), _LP_CHUNK):
+        u, v = np.divmod(cells[start : start + _LP_CHUNK], ny)
+        yield from zip((u + 1).tolist(), (v + 1).tolist())
+
+
 def _lp_terms(parts: list[str], per_line: int = 6) -> list[str]:
     lines = []
     for i in range(0, len(parts), per_line):
@@ -326,25 +340,30 @@ def emit_milp(
 
     n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
     rho = params.snr_scale
-    valid_idx = np.argwhere(gain_map.valid)
+    cells = np.flatnonzero(gain_map.valid)
+    ny = gain_map.valid.shape[1]
+    gains_flat = gain_map.gains.reshape(n_wg * n_tap, -1)
 
     w = out.write
     w("\\ tap-activation coverage MILP\n")
     w("Maximize\n")
-    cell_vars = [f"c_{u + 1}_{v + 1}" for u, v in valid_idx]
+    cell_vars = [f"c_{u}_{v}" for u, v in _one_based_cells(cells, ny)]
     obj = [cell_vars[0]] + [f"+ {name}" for name in cell_vars[1:]]
     for line in _lp_terms(["covered:"] + obj, per_line=8):
         w(f" {line}\n")
     w("Subject To\n")
-    for (u, v), cvar in zip(valid_idx, cell_vars):
-        parts = [f"snr_{u + 1}_{v + 1}:"]
-        for n in range(n_wg):
-            for m in range(n_tap):
-                parts.append(f"+ {rho * gain_map.gains[n, m, u, v]:.17g} a_{n + 1}_{m + 1}")
-        parts.append(f"- {threshold:.17g} {cvar}")
-        parts.append(">= 0")
-        for line in _lp_terms(parts, per_line=4):
-            w(f" {line}\n")
+    # One %-template per linking row, laid out by the same _lp_terms split;
+    # '%.17g' % x formats exactly like f"{x:.17g}".
+    parts = ["snr_%d_%d:"]
+    parts += [f"+ %.17g a_{n + 1}_{m + 1}" for n in range(n_wg) for m in range(n_tap)]
+    parts.append(f"- {threshold:.17g} c_%d_%d")
+    parts.append(">= 0")
+    row = "".join(f" {line}\n" for line in _lp_terms(parts, per_line=4))
+    for start in range(0, len(cells), _LP_CHUNK):
+        chunk = cells[start : start + _LP_CHUNK]
+        coefs = (rho * gains_flat[:, chunk]).T.tolist()
+        names = _one_based_cells(chunk, ny)
+        w("".join(row % (u, v, *c, u, v) for (u, v), c in zip(names, coefs)))
     for n in range(n_wg):
         parts = [f"pick_{n + 1}:", f"a_{n + 1}_1"]
         parts += [f"+ a_{n + 1}_{m + 1}" for m in range(1, n_tap)]

@@ -168,48 +168,103 @@ def candidate_position(wg: int, tap: int, layout: WaveguideLayout, taps: Candida
     return np.array([taps.x_taps[wg, tap], y, layout.height])
 
 
-def _slab_blocked(
-    sx: float,
-    sy: float,
-    sz: float,
-    ex: np.ndarray,
-    ey: np.ndarray,
-    ez: np.ndarray,
-    blk: Blockage,
-) -> np.ndarray:
-    """Closed-set segment/cuboid intersection test, vectorized over endpoints."""
-    t_lo = np.zeros(np.broadcast(ex, ey, ez).shape)
-    t_hi = np.ones_like(t_lo)
-    bounds = (
-        (sx, ex, blk.x_min - SLAB_TOL, blk.x_max + SLAB_TOL),
-        (sy, ey, blk.y_min - SLAB_TOL, blk.y_max + SLAB_TOL),
-        (sz, ez, -SLAB_TOL, blk.height + SLAB_TOL),
+def _padded_bounds(blk: Blockage) -> tuple[tuple[float, float], ...]:
+    """Closed (lo, hi) extent of the cuboid per axis, padded by SLAB_TOL."""
+    return (
+        (blk.x_min - SLAB_TOL, blk.x_max + SLAB_TOL),
+        (blk.y_min - SLAB_TOL, blk.y_max + SLAB_TOL),
+        (-SLAB_TOL, blk.height + SLAB_TOL),
     )
-    for start, end, lo, hi in bounds:
-        d = np.asarray(end, dtype=float) - start
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (lo - start) / d
-            t2 = (hi - start) / d
-        ax_lo = np.minimum(t1, t2)
-        ax_hi = np.maximum(t1, t2)
-        parallel = d == 0.0
-        if np.any(parallel):
-            inside = (start >= lo) & (start <= hi)
-            ax_lo = np.where(parallel, np.where(inside, -np.inf, np.inf), ax_lo)
-            ax_hi = np.where(parallel, np.where(inside, np.inf, -np.inf), ax_hi)
-        t_lo = np.maximum(t_lo, ax_lo)
-        t_hi = np.minimum(t_hi, ax_hi)
-    return t_lo <= t_hi
+
+
+def _axis_interval(start, end, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter interval [t_lo, t_hi] on which start + t*(end - start) lies in [lo, hi].
+
+    Broadcasts over start and end. A segment parallel to the slab gets
+    (-inf, inf) when it runs inside it and the empty (inf, -inf) otherwise,
+    so no NaN ever reaches the comparisons.
+    """
+    d = np.asarray(end, dtype=float) - start
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - start) / d
+        t2 = (hi - start) / d
+    ax_lo = np.minimum(t1, t2)
+    ax_hi = np.maximum(t1, t2)
+    parallel = d == 0.0
+    if np.any(parallel):
+        inside = (start >= lo) & (start <= hi)
+        ax_lo = np.where(parallel, np.where(inside, -np.inf, np.inf), ax_lo)
+        ax_hi = np.where(parallel, np.where(inside, np.inf, -np.inf), ax_hi)
+    return ax_lo, ax_hi
 
 
 def segment_blocked(p_start, p_end, blockage: Blockage) -> bool:
-    """True when the closed segment intersects the closed cuboid (grazing counts)."""
+    """True when the closed segment intersects the closed cuboid (grazing counts).
+
+    Slab method: the segment is blocked when the parameter intervals of its
+    three axes and [0, 1] share a point.
+    """
     p0 = np.asarray(p_start, dtype=float)
     p1 = np.asarray(p_end, dtype=float)
     if p0.shape != (3,) or p1.shape != (3,):
         raise GeometryError("segment endpoints must be 3-D points")
-    hit = _slab_blocked(p0[0], p0[1], p0[2], p1[:1], p1[1:2], p1[2:3], blockage)
-    return bool(hit[0])
+    t_lo, t_hi = 0.0, 1.0
+    for start, end, (lo, hi) in zip(p0, p1, _padded_bounds(blockage)):
+        ax_lo, ax_hi = _axis_interval(start, end, lo, hi)
+        t_lo = max(t_lo, ax_lo)
+        t_hi = min(t_hi, ax_hi)
+    return bool(t_lo <= t_hi)
+
+
+def points_visibility(
+    points,
+    blockages: tuple[Blockage, ...] | list[Blockage],
+    grid: GridSpec,
+) -> VisibilityMap:
+    """Visibility from arbitrary transmitter points down to every grid center.
+
+    points is a (K, 3) array; the result has los[k, u, v] (K, nx, ny) and the
+    footprint mask valid[u, v] of `compute_visibility`. Every grid center
+    lies at z = 0, so each segment's slab intervals separate: the x interval
+    depends on (x_k, gx[u]) only, the y interval on (y_k, gy[v]) only and
+    the z interval on z_k only. A link is blocked when
+    max(0, Lz, Lx, Ly) <= min(1, Hz, Hx, Hy), so the per-link work is two
+    comparisons of a (K, nx) against a (K, ny) table; max and min are exact
+    and order-free on non-NaN values, so this is bit-for-bit the
+    per-segment slab test.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise GeometryError("transmitter points must be a (K, 3) array")
+    sx, sy, sz = pts[:, 0:1], pts[:, 1:2], pts[:, 2:3]
+    gx = grid.x_centers()
+    gy = grid.y_centers()
+
+    blocked = np.zeros((len(pts), grid.nx, grid.ny), dtype=bool)
+    hit = np.empty_like(blocked)
+    other = np.empty_like(blocked)
+    valid = np.ones((grid.nx, grid.ny), dtype=bool)
+    for blk in blockages:
+        x_bounds, y_bounds, z_bounds = _padded_bounds(blk)
+        z_lo, z_hi = _axis_interval(sz, 0.0, *z_bounds)
+        t_lo = np.maximum(z_lo, 0.0)
+        t_hi = np.minimum(z_hi, 1.0)
+        x_lo, x_hi = _axis_interval(sx, gx[None, :], *x_bounds)
+        y_lo, y_hi = _axis_interval(sy, gy[None, :], *y_bounds)
+        x_lo = np.maximum(x_lo, t_lo)
+        x_hi = np.minimum(x_hi, t_hi)
+        y_lo = np.maximum(y_lo, t_lo)
+        y_hi = np.minimum(y_hi, t_hi)
+        # Blocked iff max(Lx, Ly) <= min(Hx, Hy). Both intervals carry the same
+        # z clip, so Lx <= Hy and Ly <= Hx already imply Lx <= Hx and Ly <= Hy.
+        np.less_equal(x_lo[:, :, None], y_hi[:, None, :], out=hit)
+        np.less_equal(y_lo[:, None, :], x_hi[:, :, None], out=other)
+        hit &= other
+        blocked |= hit
+        in_x = (gx >= blk.x_min) & (gx <= blk.x_max)
+        in_y = (gy >= blk.y_min) & (gy <= blk.y_max)
+        valid &= ~(in_x[:, None] & in_y[None, :])
+    return VisibilityMap(los=np.logical_not(blocked, out=blocked), valid=valid)
 
 
 def compute_visibility(
@@ -223,32 +278,20 @@ def compute_visibility(
     los[n, m, u, v] is False when any obstacle intersects the segment from
     tap (n, m) down to grid center (u, v); an empty obstacle list gives an
     all-ones tensor. valid[u, v] is False exactly when the center lies inside
-    some obstacle footprint (closed intervals).
+    some obstacle footprint (closed intervals). Because every center lies on
+    the floor, each segment's slab intervals separate into an x part per
+    (tap, column), a y part per (tap, row) and a z part per tap, so the
+    tensor costs two comparisons per link (see `points_visibility`).
     """
     n_wg, n_tap = taps.x_taps.shape
     if layout.count != n_wg:
         raise GeometryError("candidate grid row count must match the number of waveguides")
-    gx = grid.x_centers()
-    gy = grid.y_centers()
-    ex = np.repeat(gx, grid.ny)
-    ey = np.tile(gy, grid.nx)
-    ez = np.zeros_like(ex)
-    y_wg = layout.y_positions()
-
-    los = np.ones((n_wg, n_tap, grid.nx, grid.ny), dtype=bool)
-    valid = np.ones((grid.nx, grid.ny), dtype=bool)
     for blk in blockages:
         if not blk.height < layout.height:
             raise GeometryError("blockage height must stay below the waveguide height")
-        for n in range(n_wg):
-            for m in range(n_tap):
-                hit = _slab_blocked(taps.x_taps[n, m], y_wg[n], layout.height, ex, ey, ez, blk)
-                los[n, m] &= ~hit.reshape(grid.nx, grid.ny)
-        inside = (
-            (gx[:, None] >= blk.x_min)
-            & (gx[:, None] <= blk.x_max)
-            & (gy[None, :] >= blk.y_min)
-            & (gy[None, :] <= blk.y_max)
-        )
-        valid &= ~inside
-    return VisibilityMap(los=los, valid=valid)
+    points = np.empty((n_wg, n_tap, 3))
+    points[:, :, 0] = taps.x_taps
+    points[:, :, 1] = layout.y_positions()[:, None]
+    points[:, :, 2] = layout.height
+    vis = points_visibility(points.reshape(-1, 3), blockages, grid)
+    return VisibilityMap(los=vis.los.reshape(n_wg, n_tap, grid.nx, grid.ny), valid=vis.valid)

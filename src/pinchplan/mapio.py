@@ -44,13 +44,13 @@ def export_map(
 
 
 def _write_csv(db: np.ndarray, valid: np.ndarray, grid: GridSpec, path) -> None:
-    xs = grid.x_centers()
-    ys = grid.y_centers()
+    # '%.9g' % x formats exactly like f"{x:.9g}"; each coordinate is formatted once
+    xs = ["%.9g" % x for x in grid.x_centers().tolist()]
+    ys = ["%.9g" % y for y in grid.y_centers().tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,snr_db,valid\n")
-        for u in range(grid.nx):
-            for v in range(grid.ny):
-                fh.write(f"{xs[u]:.9g},{ys[v]:.9g},{db[u, v]:.9g},{int(valid[u, v])}\n")
+        for x, db_row, valid_row in zip(xs, db.tolist(), valid.tolist()):
+            fh.write("".join("%s,%s,%.9g,%d\n" % (x, y, d, ok) for y, d, ok in zip(ys, db_row, valid_row)))
 
 
 def _write_pgm(db, valid, grid: GridSpec, path, db_window) -> None:
@@ -73,8 +73,8 @@ def _write_pgm(db, valid, grid: GridSpec, path, db_window) -> None:
         fh.write(f"# snr_db window min={lo:.9g} max={hi:.9g}\n")
         fh.write(f"{grid.nx} {grid.ny}\n255\n")
         # image rows top to bottom = y decreasing, so +y prints at the top
-        for v in range(grid.ny - 1, -1, -1):
-            fh.write(" ".join(str(pixels[u, v]) for u in range(grid.nx)))
+        for row in pixels.T[::-1]:
+            fh.write(" ".join(map(str, row.tolist())))
             fh.write("\n")
 
 

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelParams, GainMap, db_to_linear, fixed_array_gain_map, precompute_gain_map
-from .coverage import Activation
+from .coverage import TENSOR_BYTES_BUDGET, Activation, BudgetError
 from .geometry import (
     Blockage,
     CandidateGrid,
@@ -121,8 +121,11 @@ class Scenario:
         """Same deployment on a grid rescaled by `factor` per axis (at least 1x1)."""
         if not factor > 0:
             raise ScenarioError("grid scale factor must be positive")
-        nx = max(1, round(self.grid.nx * factor))
-        ny = max(1, round(self.grid.ny * factor))
+        scaled = (self.grid.nx * factor, self.grid.ny * factor)
+        if not all(math.isfinite(size) for size in scaled):
+            raise ScenarioError(f"grid scale factor {factor:g} gives a non-finite grid size")
+        nx, ny = (max(1, round(size)) for size in scaled)
+        _check_tensor_bytes(self.layout.count, self.taps.count, nx, ny)
         return replace(self, grid=GridSpec.from_region(self.region, nx, ny))
 
     def with_power_dbm(self, tx_power_dbm: float) -> "Scenario":
@@ -178,6 +181,16 @@ class Scenario:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _check_tensor_bytes(n_wg: int, n_tap: int, nx: int, ny: int) -> None:
+    """Refuse a grid whose float64 gain tensor would exceed TENSOR_BYTES_BUDGET."""
+    size = n_wg * n_tap * nx * ny * 8
+    if size > TENSOR_BYTES_BUDGET:
+        raise BudgetError(
+            f"a {n_wg}x{n_tap}-tap gain tensor on a {nx}x{ny} grid takes {size} bytes, "
+            f"over the {TENSOR_BYTES_BUDGET}-byte budget"
+        )
 
 
 def _check_keys(section: dict, path: str, required: set[str], optional: set[str] = frozenset()):
@@ -296,6 +309,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         grid = GridSpec.from_region(region, nx, ny)
     except GeometryError as exc:
         raise ScenarioError(str(exc)) from exc
+    _check_tensor_bytes(n_wg, taps.count, nx, ny)
 
     ch = doc["channel"]
     _check_keys(
@@ -328,6 +342,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
     if channel.freq_hz <= 0:
         raise ScenarioError("channel.freq_hz must be positive")
+    try:
+        params = channel.to_params()  # dB -> linear now, so overflow is a load error
+    except ValueError as exc:
+        raise ScenarioError(f"channel: {exc}") from exc
+    if not math.isfinite(params.snr_scale):
+        raise ScenarioError("channel: the transmit-to-noise power ratio overflows a float")
 
     solver_doc = doc.get("solver", {})
     if not isinstance(solver_doc, dict):
@@ -346,6 +366,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     solver = SolverDefaults(**solver_vals)
     if not solver.eps_t > 0:
         raise ScenarioError("solver.eps_t must be positive")
+    try:
+        db_to_linear(solver.threshold_db)
+    except ValueError as exc:
+        raise ScenarioError(f"solver.threshold_db: {exc}") from exc
     if solver.max_sweeps < 1:
         raise ScenarioError("solver.max_sweeps must be at least 1")
     if solver.seed < 0:

@@ -220,3 +220,86 @@ def test_bad_scenario_values_exit_2_without_traceback(tmp_path, capsys, command,
     assert code == 2
     assert "invalid input" in err and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def _write_scenario(tmp_path, section, key, value):
+    cfg = scenario_dict(waveguides=2, taps=3, nx=6, ny=4)
+    cfg[section][key] = value
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("channel", "tx_power_dbm", 4000),
+        ("channel", "nlos_db", 4000.0),
+        ("channel", "noise_dbm", 4000),
+        ("solver", "threshold_db", 4000),
+    ],
+)
+def test_db_overflow_in_scenario_exits_2(tmp_path, capsys, section, key, value):
+    path = _write_scenario(tmp_path, section, key, value)
+    code, out = run(tmp_path, "minmax", "--config", str(path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid input" in err and "overflows" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coverage", "--gamma-db", "4000"],
+        ["sweep-power", "--powers", "30,4000"],
+        ["sweep-power", "--powers", "30,inf"],
+        ["sweep-threshold", "--gammas", "12,nan"],
+    ],
+)
+def test_db_overflow_and_non_finite_lists_exit_2(tmp_path, capsys, argv):
+    code, out = run(tmp_path, argv[0], "--config", "table1", *SMALL, *argv[1:])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid input" in err and "Traceback" not in err
+    assert not (out / "coverage_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coverage", "--gamma-db", "1e400"],
+        ["coverage", "--gamma-db", "nan"],
+        ["minmax", "--eps-t", "inf"],
+        ["gainmap", "--grid-scale=-inf"],
+    ],
+)
+def test_non_finite_flags_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, argv[0], "--config", "table1", *SMALL, *argv[1:])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "finite number" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_grid_in_scenario_exits_3(tmp_path, capsys):
+    path = _write_scenario(tmp_path, "grid", "nx", 1_000_000_000)
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    cfg["grid"]["ny"] = 1_000_000_000
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out = run(tmp_path, "coverage", "--config", str(path))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "budget refusal" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("scale, expected", [("1e308", 2), ("1e300", 3), ("100", 3)])
+def test_huge_grid_scale_refused(tmp_path, capsys, scale, expected):
+    # 400 * 1e308 is not finite (exit 2); the others are finite but over budget
+    code, out = run(tmp_path, "gainmap", "--config", "table1", "--grid-scale", scale)
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())

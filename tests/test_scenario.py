@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pinchplan import (
+    BudgetError,
     ScenarioError,
     bundled_scenario_names,
     load_bundled,
@@ -11,6 +12,7 @@ from pinchplan import (
     random_activation,
     scenario_from_dict,
 )
+from pinchplan.coverage import TENSOR_BYTES_BUDGET
 from conftest import random_scenario, scenario_dict
 
 
@@ -232,4 +234,22 @@ def test_sections_must_be_objects(section, value):
 def test_blockage_entries_must_be_objects():
     cfg = scenario_dict(blockages=[7])
     with pytest.raises(ScenarioError, match=r"blockages\[0\] must be a JSON object"):
+        scenario_from_dict(cfg)
+
+
+def test_tensor_budget_admits_the_largest_benchmark_grid():
+    # 6 waveguides x 16 taps on 400 x 120 cells: a 37 MB gain tensor
+    scn = scenario_from_dict(scenario_dict(waveguides=6, taps=16, nx=400, ny=120))
+    assert scn.grid.nx * scn.grid.ny * 6 * 16 * 8 < TENSOR_BYTES_BUDGET
+    scn.with_grid_scale(2.0)  # 4x the cells still fits
+
+
+def test_tensor_budget_refuses_grids_over_it(monkeypatch):
+    cfg = scenario_dict(waveguides=2, taps=3, nx=6, ny=4)
+    monkeypatch.setattr("pinchplan.scenario.TENSOR_BYTES_BUDGET", 2 * 3 * 6 * 4 * 8)
+    scn = scenario_from_dict(cfg)  # exactly at the budget
+    with pytest.raises(BudgetError):
+        scn.with_grid_scale(1.5)
+    cfg["grid"]["nx"] = 7
+    with pytest.raises(BudgetError):
         scenario_from_dict(cfg)
