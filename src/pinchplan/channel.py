@@ -1,12 +1,12 @@
 """Free-space channel model and the precomputed per-grid average-gain tensor.
 
 Each tap-to-grid link combines a deterministic line-of-sight ray (blocked or
-not, per the visibility tensor) with a sum of Rayleigh-faded scatter clusters.
+not, per the visibility tensor) with Rayleigh-faded diffuse scatter.
 Under maximum-ratio transmission the per-grid average SNR has the closed form
 
     snr(u, v) = snr_scale * sum_n gains[n, m_n, u, v]
 
-with gains[n, m, u, v] = (los * los_ref_gain + nlos_power) / dist_sq, which is
+with gains[n, m, u, v] = (los * los_ref_gain + nlos_power) / d^2, which is
 what `precompute_gain_map` tabulates once per scenario. All power quantities
 are linear here; dB conversions live at the IO boundary.
 """
@@ -64,15 +64,14 @@ class ChannelParams:
     ----------
     freq_hz : carrier frequency.
     tx_power_w, noise_power_w : transmit power and noise power, linear watts.
-    cluster_powers : per-cluster average scatter gains (dimensionless, sum to
-        the total NLoS power).
+    nlos_power : average diffuse scatter gain at 1 m (dimensionless).
     n_eff : effective refractive index of the waveguide dielectric.
     """
 
     freq_hz: float
     tx_power_w: float
     noise_power_w: float
-    cluster_powers: tuple[float, ...]
+    nlos_power: float
     n_eff: float = 1.4
 
     def __post_init__(self) -> None:
@@ -82,10 +81,8 @@ class ChannelParams:
             raise ValueError("transmit and noise powers must be positive")
         if self.n_eff < 1.0:
             raise ValueError("effective refractive index must be >= 1")
-        powers = tuple(float(p) for p in self.cluster_powers)
-        if len(powers) < 1 or any(p < 0 for p in powers):
-            raise ValueError("cluster powers must be a non-empty list of non-negative gains")
-        object.__setattr__(self, "cluster_powers", powers)
+        if not (math.isfinite(self.nlos_power) and self.nlos_power >= 0):
+            raise ValueError("NLoS power must be a finite non-negative gain")
 
     @classmethod
     def from_db(
@@ -94,18 +91,14 @@ class ChannelParams:
         tx_power_dbm: float,
         noise_dbm: float,
         nlos_db: float,
-        n_clusters: int = 4,
         n_eff: float = 1.4,
     ) -> "ChannelParams":
-        """Build from the usual dB inputs, splitting NLoS power into equal clusters."""
-        if n_clusters < 1:
-            raise ValueError("need at least one scatter cluster")
-        total = db_to_linear(nlos_db)
+        """Build from the usual dB inputs."""
         return cls(
             freq_hz=freq_hz,
             tx_power_w=dbm_to_watt(tx_power_dbm),
             noise_power_w=dbm_to_watt(noise_dbm),
-            cluster_powers=tuple([total / n_clusters] * n_clusters),
+            nlos_power=db_to_linear(nlos_db),
             n_eff=n_eff,
         )
 
@@ -123,10 +116,6 @@ class ChannelParams:
         return (self.wavelength / (4.0 * math.pi)) ** 2
 
     @property
-    def nlos_power(self) -> float:
-        return sum(self.cluster_powers)
-
-    @property
     def snr_scale(self) -> float:
         """Transmit SNR tx_power / noise_power."""
         return self.tx_power_w / self.noise_power_w
@@ -137,10 +126,9 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class GainMap:
-    """Per-tap-per-grid average channel gains with their squared distances."""
+    """Per-tap-per-grid average channel gains and the footprint mask."""
 
     gains: np.ndarray  # (waveguides, taps, nx, ny)
-    dist_sq: np.ndarray  # same shape
     valid: np.ndarray  # (nx, ny) bool
 
     @property
@@ -180,6 +168,23 @@ def avg_gain(los_flag, dist_sq_val, params: ChannelParams):
     return (los * params.los_ref_gain + params.nlos_power) / d2
 
 
+def _point_gains(points: np.ndarray, los: np.ndarray, grid: GridSpec, params: ChannelParams) -> np.ndarray:
+    """Average gains (los * los_ref_gain + nlos_power) / d^2, shape (K, nx, ny).
+
+    points is (K, 3) and los the matching (K, nx, ny) visibility. d^2 is built
+    in the output array and divided in place, so the only other full-size
+    array is the boolean mask of the blocked links.
+    """
+    px, py, pz = (points[:, i, None, None] for i in range(3))
+    dx = grid.x_centers()[None, :, None] - px
+    dy = grid.y_centers()[None, None, :] - py
+    gains = dx * dx + dy * dy
+    gains += pz * pz
+    np.divide(params.los_ref_gain + params.nlos_power, gains, out=gains, where=los)
+    np.divide(params.nlos_power, gains, out=gains, where=~los)
+    return gains
+
+
 def precompute_gain_map(
     layout: WaveguideLayout,
     taps: CandidateGrid,
@@ -188,14 +193,11 @@ def precompute_gain_map(
     params: ChannelParams,
 ) -> GainMap:
     """Tabulate average gains for every (waveguide, tap, grid) triple."""
-    n_wg, n_tap = taps.x_taps.shape
-    if vis.los.shape != (n_wg, n_tap, grid.nx, grid.ny):
+    shape = (*taps.x_taps.shape, grid.nx, grid.ny)
+    if vis.los.shape != shape:
         raise ValueError("visibility tensor shape does not match layout/taps/grid")
-    dx = grid.x_centers()[None, None, :, None] - taps.x_taps[:, :, None, None]
-    dy = grid.y_centers()[None, None, None, :] - layout.y_positions()[:, None, None, None]
-    d2 = dx * dx + dy * dy + layout.height**2
-    gains = (vis.los * params.los_ref_gain + params.nlos_power) / d2
-    return GainMap(gains=gains, dist_sq=d2, valid=vis.valid.copy())
+    gains = _point_gains(layout.tap_points(taps), vis.los.reshape(-1, grid.nx, grid.ny), grid, params)
+    return GainMap(gains=gains.reshape(shape), valid=vis.valid.copy())
 
 
 def _candidate_matrix(gain_map: GainMap, params: ChannelParams) -> np.ndarray:
@@ -245,7 +247,7 @@ def sample_instantaneous_snr(
 
     Per sample and per waveguide the active tap's channel is the deterministic
     LoS ray (zeroed when blocked) plus one circularly-symmetric complex
-    Gaussian per scatter cluster with variance cluster_power / dist_sq.
+    Gaussian scatter term with variance nlos_power / d^2.
     Maximum-ratio transmission makes the SNR snr_scale * sum_n |h_n|^2.
     Same seed, same arguments: bit-identical output.
     """
@@ -268,20 +270,18 @@ def sample_instantaneous_snr(
     )
     h_los = np.where(los_mask, math.sqrt(params.los_ref_gain) * np.exp(1j * phase) / dist, 0.0)
 
-    cluster_std = np.sqrt(np.asarray(params.cluster_powers) / 2.0)  # per real/imag part
+    scatter_std = math.sqrt(params.nlos_power / 2.0) / dist  # per real/imag part
     rng = np.random.default_rng(seed)
     out = np.empty((n_samples, n_grid))
     # chunk the sample axis so the draw buffer stays modest
-    chunk = max(1, min(n_samples, int(4e6 // max(1, layout.count * len(cluster_std) * n_grid)) + 1))
-    start = 0
-    while start < n_samples:
+    chunk = max(1, min(n_samples, int(4e6 // max(1, layout.count * n_grid)) + 1))
+    for start in range(0, n_samples, chunk):
         stop = min(start + chunk, n_samples)
-        shape = (stop - start, layout.count, len(cluster_std), n_grid)
-        draws = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        scatter = (draws * cluster_std[None, None, :, None]).sum(axis=2) / dist[None, :, :]
-        h = h_los[None, :, :] + scatter
+        shape = (stop - start, layout.count, n_grid)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h *= scatter_std
+        h += h_los
         out[start:stop] = params.snr_scale * (np.abs(h) ** 2).sum(axis=1)
-        start = stop
     return out.reshape(n_samples, grid.nx, grid.ny)
 
 
@@ -309,12 +309,5 @@ def fixed_array_gain_map(
     points[:, 1] = y_el
     points[:, 2] = region.height
     vis = points_visibility(points, blockages, grid)
-    los = vis.los[:, None, :, :]
-
-    gx = grid.x_centers()
-    gy = grid.y_centers()
-    dx = gx[None, :, None] - points[:, 0, None, None]
-    dy = gy[None, None, :] - y_el[:, None, None]
-    d2 = (dx * dx + dy * dy + region.height**2)[:, None, :, :]
-    gains = (los * params.los_ref_gain + params.nlos_power) / d2
-    return GainMap(gains=gains, dist_sq=d2, valid=vis.valid)
+    gains = _point_gains(points, vis.los, grid, params)
+    return GainMap(gains=gains[:, None], valid=vis.valid)

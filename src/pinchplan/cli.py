@@ -107,7 +107,6 @@ def _cmd_gainmap(args) -> int:
         npz_path,
         {
             "gains": gm.gains,
-            "dist_sq": gm.dist_sq,
             "los": vis.los,
             "valid": gm.valid,
             "x_centers": scn.grid.x_centers(),
@@ -294,9 +293,12 @@ def _cmd_map(args) -> int:
     except ValueError:
         raise ValueError(f"--activation expects comma-separated 1-based tap indices, got {args.activation!r}")
     field = avg_snr(act.as_array(), gm, scn.params)
+    worst = float(field[gm.valid].min())
+    if not worst > 0:
+        raise ValueError("the activation leaves a valid cell with zero average SNR, which has no dB value")
     path = out / f"map.{args.format}"
     export_map(field, gm.valid, scn.grid, path, fmt=args.format)
-    worst_db = linear_to_db(float(field[gm.valid].min()))
+    worst_db = linear_to_db(worst)
     summary = RunSummary(
         digest=scn.digest(),
         method="map",

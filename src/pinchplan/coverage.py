@@ -418,16 +418,12 @@ def encode_max_cover(
     for m, s in enumerate(instance.subsets):
         for e in s:
             gains[:, m, e - 1, 0] = threshold
-    gain_map = GainMap(
-        gains=gains,
-        dist_sq=np.ones_like(gains),
-        valid=np.ones((g, 1), dtype=bool),
-    )
+    gain_map = GainMap(gains=gains, valid=np.ones((g, 1), dtype=bool))
     params = ChannelParams(
         freq_hz=1e9,
         tx_power_w=1.0,
         noise_power_w=1.0,
-        cluster_powers=(0.0,),
+        nlos_power=0.0,
         n_eff=1.0,
     )
     return gain_map, params

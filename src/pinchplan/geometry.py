@@ -72,6 +72,17 @@ class WaveguideLayout:
         out[:, 2] = self.height
         return out
 
+    def tap_points(self, taps: CandidateGrid) -> np.ndarray:
+        """(count * taps, 3) candidate tap coordinates; row n * taps + m is tap (n, m)."""
+        n_wg, n_tap = taps.x_taps.shape
+        if n_wg != self.count:
+            raise GeometryError("candidate grid row count must match the number of waveguides")
+        points = np.empty((n_wg, n_tap, 3))
+        points[:, :, 0] = taps.x_taps
+        points[:, :, 1] = self.y_positions()[:, None]
+        points[:, :, 2] = self.height
+        return points.reshape(-1, 3)
+
 
 @dataclass(frozen=True)
 class CandidateGrid:
@@ -283,15 +294,9 @@ def compute_visibility(
     (tap, column), a y part per (tap, row) and a z part per tap, so the
     tensor costs two comparisons per link (see `points_visibility`).
     """
-    n_wg, n_tap = taps.x_taps.shape
-    if layout.count != n_wg:
-        raise GeometryError("candidate grid row count must match the number of waveguides")
+    points = layout.tap_points(taps)
     for blk in blockages:
         if not blk.height < layout.height:
             raise GeometryError("blockage height must stay below the waveguide height")
-    points = np.empty((n_wg, n_tap, 3))
-    points[:, :, 0] = taps.x_taps
-    points[:, :, 1] = layout.y_positions()[:, None]
-    points[:, :, 2] = layout.height
-    vis = points_visibility(points.reshape(-1, 3), blockages, grid)
-    return VisibilityMap(los=vis.los.reshape(n_wg, n_tap, grid.nx, grid.ny), valid=vis.valid)
+    vis = points_visibility(points, blockages, grid)
+    return VisibilityMap(los=vis.los.reshape(*taps.x_taps.shape, grid.nx, grid.ny), valid=vis.valid)

@@ -55,9 +55,10 @@ def _write_csv(db: np.ndarray, valid: np.ndarray, grid: GridSpec, path) -> None:
 
 def _write_pgm(db, valid, grid: GridSpec, path, db_window) -> None:
     if db_window is None:
-        vals = db[valid]
+        # a zero-SNR cell (-inf dB) is left out, so it does not stretch the window to -inf
+        vals = db[valid & np.isfinite(db)]
         if vals.size == 0:
-            raise ValueError("cannot derive a dB window: no valid cells")
+            raise ValueError("cannot derive a dB window: no valid cell has a finite dB value")
         db_window = (float(vals.min()), float(vals.max()))
     lo, hi = db_window
     if not hi >= lo:

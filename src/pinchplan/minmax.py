@@ -201,6 +201,8 @@ def bisection_maxmin(
     evals = 0
     while t_hi - t_lo > eps_t:
         t_mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < t_mid < t_hi:
+            break  # adjacent floats: at large SNR they lie more than eps_t apart
         if exact_feasibility:
             ok, found = _exact_feasible(t_mid, gains_v)
         else:

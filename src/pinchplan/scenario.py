@@ -11,15 +11,17 @@ Schema (version 1; dB quantities are converted to linear once, at load):
                       "y_min": 0.0, "y_max": 20.0, "height": 6.0}, ...],
       "grid":       {"nx": 400, "ny": 120},
       "channel":    {"freq_hz": 28.0e9, "tx_power_dbm": 40.0, "noise_dbm": -70.0,
-                     "nlos_db": -60.0, "n_clusters": 4, "n_eff": 1.4},
+                     "nlos_db": -60.0, "n_eff": 1.4},
       "solver":     {"threshold_db": 18.0, "eps_t": 1.0e-3, "max_sweeps": 50, "seed": 0}
     }
 
-Optional keys and their defaults: "blockages" ([]), "channel.n_clusters" (4),
-"channel.n_eff" (1.4), "solver" and each of its fields (values above). Every
-applied default is recorded on the loaded scenario. Unknown keys are
-rejected. Saving writes the normalized form (explicit tap coordinates), and
-load -> save -> load reproduces every value exactly.
+Optional keys and their defaults: "blockages" ([]), "channel.n_eff" (1.4),
+"solver" and each of its fields (values above). Every applied default is
+recorded on the loaded scenario. Unknown keys are rejected, except
+"channel.n_clusters": older files split the NLoS power into clusters, so an
+integer >= 1 there is accepted and has no effect. Saving writes the
+normalized form (explicit tap coordinates), and load -> save -> load
+reproduces every value exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -63,18 +65,10 @@ class ChannelSpec:
     tx_power_dbm: float
     noise_dbm: float
     nlos_db: float
-    n_clusters: int = 4
     n_eff: float = 1.4
 
     def to_params(self) -> ChannelParams:
-        return ChannelParams.from_db(
-            freq_hz=self.freq_hz,
-            tx_power_dbm=self.tx_power_dbm,
-            noise_dbm=self.noise_dbm,
-            nlos_db=self.nlos_db,
-            n_clusters=self.n_clusters,
-            n_eff=self.n_eff,
-        )
+        return ChannelParams.from_db(**asdict(self))
 
 
 @dataclass(frozen=True)
@@ -95,6 +89,9 @@ class Scenario:
     channel: ChannelSpec
     solver: SolverDefaults
     applied_defaults: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_channel(self.channel, self.layout)
 
     @property
     def params(self) -> ChannelParams:
@@ -156,14 +153,7 @@ class Scenario:
                 for b in self.blockages
             ],
             "grid": {"nx": self.grid.nx, "ny": self.grid.ny},
-            "channel": {
-                "freq_hz": self.channel.freq_hz,
-                "tx_power_dbm": self.channel.tx_power_dbm,
-                "noise_dbm": self.channel.noise_dbm,
-                "nlos_db": self.channel.nlos_db,
-                "n_clusters": self.channel.n_clusters,
-                "n_eff": self.channel.n_eff,
-            },
+            "channel": asdict(self.channel),
             "solver": {
                 "threshold_db": self.solver.threshold_db,
                 "eps_t": self.solver.eps_t,
@@ -190,6 +180,22 @@ def _check_tensor_bytes(n_wg: int, n_tap: int, nx: int, ny: int) -> None:
         raise BudgetError(
             f"a {n_wg}x{n_tap}-tap gain tensor on a {nx}x{ny} grid takes {size} bytes, "
             f"over the {TENSOR_BYTES_BUDGET}-byte budget"
+        )
+
+
+def _check_channel(channel: ChannelSpec, layout: WaveguideLayout) -> None:
+    """Refuse channel inputs whose linear values, or the average SNR they give, overflow."""
+    try:
+        params = channel.to_params()
+        # no tap is nearer a grid cell than the mounting height, so this bounds every SNR field
+        peak = params.snr_scale * layout.count * (params.los_ref_gain + params.nlos_power) / layout.height**2
+    except ValueError as exc:
+        raise ScenarioError(f"channel: {exc}") from exc
+    except ArithmeticError:  # height**2 overflows or underflows to 0
+        peak = math.inf
+    if not math.isfinite(peak):
+        raise ScenarioError(
+            "channel: the transmit-to-noise power ratio is so large that the average SNR overflows a float"
         )
 
 
@@ -318,13 +324,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         required={"freq_hz", "tx_power_dbm", "noise_dbm", "nlos_db"},
         optional={"n_clusters", "n_eff"},
     )
-    if "n_clusters" in ch:
-        n_clusters = _integer(ch, "n_clusters", "channel")
-        if n_clusters < 1:
-            raise ScenarioError("channel.n_clusters must be at least 1")
-    else:
-        n_clusters = 4
-        applied.append("channel.n_clusters")
+    if "n_clusters" in ch and _integer(ch, "n_clusters", "channel") < 1:
+        raise ScenarioError("channel.n_clusters must be at least 1")
     if "n_eff" in ch:
         n_eff = _number(ch, "n_eff", "channel")
         if n_eff < 1.0:
@@ -337,17 +338,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         tx_power_dbm=_number(ch, "tx_power_dbm", "channel"),
         noise_dbm=_number(ch, "noise_dbm", "channel"),
         nlos_db=_number(ch, "nlos_db", "channel"),
-        n_clusters=n_clusters,
         n_eff=n_eff,
     )
     if channel.freq_hz <= 0:
         raise ScenarioError("channel.freq_hz must be positive")
-    try:
-        params = channel.to_params()  # dB -> linear now, so overflow is a load error
-    except ValueError as exc:
-        raise ScenarioError(f"channel: {exc}") from exc
-    if not math.isfinite(params.snr_scale):
-        raise ScenarioError("channel: the transmit-to-noise power ratio overflows a float")
 
     solver_doc = doc.get("solver", {})
     if not isinstance(solver_doc, dict):

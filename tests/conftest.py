@@ -44,6 +44,11 @@ def scenario_dict(
     return cfg
 
 
+# a 9 m wall across the default 80 m x 30 m hall: it shadows the far cells
+# from the first taps
+WALL = [{"x_min": 20.0, "x_max": 30.0, "y_min": -15.0, "y_max": 15.0, "height": 9.0}]
+
+
 def random_blockage(rng, x_len, y_len, max_height):
     # stay a margin inside the region so rounded bounds always validate
     x0 = rng.uniform(0.001, 0.75 * x_len)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,12 @@ from pinchplan import (
 from conftest import random_scenario
 
 
+# SHA-256 of the full-table1 gain tensors of the taps and of the fixed array:
+# any change in the order or rounding of the gain arithmetic shows here
+TABLE1_GAINS_SHA256 = "5aa6bb89b29ec378284d4d8237de9bb5da4c95ff03eb2955e67d7db4483579f0"
+TABLE1_FIXED_GAINS_SHA256 = "f0b8ff5fcacadb943274a1d4d78e8b7976734ee509e2243ce3e45eff57f75b75"
+
+
 def table1_params():
     return ChannelParams.from_db(
         freq_hz=28.0e9, tx_power_dbm=40.0, noise_dbm=-70.0, nlos_db=-60.0
@@ -46,19 +53,18 @@ def test_params_derived_constants():
     assert p.los_ref_gain == pytest.approx(7.2594817e-07, rel=1e-6)
     assert abs(p.los_ref_gain - (p.wavelength / (4 * math.pi)) ** 2) <= 1e-12 * p.los_ref_gain
     assert p.nlos_power == pytest.approx(1e-6, rel=1e-12)
-    assert len(p.cluster_powers) == 4
-    assert abs(sum(p.cluster_powers) - p.nlos_power) <= 1e-12 * p.nlos_power
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        ChannelParams(freq_hz=0.0, tx_power_w=1.0, noise_power_w=1.0, cluster_powers=(1e-6,))
+        ChannelParams(freq_hz=0.0, tx_power_w=1.0, noise_power_w=1.0, nlos_power=1e-6)
+    for bad in (-1e-6, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ChannelParams(freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=bad)
     with pytest.raises(ValueError):
-        ChannelParams(freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, cluster_powers=())
-    with pytest.raises(ValueError):
-        ChannelParams(freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, cluster_powers=(1e-6,), n_eff=0.9)
-    with pytest.raises(ValueError):
-        ChannelParams.from_db(1e9, 40.0, -70.0, -60.0, n_clusters=0)
+        ChannelParams(freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=1e-6, n_eff=0.9)
+    with pytest.raises(TypeError):  # the scatter is one draw; there are no clusters to count
+        ChannelParams.from_db(1e9, 40.0, -70.0, -60.0, n_clusters=4)
 
 
 def test_distance_sq_examples():
@@ -96,7 +102,7 @@ def test_avg_gain_branches():
     p = table1_params()
     assert avg_gain(0, 125.0, p) == pytest.approx(1e-6 / 125.0, rel=1e-9)
     assert avg_gain(1, 125.0, p) == pytest.approx((p.los_ref_gain + 1e-6) / 125.0, rel=1e-12)
-    p0 = ChannelParams(freq_hz=28e9, tx_power_w=10.0, noise_power_w=1e-10, cluster_powers=(0.0,))
+    p0 = ChannelParams(freq_hz=28e9, tx_power_w=10.0, noise_power_w=1e-10, nlos_power=0.0)
     assert avg_gain(0, 125.0, p0) == 0.0
     with pytest.raises(ValueError):
         avg_gain(1, 0.0, p)
@@ -110,11 +116,24 @@ def test_gain_map_all_los_limit():
     taps = CandidateGrid.uniform(region, 3, 3)
     grid = GridSpec.from_region(region, 6, 4)
     vis = compute_visibility(layout, taps, [], grid)
-    p = ChannelParams(freq_hz=28e9, tx_power_w=10.0, noise_power_w=1e-10, cluster_powers=(0.0,))
+    p = ChannelParams(freq_hz=28e9, tx_power_w=10.0, noise_power_w=1e-10, nlos_power=0.0)
     gm = precompute_gain_map(layout, taps, grid, vis, p)
     assert gm.gains.shape == (3, 3, 6, 4)
-    assert np.allclose(gm.gains, p.los_ref_gain / gm.dist_sq, rtol=1e-15)
-    assert np.all(gm.dist_sq >= region.height**2)
+    d2 = np.array([
+        distance_sq(n, m, u, v, layout, taps, grid) for n, m, u, v in np.ndindex(gm.gains.shape)
+    ]).reshape(gm.gains.shape)
+    assert np.allclose(gm.gains, p.los_ref_gain / d2, rtol=1e-15)
+    assert np.all(d2 >= region.height**2)
+
+
+def test_table1_gain_bytes_pinned():
+    scn = load_bundled("table1")
+    for gm, shape, want in (
+        (scn.gain_map(), (4, 10, 400, 120), TABLE1_GAINS_SHA256),
+        (scn.fixed_array_map(), (4, 1, 400, 120), TABLE1_FIXED_GAINS_SHA256),
+    ):
+        assert gm.gains.shape == shape and gm.gains.dtype == np.float64
+        assert hashlib.sha256(np.ascontiguousarray(gm.gains).tobytes()).hexdigest() == want
 
 
 def test_gain_map_height_scaling():
@@ -218,7 +237,7 @@ def test_sampler_degenerate_los_only():
     vis = scn.visibility()
     import dataclasses
 
-    p = dataclasses.replace(scn.params, cluster_powers=(0.0,))
+    p = dataclasses.replace(scn.params, nlos_power=0.0)
     sel = np.zeros(scn.layout.count, dtype=int)
     gm = precompute_gain_map(scn.layout, scn.taps, scn.grid, vis, p)
     want = avg_snr(sel, gm, p)
@@ -275,7 +294,7 @@ def test_fixed_array_single_element_open_room():
     dx = grid.x_centers() - 25.0
     dy = grid.y_centers() - 0.0
     d2 = dx[:, None] ** 2 + dy[None, :] ** 2 + 100.0
-    assert np.allclose(fgm.dist_sq[0, 0], d2, rtol=1e-14)
+    assert np.allclose((p.los_ref_gain + p.nlos_power) / fgm.gains[0, 0], d2, rtol=1e-14)
     assert np.allclose(fgm.gains[0, 0], (p.los_ref_gain + p.nlos_power) / d2, rtol=1e-14)
 
 
@@ -284,8 +303,10 @@ def test_fixed_array_elements_share_visibility_on_bundled():
     # all but a handful of shadow-boundary cells
     scn = load_bundled("table1").with_grid_scale(0.25)
     p = scn.params
-    fgm = scn.fixed_array_map()
-    los = fgm.gains > p.nlos_power / fgm.dist_sq  # strictly larger means the LoS ray is present
+    import dataclasses
+
+    # with no NLoS power a gain is positive exactly where the LoS ray is present
+    los = scn.fixed_array_map(dataclasses.replace(p, nlos_power=0.0)).gains > 0
     cells = los[0].size
     for k in range(1, los.shape[0]):
         assert np.count_nonzero(los[k] != los[0]) <= 1e-3 * cells

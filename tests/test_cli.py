@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pinchplan.cli import main
-from conftest import scenario_dict
+from conftest import WALL, scenario_dict
 
 SMALL = ["--grid-scale", "0.05"]  # table1 at 20x6, fast enough for every command
 
@@ -24,7 +24,7 @@ def test_gainmap_outputs(tmp_path, capsys):
     code, out = run(tmp_path, "gainmap", "--config", "table1", *SMALL)
     assert code == 0
     with np.load(out / "gainmap.npz") as npz:
-        assert set(npz.files) == {"gains", "dist_sq", "los", "valid", "x_centers", "y_centers"}
+        assert set(npz.files) == {"gains", "los", "valid", "x_centers", "y_centers"}
         assert npz["gains"].shape == (4, 10, 20, 6)
         assert npz["los"].dtype == bool
         assert npz["x_centers"].shape == (20,)
@@ -303,3 +303,25 @@ def test_huge_grid_scale_refused(tmp_path, capsys, scale, expected):
     assert code == expected
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+
+def test_map_refuses_a_zero_snr_cell_before_writing(tmp_path, capsys):
+    # the NLoS power underflows to 0, so a shadowed valid cell has zero SNR (-inf dB)
+    cfg = scenario_dict(waveguides=2, taps=3, nx=6, ny=4, nlos_db=-4000.0, blockages=WALL)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out = run(tmp_path, "map", "--config", str(path), "--format", "pgm", "--activation", "1,1")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "zero average SNR" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_power_refuses_an_overflowing_power(tmp_path, capsys):
+    path = _write_scenario(tmp_path, "channel", "noise_dbm", -100.0)
+    code, out = run(tmp_path, "sweep-power", "--config", str(path), "--powers", "30,3060")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid input" in err and "overflows" in err and "Traceback" not in err
+    assert not (out / "power_sweep_summary.json").exists()

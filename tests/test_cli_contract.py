@@ -1,0 +1,56 @@
+"""Property test of the CLI contract over the channel inputs.
+
+Every run ends in a documented exit code (0, 2, 3 or 4) without raising,
+and a run that exits 0 writes strict JSON (no NaN or Infinity) and PGM
+pixels within 0..255.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pinchplan.cli import main
+from conftest import WALL, scenario_dict
+
+DB = st.floats(-5000.0, 5000.0, allow_nan=False, allow_infinity=False)
+COMMANDS = (
+    ["map", "--format", "pgm", "--activation", "1,1"],
+    ["minmax"],
+)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _check_products(out: Path) -> None:
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+    for path in out.glob("*.pgm"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "P2" and lines[3] == "255"
+        pixels = [int(tok) for line in lines[4:] for tok in line.split()]
+        assert len(pixels) == 6 * 4
+        assert all(0 <= p <= 255 for p in pixels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(DB, DB, DB, st.lists(DB, min_size=1, max_size=3))
+def test_cli_exit_codes_and_finite_products(tx_power_dbm, noise_dbm, nlos_db, powers):
+    cfg = scenario_dict(
+        waveguides=2, taps=3, nx=6, ny=4, blockages=WALL,
+        tx_power_dbm=tx_power_dbm, noise_dbm=noise_dbm, nlos_db=nlos_db,
+    )
+    sweep = ["sweep-power", "--powers=" + ",".join(repr(p) for p in powers)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scn.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        for i, argv in enumerate((*COMMANDS, sweep)):
+            out = Path(tmp) / f"out{i}"
+            code = main([*argv, "--config", str(path), "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            if code == 0:
+                _check_products(out)

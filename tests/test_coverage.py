@@ -31,11 +31,11 @@ def synthetic_map(gains, valid=None):
     gains = np.asarray(gains, dtype=float)
     if valid is None:
         valid = np.ones(gains.shape[2:], dtype=bool)
-    return GainMap(gains=gains, dist_sq=np.ones_like(gains), valid=valid)
+    return GainMap(gains=gains, valid=valid)
 
 
 UNIT_PARAMS = ChannelParams(
-    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, cluster_powers=(0.0,), n_eff=1.0
+    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0, n_eff=1.0
 )
 
 

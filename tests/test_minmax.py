@@ -18,7 +18,7 @@ from pinchplan import (
 from conftest import brute_best_worst, random_scenario
 
 UNIT_PARAMS = ChannelParams(
-    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, cluster_powers=(0.0,), n_eff=1.0
+    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0, n_eff=1.0
 )
 
 
@@ -26,7 +26,7 @@ def synthetic_map(gains, valid=None):
     gains = np.asarray(gains, dtype=float)
     if valid is None:
         valid = np.ones(gains.shape[2:], dtype=bool)
-    return GainMap(gains=gains, dist_sq=np.ones_like(gains), valid=valid)
+    return GainMap(gains=gains, valid=valid)
 
 
 def test_worst_grid_basics():
@@ -120,10 +120,19 @@ def test_deficit_feasibility_non_finite_field_stays_well_formed():
 
 def test_bisection_refuses_non_finite_bound():
     infinite_power = ChannelParams(
-        freq_hz=1e9, tx_power_w=np.inf, noise_power_w=1.0, cluster_powers=(0.0,), n_eff=1.0
+        freq_hz=1e9, tx_power_w=np.inf, noise_power_w=1.0, nlos_power=0.0, n_eff=1.0
     )
     with pytest.raises(ValueError, match="not finite"):
         bisection_maxmin(synthetic_map(np.ones((2, 2, 2, 1))), infinite_power)
+
+
+def test_bisection_ends_when_the_bracket_reaches_adjacent_floats():
+    # near 1e300 neighbouring floats lie about 1e284 apart, far above eps_t
+    gains = np.full((2, 2, 3, 1), 1e300)
+    gains[0, 1] = 2e300
+    res = bisection_maxmin(synthetic_map(gains), UNIT_PARAMS, eps_t=1e-3)
+    assert res.activation.selected[0] == 1
+    assert res.t_star == 3e300 and res.bisection_iters < 1100
 
 
 def test_deficit_restarts_only_add_certificates():

@@ -30,7 +30,7 @@ def test_bundled_table1_values():
     assert (scn.grid.nx, scn.grid.ny) == (400, 120)
     ch = scn.channel
     assert (ch.freq_hz, ch.tx_power_dbm, ch.noise_dbm, ch.nlos_db) == (28.0e9, 40.0, -70.0, -60.0)
-    assert (ch.n_clusters, ch.n_eff) == (4, 1.4)
+    assert ch.n_eff == 1.4
     sv = scn.solver
     assert (sv.threshold_db, sv.eps_t, sv.max_sweeps, sv.seed) == (24.0, 1.0e-3, 50, 1)
     assert scn.applied_defaults == ()
@@ -197,7 +197,6 @@ def test_applied_defaults_full_list():
     scn = scenario_from_dict(cfg)
     for name in (
         "blockages",
-        "channel.n_clusters",
         "channel.n_eff",
         "solver.threshold_db",
         "solver.eps_t",
@@ -207,6 +206,33 @@ def test_applied_defaults_full_list():
         assert name in scn.applied_defaults
     assert scn.solver.threshold_db == 18.0
     assert scn.solver.seed == 0
+
+
+def test_n_clusters_is_validated_and_ignored():
+    plain = scenario_from_dict(scenario_dict())
+    for n_clusters in (1, 4, 9):
+        cfg = scenario_dict()
+        cfg["channel"]["n_clusters"] = n_clusters
+        scn = scenario_from_dict(cfg)
+        assert scn.to_dict() == plain.to_dict() and scn.params == plain.params
+        assert "channel.n_clusters" not in scn.applied_defaults
+    for bad in (0, -2, 2.0, "4", True):
+        cfg = scenario_dict()
+        cfg["channel"]["n_clusters"] = bad
+        with pytest.raises(ScenarioError, match="n_clusters"):
+            scenario_from_dict(cfg)
+
+
+def test_power_rewrite_refuses_an_overflowing_snr():
+    scn = scenario_from_dict(scenario_dict(noise_dbm=-100.0))
+    with pytest.raises(ScenarioError, match="overflows"):
+        scn.with_power_dbm(3060.0)  # the transmit-to-noise ratio overflows
+    assert scn.with_power_dbm(60.0).params.snr_scale == pytest.approx(1e16)
+    quiet = scenario_from_dict(scenario_dict(noise_dbm=-100.0, tx_power_dbm=-200.0, nlos_db=3000.0))
+    with pytest.raises(ScenarioError, match="overflows"):
+        quiet.with_power_dbm(30.0)  # the ratio is finite, the average SNR is not
+    with pytest.raises(ScenarioError, match="overflows"):
+        scenario_from_dict(scenario_dict(noise_dbm=-100.0, nlos_db=3000.0))
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400])

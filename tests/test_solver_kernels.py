@@ -32,7 +32,7 @@ from conftest import (
 )
 
 UNIT_PARAMS = ChannelParams(
-    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, cluster_powers=(0.0,), n_eff=1.0
+    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0, n_eff=1.0
 )
 
 
@@ -133,6 +133,6 @@ def test_exhaustive_search_lexicographic_ties_three_waveguides():
     rng = np.random.default_rng(73)
     base = rng.uniform(1.0, 2.0, (3, 1, 3, 2))
     gains = np.repeat(base, 3, axis=1)  # three identical taps per waveguide
-    gm = GainMap(gains=gains, dist_sq=np.ones_like(gains), valid=np.ones((3, 2), dtype=bool))
+    gm = GainMap(gains=gains, valid=np.ones((3, 2), dtype=bool))
     assert exact_enumerate(gm, UNIT_PARAMS, 3.5).activation.selected == (0, 0, 0)
     assert exact_maxmin(gm, UNIT_PARAMS).activation.selected == (0, 0, 0)

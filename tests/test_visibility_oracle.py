@@ -102,7 +102,7 @@ def test_fixed_array_visibility_matches_per_link_oracle(case, n_elements):
     # half-wavelength element spacing equal to the grid's cell height puts the
     # elements on the y lattice; with no NLoS power a gain is positive iff LoS
     freq = C_LIGHT / (2.0 * grid.cell_y)
-    params = ChannelParams(freq_hz=freq, tx_power_w=1.0, noise_power_w=1.0, cluster_powers=(0.0,))
+    params = ChannelParams(freq_hz=freq, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0)
     fgm = fixed_array_gain_map(region, blockages, grid, params, n_elements)
     y_el = (np.arange(n_elements) - (n_elements - 1) / 2.0) * (params.wavelength / 2.0)
     points = [(region.x_len / 2.0, y, region.height) for y in y_el]

@@ -93,7 +93,6 @@ def test_npz_matches_oracle_and_round_trips(quarter, tmp_path):
     scn, vis, gm = quarter
     arrays = {
         "gains": gm.gains,
-        "dist_sq": gm.dist_sq,
         "los": vis.los,
         "valid": gm.valid,
         "x_centers": scn.grid.x_centers(),
