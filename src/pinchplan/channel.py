@@ -48,6 +48,11 @@ def db_to_linear(value_db: float) -> float:
 
 
 def linear_to_db(value: float) -> float:
+    """10*log10(value); ValueError for a value <= 0, such as a zero average SNR."""
+    if not value > 0:
+        raise ValueError(
+            f"an average SNR of {value:g} has no dB value (a valid cell has zero average SNR)"
+        )
     return 10.0 * math.log10(value)
 
 

@@ -190,12 +190,13 @@ def _cmd_minmax(args) -> int:
             restarts=args.restarts,
             seed=scn.solver.seed,
         )
+    worst_db = linear_to_db(res.t_star)  # refuses a zero worst cell before any file is written
     export_map(res.snr_field, gm.valid, scn.grid, out / "minmax_map.csv", fmt="csv")
     summary = RunSummary(
         digest=scn.digest(),
         method="minmax/" + ("exact" if res.exact else "bisection"),
         objective={
-            "worst_grid_db": linear_to_db(res.t_star),
+            "worst_grid_db": worst_db,
             "worst_grid_linear": res.t_star,
             "bisection_iters": res.bisection_iters,
             "feasibility_evals": res.feasibility_evals,
@@ -293,12 +294,9 @@ def _cmd_map(args) -> int:
     except ValueError:
         raise ValueError(f"--activation expects comma-separated 1-based tap indices, got {args.activation!r}")
     field = avg_snr(act.as_array(), gm, scn.params)
-    worst = float(field[gm.valid].min())
-    if not worst > 0:
-        raise ValueError("the activation leaves a valid cell with zero average SNR, which has no dB value")
+    worst_db = linear_to_db(float(field[gm.valid].min()))  # before the map is written
     path = out / f"map.{args.format}"
     export_map(field, gm.valid, scn.grid, path, fmt=args.format)
-    worst_db = linear_to_db(worst)
     summary = RunSummary(
         digest=scn.digest(),
         method="map",

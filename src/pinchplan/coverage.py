@@ -17,13 +17,14 @@ from typing import Callable, IO
 
 import numpy as np
 
-from .channel import ChannelParams, GainMap, _candidate_matrix, avg_snr
+from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array, avg_snr
 
 # A field value this close (relatively) below the threshold still counts as
 # covered, so closed comparisons survive float roundoff.
 COVERAGE_SLACK = 1e-12
 
-DEFAULT_ENUM_BUDGET = 1_000_000
+# Activations an exhaustive search may score; larger instances are refused.
+ENUM_BUDGET = 1_000_000
 # Bytes the (waveguide, tap, nx, ny) float64 gain tensor may take; scenarios
 # over it are refused before anything is allocated.
 TENSOR_BYTES_BUDGET = 1 << 30
@@ -80,6 +81,11 @@ class CoverageResult:
 def _check_threshold(threshold: float) -> None:
     if not threshold > 0:
         raise ValueError("SNR threshold must be positive")
+
+
+def _require_valid(gain_map: GainMap) -> None:
+    if not np.any(gain_map.valid):
+        raise ValueError("no valid grid cells")
 
 
 def _covered(field: np.ndarray, threshold: float) -> np.ndarray:
@@ -191,11 +197,9 @@ def coordinate_ascent(
         raise ValueError("max_sweeps must be at least 1")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    n_valid = int(np.count_nonzero(gain_map.valid))
-    if n_valid == 0:
-        raise ValueError("no valid grid cells to cover")
+    _require_valid(gain_map)
     n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
-    sel0 = _selection(initial, n_wg, n_tap)
+    _selection_array(initial.selected, gain_map)
 
     gains_v = _candidate_matrix(gain_map, params)
     thr_eff = threshold * (1.0 - COVERAGE_SLACK)
@@ -203,7 +207,7 @@ def coordinate_ascent(
     rng = np.random.default_rng(seed)
     best = None  # (count, sel, sweeps)
     for r in range(restarts):
-        start = sel0 if r == 0 else tuple(int(m) for m in rng.integers(0, n_tap, size=n_wg))
+        start = initial.selected if r == 0 else tuple(int(m) for m in rng.integers(0, n_tap, size=n_wg))
         sel, sweeps_used = _ascent_once(start, gains_v, threshold, max_sweeps, on_update)
         field_v = gains_v[np.arange(n_wg), sel].sum(axis=0)
         count = int(np.count_nonzero(field_v >= thr_eff))
@@ -212,51 +216,50 @@ def coordinate_ascent(
 
     _, sel, sweeps_used = best
     act = Activation(selected=tuple(sel))
+    return _coverage_result(act, gain_map, params, threshold, sweeps_used, "coordinate_ascent")
+
+
+def _coverage_result(act, gain_map, params, threshold, sweeps_used, method) -> CoverageResult:
+    """The result of planning `act`, its field and count recomputed from the gain map."""
     field = avg_snr(act.as_array(), gain_map, params)
     covered = int(np.count_nonzero(_covered(field, threshold) & gain_map.valid))
     return CoverageResult(
         activation=act,
         covered_count=covered,
-        coverage_fraction=covered / n_valid,
+        coverage_fraction=covered / int(np.count_nonzero(gain_map.valid)),
         snr_field=field,
         threshold=threshold,
         sweeps_used=sweeps_used,
-        method="coordinate_ascent",
+        method=method,
     )
 
 
-def _selection(initial: Activation, n_wg: int, n_tap: int) -> tuple[int, ...]:
-    sel = initial.selected
-    if len(sel) != n_wg:
-        raise ValueError(f"activation must pick one tap per waveguide ({n_wg} entries)")
-    if any(m >= n_tap for m in sel):
-        raise ValueError(f"tap indices must lie in [0, {n_tap})")
-    return sel
+def _score_activations(
+    gain_map: GainMap, params: ChannelParams, score: Callable[[np.ndarray], float]
+) -> np.ndarray:
+    """score(valid-cell SNR field) of every activation, in lexicographic order.
 
-
-def check_enum_budget(n_waveguides: int, n_taps: int, budget: int) -> int:
-    """Total activation count n_taps**n_waveguides, or BudgetError beyond budget."""
-    total = n_taps**n_waveguides
-    if total > budget:
+    Entry i belongs to `_activation_at(i, gain_map)`, so the first argmax of
+    the scores is the lexicographically smallest argmax. Row n+1 of
+    `partial` holds the running sum of waveguides 0..n from zero; a new
+    prefix recomputes only the rows from its first changed tap on. The field
+    handed to `score` is one reused buffer. Refuses with BudgetError, before
+    anything is allocated, when there are more than ENUM_BUDGET activations.
+    """
+    n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
+    total = n_tap**n_wg
+    if total > ENUM_BUDGET:
         raise BudgetError(
             f"exhaustive search needs {total} activations "
-            f"({n_taps}^{n_waveguides}), over the budget of {budget}"
+            f"({n_tap}^{n_wg}), over the budget of {ENUM_BUDGET}"
         )
-    return total
-
-
-def _enumerate_fields(gains_v: np.ndarray):
-    """Yield (selection tuple, summed field) over all activations, lexicographic.
-
-    The field is a reused buffer: it is valid only until the next item is
-    drawn, so copy it to keep it. Row n+1 of `partial` holds the running sum
-    of waveguides 0..n from zero; a new prefix recomputes only the rows from
-    its first changed tap on.
-    """
-    n_wg, n_tap, n_cells = gains_v.shape
+    gains_v = _candidate_matrix(gain_map, params)
+    n_cells = gains_v.shape[2]
     last = n_wg - 1
     partial = np.zeros((n_wg, n_cells))
     field = np.empty(n_cells)
+    scores = np.empty(total)
+    i = 0
     for head in product(range(n_tap), repeat=last):
         # lexicographic order: the last nonzero tap of the prefix moved, later ones reset
         first = max((n for n, m in enumerate(head) if m), default=0)
@@ -264,43 +267,28 @@ def _enumerate_fields(gains_v: np.ndarray):
             np.add(partial[n], gains_v[n, head[n]], out=partial[n + 1])
         for m in range(n_tap):
             np.add(partial[last], gains_v[last, m], out=field)
-            yield head + (m,), field
+            scores[i] = score(field)
+            i += 1
+    return scores
 
 
-def exact_enumerate(
-    gain_map: GainMap,
-    params: ChannelParams,
-    threshold: float,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> CoverageResult:
+def _activation_at(index: int, gain_map: GainMap) -> Activation:
+    """Activation of entry `index` of the `_score_activations` order."""
+    shape = (gain_map.n_taps,) * gain_map.n_waveguides
+    return Activation(selected=np.unravel_index(index, shape))
+
+
+def exact_enumerate(gain_map: GainMap, params: ChannelParams, threshold: float) -> CoverageResult:
     """Exhaustively maximize the covered count (lexicographically smallest argmax)."""
     _check_threshold(threshold)
-    n_valid = int(np.count_nonzero(gain_map.valid))
-    if n_valid == 0:
-        raise ValueError("no valid grid cells to cover")
-    check_enum_budget(gain_map.n_waveguides, gain_map.n_taps, budget)
-
-    gains_v = _candidate_matrix(gain_map, params)
+    _require_valid(gain_map)
     thr_eff = threshold * (1.0 - COVERAGE_SLACK)
-    hit = np.empty(gains_v.shape[2], dtype=bool)
-    best_sel, best_count = None, -1
-    for sel, field in _enumerate_fields(gains_v):
-        count = int(np.count_nonzero(np.greater_equal(field, thr_eff, out=hit)))
-        if count > best_count:
-            best_sel, best_count = sel, count
-
-    act = Activation(selected=best_sel)
-    field = avg_snr(act.as_array(), gain_map, params)
-    covered = int(np.count_nonzero(_covered(field, threshold) & gain_map.valid))
-    return CoverageResult(
-        activation=act,
-        covered_count=covered,
-        coverage_fraction=covered / n_valid,
-        snr_field=field,
-        threshold=threshold,
-        sweeps_used=0,
-        method="exact",
+    hit = np.empty(int(np.count_nonzero(gain_map.valid)), dtype=bool)
+    counts = _score_activations(
+        gain_map, params, lambda field: np.count_nonzero(np.greater_equal(field, thr_eff, out=hit))
     )
+    act = _activation_at(int(np.argmax(counts)), gain_map)
+    return _coverage_result(act, gain_map, params, threshold, 0, "exact")
 
 
 def _one_based_cells(cells: np.ndarray, ny: int):

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, GainMap, _candidate_matrix, avg_snr
+from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array, avg_snr
 from .coverage import (
     Activation,
-    DEFAULT_ENUM_BUDGET,
     DEFAULT_MAX_SWEEPS,
-    check_enum_budget,
-    _enumerate_fields,
-    _selection,
+    _activation_at,
+    _require_valid,
+    _score_activations,
 )
 
 DEFAULT_EPS_T = 1e-3  # linear-SNR bracket width at which bisection stops
@@ -38,11 +37,6 @@ class MinMaxResult:
     feasibility_evals: int
     exact: bool
     snr_field: np.ndarray
-
-
-def _require_valid(gain_map: GainMap) -> None:
-    if not np.any(gain_map.valid):
-        raise ValueError("no valid grid cells")
 
 
 def worst_grid_snr(selected, gain_map: GainMap, params: ChannelParams) -> float:
@@ -127,6 +121,7 @@ def deficit_feasibility(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     _require_valid(gain_map)
+    _selection_array(initial.selected, gain_map)
     n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
     gains_v = _candidate_matrix(gain_map, params)
 
@@ -134,7 +129,7 @@ def deficit_feasibility(
     best_deficit, best_sel = np.inf, None
     for start in range(restarts):
         if start == 0:
-            sel = list(_selection(initial, n_wg, n_tap))
+            sel = list(initial.selected)
         else:
             sel = [int(m) for m in rng.integers(0, n_tap, n_wg)]
         deficit = _deficit_descent(target, gains_v, sel, max_sweeps)
@@ -153,12 +148,25 @@ def maxmin_upper_bound(gain_map: GainMap, params: ChannelParams) -> float:
     return float(envelope[gain_map.valid].min())
 
 
-def _exact_feasible(target: float, gains_v: np.ndarray) -> tuple[bool, Activation | None]:
-    """Exhaustive feasibility: first activation (lexicographic) meeting target."""
-    for sel, field in _enumerate_fields(gains_v):
-        if field.min() >= target:
-            return True, Activation(selected=sel)
-    return False, None
+def _first_meeting(worst: np.ndarray, target: float, gain_map: GainMap):
+    """Exact feasibility: (True, first activation whose worst cell meets target), else (False, None)."""
+    meets = worst >= target
+    if not meets.any():
+        return False, None
+    return True, _activation_at(int(np.argmax(meets)), gain_map)
+
+
+def _maxmin_result(act, gain_map, params, iters, evals, exact) -> MinMaxResult:
+    """The result of planning `act`; t_star is the valid minimum of its field."""
+    field = avg_snr(act.as_array(), gain_map, params)
+    return MinMaxResult(
+        activation=act,
+        t_star=float(field[gain_map.valid].min()),
+        bisection_iters=iters,
+        feasibility_evals=evals,
+        exact=exact,
+        snr_field=field,
+    )
 
 
 def bisection_maxmin(
@@ -168,7 +176,6 @@ def bisection_maxmin(
     initial: Activation | None = None,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     exact_feasibility: bool = False,
-    budget: int = DEFAULT_ENUM_BUDGET,
     restarts: int = DEFAULT_FEAS_RESTARTS,
     seed: int = 0,
 ) -> MinMaxResult:
@@ -178,8 +185,10 @@ def bisection_maxmin(
     until its width is at most eps_t (linear SNR), so the iteration count is
     bounded by ceil(log2(t_max / eps_t)). Each feasibility check runs
     `restarts` deficit descents, warm-starting from the last feasible
-    activation; with exact_feasibility=True it instead enumerates
-    exhaustively (budget-guarded) and brackets the true optimum to eps_t.
+    activation; with exact_feasibility=True every activation's worst cell is
+    scored once per solve (budget-guarded), each check takes the first
+    activation (lexicographic) whose score meets the target, and the bracket
+    holds the true optimum to eps_t.
     """
     if not eps_t > 0:
         raise ValueError("eps_t must be positive")
@@ -187,10 +196,9 @@ def bisection_maxmin(
     if initial is None:
         initial = Activation.centered(gain_map.n_waveguides, gain_map.n_taps)
     else:
-        _selection(initial, gain_map.n_waveguides, gain_map.n_taps)
+        _selection_array(initial.selected, gain_map)
     if exact_feasibility:
-        check_enum_budget(gain_map.n_waveguides, gain_map.n_taps, budget)
-        gains_v = _candidate_matrix(gain_map, params)
+        worst = _score_activations(gain_map, params, np.min)
 
     # any activation meets target 0, so the initial selection starts certified
     best = initial
@@ -204,7 +212,7 @@ def bisection_maxmin(
         if not t_lo < t_mid < t_hi:
             break  # adjacent floats: at large SNR they lie more than eps_t apart
         if exact_feasibility:
-            ok, found = _exact_feasible(t_mid, gains_v)
+            ok, found = _first_meeting(worst, t_mid, gain_map)
         else:
             ok, found = deficit_feasibility(
                 t_mid, gain_map, params, best, max_sweeps, restarts, seed + iters
@@ -217,37 +225,12 @@ def bisection_maxmin(
         else:
             t_hi = t_mid
 
-    return MinMaxResult(
-        activation=best,
-        t_star=worst_grid_snr(best.as_array(), gain_map, params),
-        bisection_iters=iters,
-        feasibility_evals=evals,
-        exact=False,
-        snr_field=avg_snr(best.as_array(), gain_map, params),
-    )
+    return _maxmin_result(best, gain_map, params, iters, evals, exact=False)
 
 
-def exact_maxmin(
-    gain_map: GainMap,
-    params: ChannelParams,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> MinMaxResult:
+def exact_maxmin(gain_map: GainMap, params: ChannelParams) -> MinMaxResult:
     """Exhaustively maximize the worst-grid SNR (lexicographically smallest argmax)."""
     _require_valid(gain_map)
-    total = check_enum_budget(gain_map.n_waveguides, gain_map.n_taps, budget)
-    gains_v = _candidate_matrix(gain_map, params)
-    best_sel, best_val = None, -np.inf
-    for sel, field in _enumerate_fields(gains_v):
-        worst = field.min()
-        if worst > best_val:
-            best_sel, best_val = sel, worst
-
-    act = Activation(selected=best_sel)
-    return MinMaxResult(
-        activation=act,
-        t_star=worst_grid_snr(act.as_array(), gain_map, params),
-        bisection_iters=0,
-        feasibility_evals=total,
-        exact=True,
-        snr_field=avg_snr(act.as_array(), gain_map, params),
-    )
+    worst = _score_activations(gain_map, params, np.min)
+    act = _activation_at(int(np.argmax(worst)), gain_map)
+    return _maxmin_result(act, gain_map, params, 0, len(worst), exact=True)

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .channel import avg_snr, db_to_linear, linear_to_db
 from .coverage import Activation, CoverageResult, coordinate_ascent, coverage_count, exact_enumerate
-from .minmax import MinMaxResult, bisection_maxmin, worst_grid_snr
+from .minmax import MinMaxResult, bisection_maxmin, exact_maxmin, worst_grid_snr
 from .scenario import Scenario, random_activation
 
 N_RANDOM_DRAWS = 20
@@ -188,8 +188,6 @@ def power_sweep(
     per_power_params = [scenario.with_power_dbm(p).params for p in powers_dbm]
     if "optimized" in methods:
         if exact:
-            from .minmax import exact_maxmin
-
             minmax_res = exact_maxmin(gm, params0)
         else:
             minmax_res = bisection_maxmin(

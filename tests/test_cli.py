@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pinchplan import linear_to_db
 from pinchplan.cli import main
 from conftest import WALL, scenario_dict
 
@@ -316,6 +317,36 @@ def test_map_refuses_a_zero_snr_cell_before_writing(tmp_path, capsys):
     assert code == 2
     assert "zero average SNR" in err and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "taps, argv",
+    [
+        (1, ["minmax"]),
+        (1, ["minmax", "--exact"]),
+        (1, ["minmax", "--exact-feasibility"]),
+        (1, ["sweep-power"]),
+        (3, ["sweep-power"]),
+        (1, ["baseline"]),
+    ],
+)
+def test_zero_snr_worst_cell_exits_2_before_writing(tmp_path, capsys, taps, argv):
+    # the NLoS power underflows to 0, so every activation leaves a shadowed cell at zero SNR
+    cfg = scenario_dict(waveguides=2, taps=taps, nx=6, ny=4, nlos_db=-4000.0, blockages=WALL)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out = run(tmp_path, *argv, "--config", str(path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "zero average SNR" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_linear_to_db_refuses_non_positive_values():
+    assert linear_to_db(100.0) == 20.0
+    for value in (0.0, -1.0):
+        with pytest.raises(ValueError, match="zero average SNR"):
+            linear_to_db(value)
 
 
 def test_sweep_power_refuses_an_overflowing_power(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Property test of the CLI contract over the channel inputs.
 
 Every run ends in a documented exit code (0, 2, 3 or 4) without raising,
-and a run that exits 0 writes strict JSON (no NaN or Infinity) and PGM
-pixels within 0..255.
+a run that exits 0 writes strict JSON (no NaN or Infinity) and PGM pixels
+within 0..255, and a run that exits 2 leaves no product file behind.
 """
 
 import json
@@ -18,7 +18,13 @@ from conftest import WALL, scenario_dict
 DB = st.floats(-5000.0, 5000.0, allow_nan=False, allow_infinity=False)
 COMMANDS = (
     ["map", "--format", "pgm", "--activation", "1,1"],
+    ["coverage", "--exact"],
     ["minmax"],
+    ["minmax", "--exact"],
+    ["minmax", "--exact-feasibility"],
+    ["sweep-threshold", "--exact"],
+    ["sweep-power", "--exact"],
+    ["baseline"],
 )
 
 
@@ -54,3 +60,5 @@ def test_cli_exit_codes_and_finite_products(tx_power_dbm, noise_dbm, nlos_db, po
             assert code in (0, 2, 3, 4)
             if code == 0:
                 _check_products(out)
+            if code == 2:
+                assert not out.exists() or not any(out.iterdir()), argv

@@ -1,12 +1,10 @@
-"""The shared candidate matrix, the enumerator's buffer contract and pinned plans.
+"""The shared candidate matrix, the exhaustive scores and pinned plans.
 
 The plan pins were measured on the bundled table1 scenario at grid scale
 0.25 before the solvers moved onto the contiguous matrix; the move keeps
 every elementwise operation in the same order, so the plans, counts and
 the worst-grid SNR stay bit-identical.
 """
-
-from itertools import product
 
 import numpy as np
 import pytest
@@ -20,9 +18,11 @@ from pinchplan import (
     exact_enumerate,
     exact_maxmin,
     load_bundled,
+    maxmin_upper_bound,
 )
+from pinchplan import minmax
 from pinchplan.channel import _candidate_matrix, db_to_linear
-from pinchplan.coverage import _enumerate_fields
+from pinchplan.coverage import _activation_at, _score_activations
 from conftest import (
     all_activation_fields,
     brute_best_coverage,
@@ -83,27 +83,54 @@ def test_pinned_plans_table1_quarter(quarter_table1):
     assert (res.activation.selected, res.covered_count) == ((9, 5, 3, 8), 2122)
 
 
+def test_exact_feasibility_pinned_table1_quarter(quarter_table1):
+    scn, gm = quarter_table1
+    res = bisection_maxmin(gm, scn.params, eps_t=scn.solver.eps_t, exact_feasibility=True)
+    assert res.activation.selected == (1, 5, 9, 1)
+    assert res.t_star == 122.2581707229541
+    assert res.bisection_iters == res.feasibility_evals == 21
+
+
 @pytest.mark.parametrize("n_wg", [1, 2, 3])
-def test_enumerate_fields_order_and_values(n_wg):
+def test_score_activations_order_and_values(n_wg):
     rng = np.random.default_rng(71 + n_wg)
-    gains_v = rng.uniform(0.5, 2.0, (n_wg, 3, 5))
-    items = [(sel, field.copy()) for sel, field in _enumerate_fields(gains_v)]
-    assert [sel for sel, _ in items] == list(product(range(3), repeat=n_wg))
-    for sel, field in items:
-        want = np.zeros(5)
-        for n, m in enumerate(sel):
-            want = want + gains_v[n, m]  # running sum from zero, as documented
-        assert np.array_equal(field, want)
+    valid = np.ones((3, 2), dtype=bool)
+    valid[1, 0] = False
+    gm, p = GainMap(gains=rng.uniform(0.5, 2.0, (n_wg, 3, 3, 2)), valid=valid), UNIT_PARAMS
+    seen = []
+    scores = _score_activations(gm, p, lambda field: seen.append(field.copy()) or field.min())
+    want = list(all_activation_fields(gm, p))
+    assert len(scores) == len(seen) == len(want) == 3**n_wg
+    for i, (sel, field) in enumerate(want):
+        assert _activation_at(i, gm).selected == sel  # lexicographic order
+        assert np.allclose(seen[i], field[gm.valid], rtol=1e-12, atol=0)
+        assert scores[i] == seen[i].min()
 
 
-def test_enumerate_fields_yields_one_reused_buffer():
-    gains_v = np.arange(12, dtype=float).reshape(2, 2, 3)
-    it = _enumerate_fields(gains_v)
-    _, first = next(it)
-    kept = first.copy()
-    _, second = next(it)
-    assert second is first  # valid only until the next item: callers copy
-    assert not np.array_equal(first, kept)
+def test_exact_probes_take_the_first_activation_meeting_the_target(monkeypatch):
+    probes = []
+
+    def recording(worst, target, gain_map):
+        verdict = first_meeting(worst, target, gain_map)
+        probes.append((target, verdict))
+        return verdict
+
+    first_meeting = minmax._first_meeting
+    monkeypatch.setattr(minmax, "_first_meeting", recording)
+    rng = np.random.default_rng(73)
+    for _ in range(4):
+        scn = random_scenario(rng, waveguides=3, taps=3, k_max=2)
+        gm, p = scn.gain_map(), scn.params
+        worsts = [(sel, field[gm.valid].min()) for sel, field in all_activation_fields(gm, p)]
+        probes.clear()
+        res = bisection_maxmin(gm, p, eps_t=1e-4 * maxmin_upper_bound(gm, p), exact_feasibility=True)
+        assert len(probes) == res.feasibility_evals > 0
+        for target, (ok, found) in probes:
+            # the oracle recomputes each field through avg_snr; no target lands
+            # within its rounding of a worst cell on these draws
+            meeting = [sel for sel, w in worsts if w >= target]
+            assert ok == bool(meeting)
+            assert (found.selected if ok else None) == (meeting[0] if meeting else None)
 
 
 def test_exhaustive_search_matches_oracles_three_waveguides():
