@@ -190,7 +190,9 @@ def _cmd_minmax(args) -> int:
             restarts=args.restarts,
             seed=scn.solver.seed,
         )
-    worst_db = linear_to_db(res.t_star)  # refuses a zero worst cell before any file is written
+    # dB conversions refuse a zero worst cell or optimum before any file is written
+    worst_db = linear_to_db(res.t_star)
+    certificate = _certificate(res)
     export_map(res.snr_field, gm.valid, scn.grid, out / "minmax_map.csv", fmt="csv")
     summary = RunSummary(
         digest=scn.digest(),
@@ -201,6 +203,7 @@ def _cmd_minmax(args) -> int:
             "bisection_iters": res.bisection_iters,
             "feasibility_evals": res.feasibility_evals,
             "eps_t": eps_t,
+            **certificate,
         },
         activation=res.activation.one_based(),
         seed=scn.solver.seed,
@@ -209,6 +212,12 @@ def _cmd_minmax(args) -> int:
     _write_summary(out, "minmax_summary.json", summary)
     _note(args, "minmax", [out / "minmax_map.csv", out / "minmax_summary.json"], summary.wall_time_s)
     return 0
+
+
+def _certificate(res) -> dict:
+    """The certified max-min optimum (null when not certified) and the search's node count."""
+    db = None if res.certified is None else linear_to_db(res.certified)
+    return {"certified_db": db, "bnb_nodes": res.bnb_nodes}
 
 
 def _cmd_baseline(args) -> int:
@@ -264,6 +273,7 @@ def _cmd_sweep_power(args) -> int:
     out = _out_dir(args)
     powers = _parse_float_list(args.powers, "--powers")
     table, minmax_res = power_sweep(scn, powers, n_random=args.draws, exact=args.exact)
+    certificate = _certificate(minmax_res) if minmax_res else {}  # before the table is written
     csv_path = out / "power_sweep.csv"
     table.write_csv(csv_path)
     summary = RunSummary(
@@ -274,6 +284,7 @@ def _cmd_sweep_power(args) -> int:
             "optimized_db": table.columns.get("optimized_db"),
             "random_mean_db": table.columns.get("random_mean_db"),
             "fixed_db": table.columns.get("fixed_db"),
+            **certificate,
         },
         activation=minmax_res.activation.one_based() if minmax_res else None,
         seed=scn.solver.seed,
@@ -320,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="scenario JSON path, or a bundled name like 'table1'")
     common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     common.add_argument("--out", default="out", help="output directory (created if missing)")
-    common.add_argument("--exact", action="store_true", help="use exhaustive enumeration (budget-guarded)")
     common.add_argument("--grid-scale", type=_finite_float, default=None, help="rescale grid resolution by this factor")
 
     parser = argparse.ArgumentParser(prog="pinchplan", description=__doc__)
@@ -331,12 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gainmap)
 
     p = sub.add_parser("coverage", parents=[common], help="maximize threshold coverage")
+    p.add_argument("--exact", action="store_true", help="enumerate every activation (budget-guarded)")
     p.add_argument("--gamma-db", type=_finite_float, default=None, help="SNR threshold in dB (default: scenario value)")
     p.add_argument("--restarts", type=int, default=1, help="extra seeded restarts for the ascent")
     p.add_argument("--milp", default=None, metavar="FILE", help="also write the MILP as an LP file")
     p.set_defaults(func=_cmd_coverage)
 
     p = sub.add_parser("minmax", parents=[common], help="maximize the worst-grid average SNR")
+    p.add_argument("--exact", action="store_true", help="certified optimum by branch-and-bound (budget-guarded)")
     p.add_argument("--eps-t", type=_finite_float, default=None, help="bisection bracket width, linear SNR")
     p.add_argument("--exact-feasibility", action="store_true", help="bisect with exhaustive feasibility checks")
     p.add_argument(
@@ -350,11 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("sweep-threshold", parents=[common], help="coverage versus SNR threshold")
+    p.add_argument("--exact", action="store_true", help="enumerate every activation (budget-guarded)")
     p.add_argument("--gammas", default=DEFAULT_THRESHOLDS_DB, help="comma-separated thresholds in dB")
     p.add_argument("--draws", type=int, default=N_RANDOM_DRAWS, help="random activations to average")
     p.set_defaults(func=_cmd_sweep_threshold)
 
     p = sub.add_parser("sweep-power", parents=[common], help="worst-grid SNR versus transmit power")
+    p.add_argument("--exact", action="store_true", help="certified optimum by branch-and-bound (budget-guarded)")
     p.add_argument("--powers", default=DEFAULT_POWERS_DBM, help="comma-separated powers in dBm")
     p.add_argument("--draws", type=int, default=N_RANDOM_DRAWS, help="random activations to average")
     p.set_defaults(func=_cmd_sweep_power)

@@ -235,16 +235,18 @@ def _coverage_result(act, gain_map, params, threshold, sweeps_used, method) -> C
 
 
 def _score_activations(
-    gain_map: GainMap, params: ChannelParams, score: Callable[[np.ndarray], float]
+    gain_map: GainMap, params: ChannelParams, score: Callable[[np.ndarray], object], shape=()
 ) -> np.ndarray:
     """score(valid-cell SNR field) of every activation, in lexicographic order.
 
-    Entry i belongs to `_activation_at(i, gain_map)`, so the first argmax of
-    the scores is the lexicographically smallest argmax. Row n+1 of
-    `partial` holds the running sum of waveguides 0..n from zero; a new
-    prefix recomputes only the rows from its first changed tap on. The field
-    handed to `score` is one reused buffer. Refuses with BudgetError, before
-    anything is allocated, when there are more than ENUM_BUDGET activations.
+    `score` returns one value, or `shape` values (the result is then
+    (activations, *shape)). Entry i belongs to `_activation_at(i, gain_map)`,
+    so the first argmax of the scores (per column) is the lexicographically
+    smallest argmax. Row n+1 of `partial` holds the running sum of
+    waveguides 0..n from zero; a new prefix recomputes only the rows from
+    its first changed tap on. The field handed to `score` is one reused
+    buffer. Refuses with BudgetError, before anything is allocated, when
+    there are more than ENUM_BUDGET activations.
     """
     n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
     total = n_tap**n_wg
@@ -258,7 +260,7 @@ def _score_activations(
     last = n_wg - 1
     partial = np.zeros((n_wg, n_cells))
     field = np.empty(n_cells)
-    scores = np.empty(total)
+    scores = np.empty((total, *shape))
     i = 0
     for head in product(range(n_tap), repeat=last):
         # lexicographic order: the last nonzero tap of the prefix moved, later ones reset
@@ -280,15 +282,25 @@ def _activation_at(index: int, gain_map: GainMap) -> Activation:
 
 def exact_enumerate(gain_map: GainMap, params: ChannelParams, threshold: float) -> CoverageResult:
     """Exhaustively maximize the covered count (lexicographically smallest argmax)."""
-    _check_threshold(threshold)
+    return _exact_coverages(gain_map, params, [threshold])[0]
+
+
+def _exact_coverages(gain_map: GainMap, params: ChannelParams, thresholds) -> list[CoverageResult]:
+    """`exact_enumerate` at each threshold, from one walk over the activations."""
+    for threshold in thresholds:
+        _check_threshold(threshold)
     _require_valid(gain_map)
-    thr_eff = threshold * (1.0 - COVERAGE_SLACK)
+    thr_eff = [threshold * (1.0 - COVERAGE_SLACK) for threshold in thresholds]
     hit = np.empty(int(np.count_nonzero(gain_map.valid)), dtype=bool)
-    counts = _score_activations(
-        gain_map, params, lambda field: np.count_nonzero(np.greater_equal(field, thr_eff, out=hit))
-    )
-    act = _activation_at(int(np.argmax(counts)), gain_map)
-    return _coverage_result(act, gain_map, params, threshold, 0, "exact")
+
+    def counts(field):
+        return [np.count_nonzero(np.greater_equal(field, thr, out=hit)) for thr in thr_eff]
+
+    scores = _score_activations(gain_map, params, counts, (len(thr_eff),))
+    return [
+        _coverage_result(_activation_at(i, gain_map), gain_map, params, threshold, 0, "exact")
+        for i, threshold in zip(np.argmax(scores, axis=0).tolist(), thresholds)
+    ]
 
 
 def _one_based_cells(cells: np.ndarray, ny: int):

@@ -5,8 +5,9 @@ when every valid cell reaches t, so feasibility of a target reduces to
 driving the deficit to zero. A coordinate-descent heuristic does that cheaply
 (and soundly: it reports feasible only with a zero-deficit certificate,
 never the other way around); bisection over t then brackets the best
-achievable worst-grid SNR. Exhaustive variants serve as ground truth on
-small instances.
+achievable worst-grid SNR. A branch-and-bound search certifies the true
+optimum: it is the exact solver, and it gives bisection a ceiling above
+which no probe can succeed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array, avg_snr
 from .coverage import (
     Activation,
+    BudgetError,
     DEFAULT_MAX_SWEEPS,
     _activation_at,
     _require_valid,
@@ -27,6 +29,14 @@ from .coverage import (
 
 DEFAULT_EPS_T = 1e-3  # linear-SNR bracket width at which bisection stops
 DEFAULT_FEAS_RESTARTS = 16  # descent starts per feasibility check (first = caller's initial)
+
+# Search-tree nodes the branch-and-bound may bound; a larger search is refused.
+BNB_NODE_BUDGET = 2_000_000
+# A probe this far (relatively) above the certified optimum runs one descent:
+# it cannot succeed, and the margin dwarfs the descent's field rounding.
+CEILING_MARGIN = 1e-9
+_BNB_CELLS = 1024  # cells per side of the bounding subset
+_BNB_STARTS = 16  # max-min ascent starts that give the first incumbent
 
 
 @dataclass
@@ -37,6 +47,8 @@ class MinMaxResult:
     feasibility_evals: int
     exact: bool
     snr_field: np.ndarray
+    certified: float | None = None  # the true optimum (linear); None when not certified
+    bnb_nodes: int | None = None  # nodes the branch-and-bound bounded; None when it did not run
 
 
 def worst_grid_snr(selected, gain_map: GainMap, params: ChannelParams) -> float:
@@ -156,7 +168,150 @@ def _first_meeting(worst: np.ndarray, target: float, gain_map: GainMap):
     return True, _activation_at(int(np.argmax(meets)), gain_map)
 
 
-def _maxmin_result(act, gain_map, params, iters, evals, exact) -> MinMaxResult:
+def _field(gains_v: np.ndarray, sel, out: np.ndarray) -> np.ndarray:
+    """Valid-cell field of `sel`, summed in waveguide order like `_score_activations`."""
+    np.copyto(out, gains_v[0, sel[0]])  # 0 + g is g, the first partial-sum row
+    for n in range(1, len(sel)):
+        np.add(out, gains_v[n, sel[n]], out=out)
+    return out
+
+
+def _maxmin_ascent(gains_v: np.ndarray, sel: list, max_sweeps: int) -> list:
+    """Coordinate ascent on the worst cell, mutating `sel`: each waveguide takes
+    the first tap whose candidate field has the largest minimum."""
+    n_wg, n_tap, n_cells = gains_v.shape
+    field_v = gains_v[np.arange(n_wg), sel].sum(axis=0)
+    resid_v = np.empty(n_cells)
+    cand = np.empty((n_tap, n_cells))
+    for _ in range(max_sweeps):
+        changed = False
+        for n in range(n_wg):
+            np.subtract(field_v, gains_v[n, sel[n]], out=resid_v)
+            np.add(resid_v, gains_v[n], out=cand)
+            m = int(np.argmax(cand.min(axis=1)))
+            changed |= m != sel[n]
+            sel[n] = m
+            np.copyto(field_v, cand[m])
+        if not changed:
+            break
+    return sel
+
+
+def _reach(gains: np.ndarray) -> np.ndarray:
+    """Row n: per-cell sum of the best taps of waveguides n.. (row N is zero)."""
+    reach = np.zeros((gains.shape[0] + 1, gains.shape[2]))
+    for n in range(gains.shape[0] - 1, -1, -1):
+        np.add(gains[n].max(axis=0), reach[n + 1], out=reach[n])
+    return reach
+
+
+def _first_incumbent(gains_v: np.ndarray, weak: np.ndarray, field: np.ndarray):
+    """(worst cell, selection) of the best of _BNB_STARTS max-min ascents.
+
+    The ascents run on the `weak` cells alone; their plans are scored on
+    every cell, in waveguide order. Ties keep the smaller selection.
+    """
+    n_wg, n_tap = gains_v.shape[:2]
+    gains_weak = np.take(gains_v, weak, axis=2)
+    rng = np.random.default_rng(0)
+    best, best_sel = -math.inf, None
+    for start in range(_BNB_STARTS):
+        if start == 0:
+            sel = [(n_tap - 1) // 2] * n_wg
+        else:
+            sel = [int(m) for m in rng.integers(0, n_tap, n_wg)]
+        sel = tuple(_maxmin_ascent(gains_weak, sel, DEFAULT_MAX_SWEEPS))
+        value = float(_field(gains_v, sel, field).min())
+        if value > best or (value == best and sel < best_sel):
+            best, best_sel = value, sel
+    return best, best_sel
+
+
+@dataclass
+class _Certificate:
+    activation: Activation
+    value: float  # its worst cell, bit-equal to its `_score_activations` score
+    nodes: int  # search-tree nodes bounded
+    leaves: int  # activations scored on every valid cell
+
+
+def _bnb_maxmin(gain_map: GainMap, params: ChannelParams) -> _Certificate:
+    """Certify the max-min optimum by depth-first branch-and-bound over waveguides.
+
+    A node fixes the taps of waveguides 0..n-1; its bound is the minimum,
+    over a cell subset S, of the partial field plus each later waveguide's
+    per-cell best tap. A minimum over a subset is at least the minimum over
+    all cells, so the bound holds for every activation below the node.
+    S is the _BNB_CELLS weakest-envelope cells and the _BNB_CELLS worst cells
+    of the first incumbent (`_first_incumbent`). Children are searched best
+    bound first. A leaf is checked on S and, if it can still win, scored on
+    every valid cell. A node is pruned only when its bound, raised by the
+    rounding slack of the envelope sum, lies below the incumbent; an equal
+    leaf score keeps the lexicographically smaller activation, so the result
+    is the first argmax of the `_score_activations` scores. Refuses with
+    BudgetError once more than BNB_NODE_BUDGET nodes have been bounded.
+    """
+    gains_v = _candidate_matrix(gain_map, params)
+    n_wg, n_tap, n_cells = gains_v.shape
+    envelope = gains_v[0].max(axis=0)
+    for n in range(1, n_wg):
+        envelope += gains_v[n].max(axis=0)
+    if not math.isfinite(envelope.min()):
+        raise ValueError("SNR upper bound is not finite; check the channel parameters")
+    k = min(_BNB_CELLS, n_cells)
+    in_s = np.zeros(n_cells, dtype=bool)
+    in_s[np.argpartition(envelope, k - 1)[:k]] = True
+    field = np.empty(n_cells)
+    best, best_sel = _first_incumbent(gains_v, np.flatnonzero(in_s), field)
+    in_s[np.argpartition(_field(gains_v, best_sel, field), k - 1)[:k]] = True
+    cells = np.flatnonzero(in_s)
+    gains_s = np.take(gains_v, cells, axis=2)
+    # child bound rows of depth n: tap gain plus the reach of the later
+    # waveguides (max and sum are elementwise, so this is reach over S)
+    child_reach = gains_s + _reach(gains_s)[1:, None, :]
+    # The bound sums the partial field and reach[n] in another order than a
+    # leaf sums its taps; over N non-negative terms the two roundings differ
+    # by well under this factor.
+    slack = 1.0 + 4 * n_wg * np.finfo(float).eps
+    bounds_buf = np.empty((n_tap, len(cells)))
+    last = n_wg - 1
+    nodes = leaves = 0
+    # entries: (bound, prefix, the parent's partial field on S)
+    stack = [(math.inf, (), np.zeros(len(cells)))]
+    while stack:
+        bound, prefix, partial = stack.pop()
+        if bound * slack < best:
+            continue
+        n = len(prefix)
+        if n:
+            partial = partial + gains_s[n - 1, prefix[-1]]
+        np.add(child_reach[n], partial, out=bounds_buf)
+        bounds = bounds_buf.min(axis=1)
+        nodes += n_tap
+        if nodes > BNB_NODE_BUDGET:
+            raise BudgetError(
+                f"branch-and-bound search needs more than {BNB_NODE_BUDGET} nodes"
+            )
+        order = np.argsort(-bounds, kind="stable").tolist()  # best first; ties by tap
+        if n < last:
+            for m in reversed(order):
+                if bounds[m] * slack >= best:
+                    stack.append((bounds[m], prefix + (m,), partial))
+            continue
+        for m in order:  # leaves: bounds[m] is the worst cell of S
+            if bounds[m] < best:
+                break
+            sel = prefix + (m,)
+            if bounds[m] == best and sel > best_sel:
+                continue
+            value = float(_field(gains_v, sel, field).min())
+            leaves += 1
+            if value > best or (value == best and sel < best_sel):
+                best, best_sel = value, sel
+    return _Certificate(Activation(selected=best_sel), best, nodes, leaves)
+
+
+def _maxmin_result(act, gain_map, params, iters, evals, exact, certified, nodes) -> MinMaxResult:
     """The result of planning `act`; t_star is the valid minimum of its field."""
     field = avg_snr(act.as_array(), gain_map, params)
     return MinMaxResult(
@@ -166,6 +321,8 @@ def _maxmin_result(act, gain_map, params, iters, evals, exact) -> MinMaxResult:
         feasibility_evals=evals,
         exact=exact,
         snr_field=field,
+        certified=certified,
+        bnb_nodes=nodes,
     )
 
 
@@ -185,10 +342,13 @@ def bisection_maxmin(
     until its width is at most eps_t (linear SNR), so the iteration count is
     bounded by ceil(log2(t_max / eps_t)). Each feasibility check runs
     `restarts` deficit descents, warm-starting from the last feasible
-    activation; with exact_feasibility=True every activation's worst cell is
-    scored once per solve (budget-guarded), each check takes the first
-    activation (lexicographic) whose score meets the target, and the bracket
-    holds the true optimum to eps_t.
+    activation. The branch-and-bound optimum, when it fits its node budget,
+    is certified first; a probe above it by more than CEILING_MARGIN cannot
+    succeed, so it runs a single descent, and the bracket and plan are those
+    of the full restarts. With exact_feasibility=True every activation's
+    worst cell is scored once per solve (budget-guarded), each check takes
+    the first activation (lexicographic) whose score meets the target, and
+    the bracket holds the true optimum to eps_t.
     """
     if not eps_t > 0:
         raise ValueError("eps_t must be positive")
@@ -197,14 +357,23 @@ def bisection_maxmin(
         initial = Activation.centered(gain_map.n_waveguides, gain_map.n_taps)
     else:
         _selection_array(initial.selected, gain_map)
-    if exact_feasibility:
-        worst = _score_activations(gain_map, params, np.min)
 
     # any activation meets target 0, so the initial selection starts certified
     best = initial
     t_lo, t_hi = 0.0, maxmin_upper_bound(gain_map, params)
     if not math.isfinite(t_hi):
         raise ValueError("SNR upper bound is not finite; check the channel parameters")
+    certified = nodes = None
+    if exact_feasibility:
+        worst = _score_activations(gain_map, params, np.min)
+        certified = float(worst.max())
+    else:
+        try:
+            cert = _bnb_maxmin(gain_map, params)
+            certified, nodes = cert.value, cert.nodes
+        except BudgetError:
+            pass  # no ceiling: every probe runs all restarts
+    ceiling = math.inf if certified is None else certified * (1 + CEILING_MARGIN)
     iters = 0
     evals = 0
     while t_hi - t_lo > eps_t:
@@ -214,8 +383,9 @@ def bisection_maxmin(
         if exact_feasibility:
             ok, found = _first_meeting(worst, t_mid, gain_map)
         else:
+            starts = restarts if t_mid <= ceiling else min(restarts, 1)
             ok, found = deficit_feasibility(
-                t_mid, gain_map, params, best, max_sweeps, restarts, seed + iters
+                t_mid, gain_map, params, best, max_sweeps, starts, seed + iters
             )
         iters += 1
         evals += 1
@@ -225,12 +395,19 @@ def bisection_maxmin(
         else:
             t_hi = t_mid
 
-    return _maxmin_result(best, gain_map, params, iters, evals, exact=False)
+    return _maxmin_result(
+        best, gain_map, params, iters, evals, exact=False, certified=certified, nodes=nodes
+    )
 
 
 def exact_maxmin(gain_map: GainMap, params: ChannelParams) -> MinMaxResult:
-    """Exhaustively maximize the worst-grid SNR (lexicographically smallest argmax)."""
+    """Maximize the worst-grid SNR by branch-and-bound (lexicographically smallest argmax).
+
+    `feasibility_evals` counts the activations scored on every valid cell.
+    """
     _require_valid(gain_map)
-    worst = _score_activations(gain_map, params, np.min)
-    act = _activation_at(int(np.argmax(worst)), gain_map)
-    return _maxmin_result(act, gain_map, params, 0, len(worst), exact=True)
+    cert = _bnb_maxmin(gain_map, params)
+    return _maxmin_result(
+        cert.activation, gain_map, params, 0, cert.leaves,
+        exact=True, certified=cert.value, nodes=cert.nodes,
+    )

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .channel import avg_snr, db_to_linear, linear_to_db
-from .coverage import Activation, CoverageResult, coordinate_ascent, coverage_count, exact_enumerate
+from .coverage import Activation, _exact_coverages, coordinate_ascent, coverage_count
 from .minmax import MinMaxResult, bisection_maxmin, exact_maxmin, worst_grid_snr
 from .scenario import Scenario, random_activation
 
@@ -119,24 +119,18 @@ def threshold_sweep(
 
     table = SweepTable(axis="threshold_db", columns={"threshold_db": thresholds_db})
     if "optimized" in methods:
-        fractions, activations = [], []
-        for thr_db in thresholds_db:
-            thr = db_to_linear(thr_db)
-            if exact:
-                res: CoverageResult = exact_enumerate(gm, params, thr)
-            else:
-                res = coordinate_ascent(
-                    Activation.centered(gm.n_waveguides, gm.n_taps),
-                    gm,
-                    params,
-                    thr,
-                    max_sweeps=scenario.solver.max_sweeps,
-                )
-            fractions.append(res.coverage_fraction)
-            activations.append(res.activation)
-        table.columns["optimized"] = fractions
+        thresholds = [db_to_linear(thr_db) for thr_db in thresholds_db]
+        if exact:
+            results = _exact_coverages(gm, params, thresholds)
+        else:
+            start = Activation.centered(gm.n_waveguides, gm.n_taps)
+            results = [
+                coordinate_ascent(start, gm, params, thr, max_sweeps=scenario.solver.max_sweeps)
+                for thr in thresholds
+            ]
+        table.columns["optimized"] = [res.coverage_fraction for res in results]
         table.columns["optimized_activation"] = [
-            "|".join(str(i) for i in a.one_based()) for a in activations
+            "|".join(str(i) for i in res.activation.one_based()) for res in results
         ]
     if "random" in methods:
         draws = [random_activation(scenario, s) for s in derived_seeds(base_seed, n_random)]

@@ -94,6 +94,39 @@ def test_minmax_bisection_and_exact(tmp_path):
     assert exact_doc["objective"]["worst_grid_linear"] >= obj["worst_grid_linear"] * (1 - 1e-12)
 
 
+def test_minmax_summaries_carry_the_certified_optimum(tmp_path):
+    docs = {}
+    for name, extra in (("b", []), ("e", ["--exact"]), ("f", ["--exact-feasibility"])):
+        code, out = run(tmp_path / name, "minmax", "--config", "table1", *SMALL, *extra)
+        assert code == 0
+        docs[name] = read_json(out / "minmax_summary.json")["objective"]
+    exact = docs["e"]
+    assert exact["certified_db"] == exact["worst_grid_db"]
+    assert exact["bnb_nodes"] > 0
+    assert docs["b"]["certified_db"] == exact["certified_db"]
+    assert docs["b"]["bnb_nodes"] == exact["bnb_nodes"]
+    assert docs["b"]["worst_grid_db"] <= exact["certified_db"]
+    # the exhaustive scores certify the optimum without a search
+    assert docs["f"]["certified_db"] == exact["certified_db"]
+    assert docs["f"]["bnb_nodes"] is None
+
+    code, out = run(tmp_path / "p", "sweep-power", "--config", "table1", *SMALL, "--exact")
+    assert code == 0
+    obj = read_json(out / "power_sweep_summary.json")["objective"]
+    assert (obj["certified_db"], obj["bnb_nodes"]) == (exact["certified_db"], exact["bnb_nodes"])
+
+
+@pytest.mark.parametrize(
+    "argv", [["gainmap"], ["baseline"], ["map", "--activation", "1,1,1,1"]]
+)
+def test_exact_is_refused_where_no_solver_reads_it(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv, "--config", "table1", *SMALL, "--exact")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exact" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_baseline_cmd(tmp_path):
     code, out = run(tmp_path, "baseline", "--config", "table1", *SMALL, "--draws", "5")
     assert code == 0

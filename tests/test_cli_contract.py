@@ -2,7 +2,7 @@
 
 Every run ends in a documented exit code (0, 2, 3 or 4) without raising,
 a run that exits 0 writes strict JSON (no NaN or Infinity) and PGM pixels
-within 0..255, and a run that exits 2 leaves no product file behind.
+within 0..255, and a run that exits 2 or 3 leaves no product file behind.
 """
 
 import json
@@ -12,6 +12,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinchplan import minmax
 from pinchplan.cli import main
 from conftest import WALL, scenario_dict
 
@@ -60,5 +61,22 @@ def test_cli_exit_codes_and_finite_products(tx_power_dbm, noise_dbm, nlos_db, po
             assert code in (0, 2, 3, 4)
             if code == 0:
                 _check_products(out)
-            if code == 2:
+            if code in (2, 3):
                 assert not out.exists() or not any(out.iterdir()), argv
+
+
+def test_bnb_node_budget_refusal_exits_3(tmp_path, capsys, monkeypatch):
+    # the exact max-min solvers refuse a search over the node budget; bisection
+    # then plans without a ceiling and reports no certified optimum
+    monkeypatch.setattr(minmax, "BNB_NODE_BUDGET", 5)
+    for argv in (["minmax", "--exact"], ["sweep-power", "--exact"]):
+        out = tmp_path / argv[0]
+        code = main([*argv, "--config", "table1", "--grid-scale", "0.05", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "budget refusal" in err and "branch-and-bound" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+    out = tmp_path / "bisection"
+    assert main(["minmax", "--config", "table1", "--grid-scale", "0.05", "--out", str(out)]) == 0
+    doc = json.loads((out / "minmax_summary.json").read_text(encoding="utf-8"))
+    assert doc["objective"]["certified_db"] is None and doc["objective"]["bnb_nodes"] is None

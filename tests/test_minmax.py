@@ -15,6 +15,8 @@ from pinchplan import (
     total_deficit,
     worst_grid_snr,
 )
+from pinchplan import minmax
+from pinchplan.coverage import _activation_at, _score_activations
 from conftest import brute_best_worst, random_scenario
 
 UNIT_PARAMS = ChannelParams(
@@ -282,3 +284,128 @@ def test_exact_maxmin_power_equivariance():
     boosted = exact_maxmin(gm, p.with_power_w(7.0 * p.tx_power_w))
     assert boosted.activation == res.activation
     assert boosted.t_star == pytest.approx(7.0 * res.t_star, rel=1e-12)
+
+
+def _first_argmax(gm, p):
+    """(worst cell, activation) of the first argmax of the exhaustive scores."""
+    worst = _score_activations(gm, p, np.min)
+    i = int(np.argmax(worst))
+    return worst[i], _activation_at(i, gm)
+
+
+# with a 2-cell subset the bound and the leaf check are loose, so most
+# leaves reach the full-grid score
+@pytest.mark.parametrize("cells", [1024, 2])
+def test_bnb_matches_brute_force(monkeypatch, cells):
+    monkeypatch.setattr(minmax, "_BNB_CELLS", cells)
+    rng = np.random.default_rng(63)
+    for _ in range(12):
+        scn = random_scenario(rng, taps=int(rng.integers(2, 5)), k_max=2)
+        gm, p = scn.gain_map(), scn.params
+        cert = minmax._bnb_maxmin(gm, p)
+        # bit-equal to the exhaustive scores, and their first argmax
+        assert (cert.value, cert.activation) == _first_argmax(gm, p)
+        want_val, want_act = brute_best_worst(gm, p)
+        assert cert.value == pytest.approx(want_val, rel=1e-12)
+        ties = {
+            Activation(sel)
+            for sel in np.ndindex(*(gm.n_taps,) * gm.n_waveguides)
+            if worst_grid_snr(sel, gm, p) >= want_val * (1 - 1e-12)
+        }
+        assert cert.activation == want_act or cert.activation in ties
+        res = exact_maxmin(gm, p)
+        assert (res.activation, res.certified, res.bnb_nodes) == (
+            cert.activation, cert.value, cert.nodes
+        )
+
+
+@pytest.mark.parametrize("cells", [1024, 2])
+def test_bnb_exact_ties_keep_the_lexicographic_argmax(monkeypatch, cells):
+    # small integer gains sum exactly, so many activations tie exactly
+    monkeypatch.setattr(minmax, "_BNB_CELLS", cells)
+    rng = np.random.default_rng(64)
+    for _ in range(25):
+        n_wg, n_tap = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        valid = rng.random((4, 3)) < 0.8
+        valid[0, 0] = True
+        gm = synthetic_map(rng.integers(0, 3, (n_wg, n_tap, 4, 3)).astype(float), valid)
+        want_val, want_act = brute_best_worst(gm, UNIT_PARAMS)
+        cert = minmax._bnb_maxmin(gm, UNIT_PARAMS)
+        assert (cert.value, cert.activation) == (want_val, want_act)
+        assert exact_maxmin(gm, UNIT_PARAMS).activation == want_act
+
+
+@pytest.mark.parametrize("cells", [1024, 2])
+def test_bnb_value_bits_follow_the_waveguide_order(monkeypatch, cells):
+    # gains over six decades make the summation order show in the last bits
+    monkeypatch.setattr(minmax, "_BNB_CELLS", cells)
+    rng = np.random.default_rng(67)
+    for _ in range(10):
+        gm = synthetic_map(10.0 ** rng.uniform(-3.0, 3.0, (5, 3, 4, 2)))
+        cert = minmax._bnb_maxmin(gm, UNIT_PARAMS)
+        assert (cert.value, cert.activation) == _first_argmax(gm, UNIT_PARAMS)
+
+
+def test_bnb_node_budget_refusal(monkeypatch):
+    rng = np.random.default_rng(65)
+    scn = random_scenario(rng, waveguides=3, taps=4, k_max=2)
+    gm, p = scn.gain_map(), scn.params
+    nodes = exact_maxmin(gm, p).bnb_nodes
+    monkeypatch.setattr(minmax, "BNB_NODE_BUDGET", nodes)
+    assert exact_maxmin(gm, p).bnb_nodes == nodes
+    monkeypatch.setattr(minmax, "BNB_NODE_BUDGET", nodes - 1)
+    with pytest.raises(BudgetError, match="branch-and-bound"):
+        exact_maxmin(gm, p)
+
+
+def all_restarts_bisection(gm, p, eps_t, seed, feasibility=deficit_feasibility):
+    """Bisection without a ceiling: every probe runs all 16 restarts."""
+    best = Activation.centered(gm.n_waveguides, gm.n_taps)
+    t_lo, t_hi = 0.0, maxmin_upper_bound(gm, p)
+    iters = 0
+    while t_hi - t_lo > eps_t:
+        t_mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < t_mid < t_hi:
+            break
+        ok, found = feasibility(t_mid, gm, p, best, restarts=16, seed=seed + iters)
+        iters += 1
+        if ok:
+            best, t_lo = found, t_mid
+        else:
+            t_hi = t_mid
+    return best, iters
+
+
+@pytest.mark.parametrize("budget", [minmax.BNB_NODE_BUDGET, 1])
+def test_bisection_plans_match_the_all_restarts_loop(monkeypatch, budget):
+    # the ceiling cuts probes above the optimum to one descent; with the
+    # budget exhausted there is no ceiling. Either way the plan is unchanged.
+    monkeypatch.setattr(minmax, "BNB_NODE_BUDGET", budget)
+    probes = []
+    feasibility = minmax.deficit_feasibility
+
+    def recording(target, gm, p, initial, max_sweeps, restarts, seed):
+        probes.append((target, restarts))
+        return feasibility(target, gm, p, initial, max_sweeps, restarts, seed)
+
+    monkeypatch.setattr(minmax, "deficit_feasibility", recording)
+    rng = np.random.default_rng(66)
+    single = 0
+    for _ in range(8):
+        scn = random_scenario(rng, waveguides=3, taps=4, nx=12, ny=6, k_max=2)
+        gm, p = scn.gain_map(), scn.params
+        probes.clear()
+        res = bisection_maxmin(gm, p, eps_t=1e-3, seed=5)
+        act, iters = all_restarts_bisection(gm, p, 1e-3, 5, feasibility)
+        assert (res.activation, res.bisection_iters, res.feasibility_evals) == (act, iters, iters)
+        assert res.t_star == worst_grid_snr(act.as_array(), gm, p)
+        assert len(probes) == iters
+        if budget == 1:
+            assert res.certified is None and res.bnb_nodes is None
+            assert {r for _, r in probes} == {16}
+        else:
+            assert res.certified == exact_maxmin(gm, p).certified
+            ceiling = res.certified * (1 + minmax.CEILING_MARGIN)
+            assert all(r == (1 if t > ceiling else 16) for t, r in probes)
+            single += sum(r == 1 for _, r in probes)
+    assert budget == 1 or single > 0

@@ -83,6 +83,19 @@ def test_pinned_plans_table1_quarter(quarter_table1):
     assert (res.activation.selected, res.covered_count) == ((9, 5, 3, 8), 2122)
 
 
+def test_pinned_maxmin_plans_table1_full():
+    # the branch-and-bound optimum, and bisection with its ceiling, at the full grid
+    scn = load_bundled("table1")
+    gm, p = scn.gain_map(), scn.params
+    res = exact_maxmin(gm, p)
+    assert res.activation.selected == (4, 0, 9, 3)
+    assert res.certified == res.t_star == 119.77306000149508
+    res = bisection_maxmin(gm, p, eps_t=scn.solver.eps_t, seed=scn.solver.seed)
+    assert res.activation.selected == (4, 0, 9, 3)
+    assert res.t_star == res.certified == 119.77306000149508
+    assert res.bisection_iters == res.feasibility_evals == 21
+
+
 def test_exact_feasibility_pinned_table1_quarter(quarter_table1):
     scn, gm = quarter_table1
     res = bisection_maxmin(gm, scn.params, eps_t=scn.solver.eps_t, exact_feasibility=True)

@@ -9,6 +9,7 @@ from pinchplan import (
     SweepTable,
     avg_snr,
     baseline_stats,
+    db_to_linear,
     derived_seeds,
     linear_to_db,
     load_bundled,
@@ -17,7 +18,9 @@ from pinchplan import (
     scenario_from_dict,
     threshold_sweep,
 )
+from pinchplan import coverage
 from pinchplan.mapio import export_map
+from conftest import brute_best_coverage, envelope_quantile, random_scenario
 
 THRESHOLDS = [12.0, 15.0, 18.0, 21.0, 24.0, 27.0, 30.0]
 
@@ -189,3 +192,30 @@ def test_baseline_stats_contents():
     assert np.isfinite(stats["fixed_worst_db"])
     assert stats == baseline_stats(scn, n_random=10)
     assert stats != baseline_stats(scn, n_random=10, seed=99)
+
+
+def test_exact_threshold_sweep_walks_the_activations_once(monkeypatch):
+    walks = []
+    score_activations = coverage._score_activations
+
+    def counting(*args):
+        walks.append(args)
+        return score_activations(*args)
+
+    monkeypatch.setattr(coverage, "_score_activations", counting)
+    rng = np.random.default_rng(80)
+    for _ in range(4):
+        scn = random_scenario(rng, waveguides=3, taps=3, k_max=2)
+        gm, p = scn.gain_map(), scn.params
+        quantiles = rng.uniform(0.1, 0.95, 4)
+        thresholds_db = sorted({linear_to_db(envelope_quantile(gm, p, q)) for q in quantiles})
+        walks.clear()
+        tab = threshold_sweep(scn, thresholds_db, methods=("optimized",), exact=True)
+        assert len(walks) == 1
+        n_valid = int(np.count_nonzero(gm.valid))
+        for thr_db, frac, cell in zip(
+            thresholds_db, tab.columns["optimized"], tab.columns["optimized_activation"]
+        ):
+            count, act = brute_best_coverage(gm, p, db_to_linear(thr_db))
+            assert frac == count / n_valid
+            assert cell == "|".join(str(m) for m in act.one_based())
