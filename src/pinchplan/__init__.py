@@ -16,7 +16,6 @@ from .geometry import (
     Region,
     VisibilityMap,
     WaveguideLayout,
-    candidate_position,
     compute_visibility,
     points_visibility,
     segment_blocked,
@@ -25,11 +24,9 @@ from .channel import (
     C_LIGHT,
     ChannelParams,
     GainMap,
-    avg_gain,
     avg_snr,
     db_to_linear,
     dbm_to_watt,
-    distance_sq,
     fixed_array_gain_map,
     linear_to_db,
     precompute_gain_map,
@@ -40,13 +37,11 @@ from .coverage import (
     BudgetError,
     CoverageResult,
     MaxCoverInstance,
-    best_candidate,
     coordinate_ascent,
     coverage_count,
     emit_milp,
     encode_max_cover,
     exact_enumerate,
-    residual_snr,
 )
 from .minmax import (
     MinMaxResult,
@@ -54,7 +49,6 @@ from .minmax import (
     deficit_feasibility,
     exact_maxmin,
     maxmin_upper_bound,
-    total_deficit,
     worst_grid_snr,
 )
 from .scenario import (
@@ -90,13 +84,10 @@ __all__ = [
     "SweepTable",
     "VisibilityMap",
     "WaveguideLayout",
-    "avg_gain",
     "avg_snr",
     "baseline_stats",
-    "best_candidate",
     "bisection_maxmin",
     "bundled_scenario_names",
-    "candidate_position",
     "compute_visibility",
     "coordinate_ascent",
     "coverage_count",
@@ -104,7 +95,6 @@ __all__ = [
     "dbm_to_watt",
     "deficit_feasibility",
     "derived_seeds",
-    "distance_sq",
     "emit_milp",
     "encode_max_cover",
     "exact_enumerate",
@@ -120,11 +110,9 @@ __all__ = [
     "precompute_gain_map",
     "random_activation",
     "read_map_csv",
-    "residual_snr",
     "sample_instantaneous_snr",
     "scenario_from_dict",
     "segment_blocked",
     "threshold_sweep",
-    "total_deficit",
     "worst_grid_snr",
 ]

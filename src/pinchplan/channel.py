@@ -21,7 +21,6 @@ import numpy as np
 from .geometry import (
     Blockage,
     CandidateGrid,
-    GeometryError,
     GridSpec,
     Region,
     VisibilityMap,
@@ -145,34 +144,6 @@ class GainMap:
         return int(self.gains.shape[1])
 
 
-def distance_sq(
-    wg: int,
-    tap: int,
-    u: int,
-    v: int,
-    layout: WaveguideLayout,
-    taps: CandidateGrid,
-    grid: GridSpec,
-) -> float:
-    """Squared tap-to-grid-center distance (indices 0-based)."""
-    if not (0 <= u < grid.nx and 0 <= v < grid.ny):
-        raise GeometryError(f"grid index ({u}, {v}) out of range")
-    x_tap = taps.x_taps[wg, tap]
-    y_wg = layout.y_positions()[wg]
-    dx = grid.x_centers()[u] - x_tap
-    dy = grid.y_centers()[v] - y_wg
-    return float(dx * dx + dy * dy + layout.height**2)
-
-
-def avg_gain(los_flag, dist_sq_val, params: ChannelParams):
-    """Average channel power gain (los * los_ref_gain + nlos_power) / dist_sq."""
-    d2 = np.asarray(dist_sq_val, dtype=float)
-    if np.any(d2 <= 0):
-        raise ValueError("squared distance must be positive")
-    los = np.asarray(los_flag, dtype=float)
-    return (los * params.los_ref_gain + params.nlos_power) / d2
-
-
 def _point_gains(points: np.ndarray, los: np.ndarray, grid: GridSpec, params: ChannelParams) -> np.ndarray:
     """Average gains (los * los_ref_gain + nlos_power) / d^2, shape (K, nx, ny).
 
@@ -232,10 +203,17 @@ def _selection_array(selected, gain_map: GainMap) -> np.ndarray:
 
 
 def avg_snr(selected, gain_map: GainMap, params: ChannelParams) -> np.ndarray:
-    """Per-grid average SNR field for one tap selection (one tap per waveguide)."""
+    """Per-grid average SNR field for one tap selection (one tap per waveguide).
+
+    Each tap's gains are scaled, then added in waveguide order, as the solvers
+    sum `_candidate_matrix` rows, so a plan's worst cell is bit-equal to the
+    score a solver gave it.
+    """
     sel = _selection_array(selected, gain_map)
-    total = gain_map.gains[np.arange(len(sel)), sel].sum(axis=0)
-    return params.snr_scale * total
+    field = params.snr_scale * gain_map.gains[0, sel[0]]
+    for n in range(1, len(sel)):
+        field += params.snr_scale * gain_map.gains[n, sel[n]]
+    return field
 
 
 def sample_instantaneous_snr(

@@ -184,9 +184,7 @@ def _cmd_minmax(args) -> int:
             gm,
             scn.params,
             eps_t=eps_t,
-            initial=Activation.centered(gm.n_waveguides, gm.n_taps),
             max_sweeps=scn.solver.max_sweeps,
-            exact_feasibility=args.exact_feasibility,
             restarts=args.restarts,
             seed=scn.solver.seed,
         )
@@ -273,7 +271,7 @@ def _cmd_sweep_power(args) -> int:
     out = _out_dir(args)
     powers = _parse_float_list(args.powers, "--powers")
     table, minmax_res = power_sweep(scn, powers, n_random=args.draws, exact=args.exact)
-    certificate = _certificate(minmax_res) if minmax_res else {}  # before the table is written
+    certificate = _certificate(minmax_res)  # before the table is written
     csv_path = out / "power_sweep.csv"
     table.write_csv(csv_path)
     summary = RunSummary(
@@ -286,7 +284,7 @@ def _cmd_sweep_power(args) -> int:
             "fixed_db": table.columns.get("fixed_db"),
             **certificate,
         },
-        activation=minmax_res.activation.one_based() if minmax_res else None,
+        activation=minmax_res.activation.one_based(),
         seed=scn.solver.seed,
         wall_time_s=time.perf_counter() - t0,
     )
@@ -350,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minmax", parents=[common], help="maximize the worst-grid average SNR")
     p.add_argument("--exact", action="store_true", help="certified optimum by branch-and-bound (budget-guarded)")
     p.add_argument("--eps-t", type=_finite_float, default=None, help="bisection bracket width, linear SNR")
-    p.add_argument("--exact-feasibility", action="store_true", help="bisect with exhaustive feasibility checks")
     p.add_argument(
         "--restarts", type=int, default=DEFAULT_FEAS_RESTARTS,
         help="deficit-descent starts per feasibility check"

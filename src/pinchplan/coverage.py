@@ -99,33 +99,6 @@ def coverage_count(selected, gain_map: GainMap, params: ChannelParams, threshold
     return int(np.count_nonzero(_covered(field, threshold) & gain_map.valid))
 
 
-def residual_snr(selected, wg: int, gain_map: GainMap, params: ChannelParams) -> np.ndarray:
-    """Average-SNR field with waveguide `wg`'s contribution removed."""
-    sel = np.asarray(selected, dtype=int)
-    if not 0 <= wg < gain_map.n_waveguides:
-        raise ValueError(f"waveguide index {wg} out of range [0, {gain_map.n_waveguides})")
-    field = avg_snr(sel, gain_map, params)
-    return field - params.snr_scale * gain_map.gains[wg, sel[wg]]
-
-
-def best_candidate(
-    wg: int,
-    residual_field: np.ndarray,
-    gain_map: GainMap,
-    params: ChannelParams,
-    threshold: float,
-) -> int:
-    """Tap on `wg` maximizing covered cells given the other waveguides' field.
-
-    Ties go to the larger total positive margin above the threshold, then to
-    the smallest tap index.
-    """
-    _check_threshold(threshold)
-    resid = residual_field[gain_map.valid]
-    m, _, _ = _best_tap(resid, _candidate_matrix(gain_map, params)[wg], threshold)
-    return m
-
-
 def _best_tap(resid_v: np.ndarray, gains_v: np.ndarray, threshold: float):
     """(tap, count, margin) over candidate fields resid_v + gains_v[m]."""
     thr_eff = threshold * (1.0 - COVERAGE_SLACK)

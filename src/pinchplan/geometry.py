@@ -168,17 +168,6 @@ class VisibilityMap:
     valid: np.ndarray
 
 
-def candidate_position(wg: int, tap: int, layout: WaveguideLayout, taps: CandidateGrid) -> np.ndarray:
-    """3-D position of candidate tap `tap` on waveguide `wg` (0-based indices)."""
-    n_wg, n_tap = taps.x_taps.shape
-    if not 0 <= wg < min(n_wg, layout.count):
-        raise GeometryError(f"waveguide index {wg} out of range [0, {layout.count})")
-    if not 0 <= tap < n_tap:
-        raise GeometryError(f"tap index {tap} out of range [0, {n_tap})")
-    y = layout.y_positions()[wg]
-    return np.array([taps.x_taps[wg, tap], y, layout.height])
-
-
 def _padded_bounds(blk: Blockage) -> tuple[tuple[float, float], ...]:
     """Closed (lo, hi) extent of the cuboid per axis, padded by SLAB_TOL."""
     return (

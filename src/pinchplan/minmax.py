@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array, avg_snr
-from .coverage import (
-    Activation,
-    BudgetError,
-    DEFAULT_MAX_SWEEPS,
-    _activation_at,
-    _require_valid,
-    _score_activations,
-)
+from .coverage import Activation, BudgetError, DEFAULT_MAX_SWEEPS, _require_valid
 
 DEFAULT_EPS_T = 1e-3  # linear-SNR bracket width at which bisection stops
 DEFAULT_FEAS_RESTARTS = 16  # descent starts per feasibility check (first = caller's initial)
@@ -56,15 +49,6 @@ def worst_grid_snr(selected, gain_map: GainMap, params: ChannelParams) -> float:
     _require_valid(gain_map)
     field = avg_snr(selected, gain_map, params)
     return float(field[gain_map.valid].min())
-
-
-def total_deficit(selected, gain_map: GainMap, params: ChannelParams, target: float) -> float:
-    """sum over valid cells of max(target - snr, 0); zero iff target is met."""
-    if target < 0:
-        raise ValueError("SNR target must be non-negative")
-    _require_valid(gain_map)
-    field = avg_snr(selected, gain_map, params)
-    return float(np.maximum(target - field[gain_map.valid], 0.0).sum())
 
 
 def _deficit_descent(target: float, gains_v: np.ndarray, sel: list, max_sweeps: int) -> float:
@@ -158,14 +142,6 @@ def maxmin_upper_bound(gain_map: GainMap, params: ChannelParams) -> float:
     best_per_wg = gain_map.gains.max(axis=1)  # (N, nx, ny)
     envelope = params.snr_scale * best_per_wg.sum(axis=0)
     return float(envelope[gain_map.valid].min())
-
-
-def _first_meeting(worst: np.ndarray, target: float, gain_map: GainMap):
-    """Exact feasibility: (True, first activation whose worst cell meets target), else (False, None)."""
-    meets = worst >= target
-    if not meets.any():
-        return False, None
-    return True, _activation_at(int(np.argmax(meets)), gain_map)
 
 
 def _field(gains_v: np.ndarray, sel, out: np.ndarray) -> np.ndarray:
@@ -330,9 +306,7 @@ def bisection_maxmin(
     gain_map: GainMap,
     params: ChannelParams,
     eps_t: float = DEFAULT_EPS_T,
-    initial: Activation | None = None,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    exact_feasibility: bool = False,
     restarts: int = DEFAULT_FEAS_RESTARTS,
     seed: int = 0,
 ) -> MinMaxResult:
@@ -341,54 +315,38 @@ def bisection_maxmin(
     The bracket starts at [0, per-cell best-tap envelope minimum] and halves
     until its width is at most eps_t (linear SNR), so the iteration count is
     bounded by ceil(log2(t_max / eps_t)). Each feasibility check runs
-    `restarts` deficit descents, warm-starting from the last feasible
-    activation. The branch-and-bound optimum, when it fits its node budget,
-    is certified first; a probe above it by more than CEILING_MARGIN cannot
-    succeed, so it runs a single descent, and the bracket and plan are those
-    of the full restarts. With exact_feasibility=True every activation's
-    worst cell is scored once per solve (budget-guarded), each check takes
-    the first activation (lexicographic) whose score meets the target, and
-    the bracket holds the true optimum to eps_t.
+    `restarts` deficit descents, the first from the last feasible activation
+    (at first the centred one). The branch-and-bound optimum, when it fits
+    its node budget, is certified first; a probe above it by more than
+    CEILING_MARGIN cannot succeed, so it runs a single descent, and the
+    bracket and plan are those of the full restarts.
     """
     if not eps_t > 0:
         raise ValueError("eps_t must be positive")
     _require_valid(gain_map)
-    if initial is None:
-        initial = Activation.centered(gain_map.n_waveguides, gain_map.n_taps)
-    else:
-        _selection_array(initial.selected, gain_map)
 
-    # any activation meets target 0, so the initial selection starts certified
-    best = initial
+    # any activation meets target 0, so the centred selection starts certified
+    best = Activation.centered(gain_map.n_waveguides, gain_map.n_taps)
     t_lo, t_hi = 0.0, maxmin_upper_bound(gain_map, params)
     if not math.isfinite(t_hi):
         raise ValueError("SNR upper bound is not finite; check the channel parameters")
     certified = nodes = None
-    if exact_feasibility:
-        worst = _score_activations(gain_map, params, np.min)
-        certified = float(worst.max())
-    else:
-        try:
-            cert = _bnb_maxmin(gain_map, params)
-            certified, nodes = cert.value, cert.nodes
-        except BudgetError:
-            pass  # no ceiling: every probe runs all restarts
+    try:
+        cert = _bnb_maxmin(gain_map, params)
+        certified, nodes = cert.value, cert.nodes
+    except BudgetError:
+        pass  # no ceiling: every probe runs all restarts
     ceiling = math.inf if certified is None else certified * (1 + CEILING_MARGIN)
     iters = 0
-    evals = 0
     while t_hi - t_lo > eps_t:
         t_mid = 0.5 * (t_lo + t_hi)
         if not t_lo < t_mid < t_hi:
             break  # adjacent floats: at large SNR they lie more than eps_t apart
-        if exact_feasibility:
-            ok, found = _first_meeting(worst, t_mid, gain_map)
-        else:
-            starts = restarts if t_mid <= ceiling else min(restarts, 1)
-            ok, found = deficit_feasibility(
-                t_mid, gain_map, params, best, max_sweeps, starts, seed + iters
-            )
+        starts = restarts if t_mid <= ceiling else min(restarts, 1)
+        ok, found = deficit_feasibility(
+            t_mid, gain_map, params, best, max_sweeps, starts, seed + iters
+        )
         iters += 1
-        evals += 1
         if ok:
             best = found
             t_lo = t_mid
@@ -396,7 +354,7 @@ def bisection_maxmin(
             t_hi = t_mid
 
     return _maxmin_result(
-        best, gain_map, params, iters, evals, exact=False, certified=certified, nodes=nodes
+        best, gain_map, params, iters, iters, exact=False, certified=certified, nodes=nodes
     )
 
 

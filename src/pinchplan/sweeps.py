@@ -21,8 +21,6 @@ from .scenario import Scenario, random_activation
 
 N_RANDOM_DRAWS = 20
 
-METHODS = ("optimized", "random", "fixed")
-
 
 def derived_seeds(base_seed: int, count: int) -> list[int]:
     """Deterministic child seeds for repeated baseline draws."""
@@ -79,23 +77,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _validate_methods(methods) -> tuple[str, ...]:
-    chosen = tuple(methods)
-    unknown = [m for m in chosen if m not in METHODS]
-    if unknown:
-        raise ValueError(f"unknown method(s) {unknown}; expected a subset of {METHODS}")
-    if not chosen:
-        raise ValueError("need at least one method")
-    return chosen
-
-
 def threshold_sweep(
     scenario: Scenario,
     thresholds_db,
-    methods=METHODS,
     exact: bool = False,
     n_random: int = N_RANDOM_DRAWS,
-    seed: int | None = None,
 ) -> SweepTable:
     """Coverage fraction of each method at each threshold (dB, ascending).
 
@@ -108,8 +94,6 @@ def threshold_sweep(
         raise ValueError("threshold list must not be empty")
     if any(b <= a for a, b in zip(thresholds_db, thresholds_db[1:])):
         raise ValueError("threshold list must be strictly ascending")
-    methods = _validate_methods(methods)
-    base_seed = scenario.solver.seed if seed is None else seed
 
     params = scenario.params
     gm = scenario.gain_map()
@@ -118,50 +102,41 @@ def threshold_sweep(
         raise ValueError("no valid grid cells")
 
     table = SweepTable(axis="threshold_db", columns={"threshold_db": thresholds_db})
-    if "optimized" in methods:
-        thresholds = [db_to_linear(thr_db) for thr_db in thresholds_db]
-        if exact:
-            results = _exact_coverages(gm, params, thresholds)
-        else:
-            start = Activation.centered(gm.n_waveguides, gm.n_taps)
-            results = [
-                coordinate_ascent(start, gm, params, thr, max_sweeps=scenario.solver.max_sweeps)
-                for thr in thresholds
-            ]
-        table.columns["optimized"] = [res.coverage_fraction for res in results]
-        table.columns["optimized_activation"] = [
-            "|".join(str(i) for i in res.activation.one_based()) for res in results
+    thresholds = [db_to_linear(thr_db) for thr_db in thresholds_db]
+    if exact:
+        results = _exact_coverages(gm, params, thresholds)
+    else:
+        start = Activation.centered(gm.n_waveguides, gm.n_taps)
+        results = [
+            coordinate_ascent(start, gm, params, thr, max_sweeps=scenario.solver.max_sweeps)
+            for thr in thresholds
         ]
-    if "random" in methods:
-        draws = [random_activation(scenario, s) for s in derived_seeds(base_seed, n_random)]
-        means, stds = [], []
-        for thr_db in thresholds_db:
-            thr = db_to_linear(thr_db)
-            fr = np.array(
-                [coverage_count(a.as_array(), gm, params, thr) / n_valid for a in draws]
-            )
-            means.append(float(fr.mean()))
-            stds.append(float(fr.std(ddof=1)) if n_random > 1 else 0.0)
-        table.columns["random_mean"] = means
-        table.columns["random_std"] = stds
-    if "fixed" in methods:
-        fgm = scenario.fixed_array_map(params)
-        fsel = np.zeros(scenario.layout.count, dtype=int)
-        fracs = [
-            coverage_count(fsel, fgm, params, db_to_linear(t)) / n_valid for t in thresholds_db
-        ]
-        table.columns["fixed"] = fracs
+    table.columns["optimized"] = [res.coverage_fraction for res in results]
+    table.columns["optimized_activation"] = [
+        "|".join(str(i) for i in res.activation.one_based()) for res in results
+    ]
+
+    draws = [random_activation(scenario, s) for s in derived_seeds(scenario.solver.seed, n_random)]
+    means, stds = [], []
+    for thr in thresholds:
+        fr = np.array([coverage_count(a.as_array(), gm, params, thr) / n_valid for a in draws])
+        means.append(float(fr.mean()))
+        stds.append(float(fr.std(ddof=1)) if n_random > 1 else 0.0)
+    table.columns["random_mean"] = means
+    table.columns["random_std"] = stds
+
+    fgm = scenario.fixed_array_map(params)
+    fsel = np.zeros(scenario.layout.count, dtype=int)
+    table.columns["fixed"] = [coverage_count(fsel, fgm, params, thr) / n_valid for thr in thresholds]
     return table
 
 
 def power_sweep(
     scenario: Scenario,
     powers_dbm,
-    methods=METHODS,
     n_random: int = N_RANDOM_DRAWS,
-    seed: int | None = None,
     exact: bool = False,
-) -> tuple[SweepTable, MinMaxResult | None]:
+) -> tuple[SweepTable, MinMaxResult]:
     """Worst-grid SNR (dB) of each method versus transmit power.
 
     The optimized activation is solved once at the scenario's own power and
@@ -171,57 +146,52 @@ def power_sweep(
     powers_dbm = [float(p) for p in powers_dbm]
     if not powers_dbm:
         raise ValueError("power list must not be empty")
-    methods = _validate_methods(methods)
-    base_seed = scenario.solver.seed if seed is None else seed
 
     gm = scenario.gain_map()
     params0 = scenario.params
     table = SweepTable(axis="tx_power_dbm", columns={"tx_power_dbm": powers_dbm})
 
-    minmax_res = None
     per_power_params = [scenario.with_power_dbm(p).params for p in powers_dbm]
-    if "optimized" in methods:
-        if exact:
-            minmax_res = exact_maxmin(gm, params0)
-        else:
-            minmax_res = bisection_maxmin(
-                gm,
-                params0,
-                eps_t=scenario.solver.eps_t,
-                initial=Activation.centered(gm.n_waveguides, gm.n_taps),
-                max_sweeps=scenario.solver.max_sweeps,
-            )
-        sel = minmax_res.activation.as_array()
-        table.columns["optimized_db"] = [
-            linear_to_db(worst_grid_snr(sel, gm, p)) for p in per_power_params
-        ]
-        table.columns["optimized_activation"] = [
-            "|".join(str(i) for i in minmax_res.activation.one_based())
-        ] * len(powers_dbm)
-    if "random" in methods:
-        draws = [random_activation(scenario, s) for s in derived_seeds(base_seed, n_random)]
-        means, stds = [], []
-        for p in per_power_params:
-            worsts_db = np.array(
-                [linear_to_db(worst_grid_snr(a.as_array(), gm, p)) for a in draws]
-            )
-            means.append(float(worsts_db.mean()))
-            stds.append(float(worsts_db.std(ddof=1)) if n_random > 1 else 0.0)
-        table.columns["random_mean_db"] = means
-        table.columns["random_std_db"] = stds
-    if "fixed" in methods:
-        # element gains carry no transmit power, so one map serves every P
-        fgm = scenario.fixed_array_map(params0)
-        fsel = np.zeros(scenario.layout.count, dtype=int)
-        table.columns["fixed_db"] = [
-            linear_to_db(worst_grid_snr(fsel, fgm, p)) for p in per_power_params
-        ]
+    if exact:
+        minmax_res = exact_maxmin(gm, params0)
+    else:
+        minmax_res = bisection_maxmin(
+            gm,
+            params0,
+            eps_t=scenario.solver.eps_t,
+            max_sweeps=scenario.solver.max_sweeps,
+            seed=scenario.solver.seed,
+        )
+    sel = minmax_res.activation.as_array()
+    table.columns["optimized_db"] = [
+        linear_to_db(worst_grid_snr(sel, gm, p)) for p in per_power_params
+    ]
+    table.columns["optimized_activation"] = [
+        "|".join(str(i) for i in minmax_res.activation.one_based())
+    ] * len(powers_dbm)
+
+    draws = [random_activation(scenario, s) for s in derived_seeds(scenario.solver.seed, n_random)]
+    means, stds = [], []
+    for p in per_power_params:
+        worsts_db = np.array(
+            [linear_to_db(worst_grid_snr(a.as_array(), gm, p)) for a in draws]
+        )
+        means.append(float(worsts_db.mean()))
+        stds.append(float(worsts_db.std(ddof=1)) if n_random > 1 else 0.0)
+    table.columns["random_mean_db"] = means
+    table.columns["random_std_db"] = stds
+
+    # element gains carry no transmit power, so one map serves every P
+    fgm = scenario.fixed_array_map(params0)
+    fsel = np.zeros(scenario.layout.count, dtype=int)
+    table.columns["fixed_db"] = [
+        linear_to_db(worst_grid_snr(fsel, fgm, p)) for p in per_power_params
+    ]
     return table, minmax_res
 
 
-def baseline_stats(scenario: Scenario, n_random: int = N_RANDOM_DRAWS, seed: int | None = None) -> dict:
+def baseline_stats(scenario: Scenario, n_random: int = N_RANDOM_DRAWS) -> dict:
     """Fixed-array and random-activation reference numbers at scenario defaults."""
-    base_seed = scenario.solver.seed if seed is None else seed
     params = scenario.params
     gm = scenario.gain_map()
     n_valid = int(np.count_nonzero(gm.valid))
@@ -231,7 +201,7 @@ def baseline_stats(scenario: Scenario, n_random: int = N_RANDOM_DRAWS, seed: int
     fsel = np.zeros(scenario.layout.count, dtype=int)
     fixed_field = avg_snr(fsel, fgm, params)
 
-    draws = [random_activation(scenario, s) for s in derived_seeds(base_seed, n_random)]
+    draws = [random_activation(scenario, s) for s in derived_seeds(scenario.solver.seed, n_random)]
     rand_cov = np.array([coverage_count(a.as_array(), gm, params, thr) / n_valid for a in draws])
     rand_worst_db = np.array(
         [linear_to_db(worst_grid_snr(a.as_array(), gm, params)) for a in draws]

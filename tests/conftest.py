@@ -6,7 +6,15 @@ from itertools import combinations, product
 
 import numpy as np
 
-from pinchplan import Activation, avg_snr, scenario_from_dict
+from pinchplan import (
+    Activation,
+    GeometryError,
+    avg_snr,
+    deficit_feasibility,
+    maxmin_upper_bound,
+    scenario_from_dict,
+)
+from pinchplan.coverage import _require_valid
 
 
 def scenario_dict(
@@ -167,3 +175,62 @@ def envelope_quantile(gain_map, params, q):
     """Quantile of the per-cell best-achievable SNR over valid cells."""
     env = params.snr_scale * gain_map.gains.max(axis=1).sum(axis=0)
     return float(np.quantile(env[gain_map.valid], q))
+
+
+def distance_sq(wg, tap, u, v, layout, taps, grid) -> float:
+    """Squared tap-to-grid-center distance (indices 0-based)."""
+    if not (0 <= u < grid.nx and 0 <= v < grid.ny):
+        raise GeometryError(f"grid index ({u}, {v}) out of range")
+    x_tap = taps.x_taps[wg, tap]
+    y_wg = layout.y_positions()[wg]
+    dx = grid.x_centers()[u] - x_tap
+    dy = grid.y_centers()[v] - y_wg
+    return float(dx * dx + dy * dy + layout.height**2)
+
+
+def total_deficit(selected, gain_map, params, target: float) -> float:
+    """sum over valid cells of max(target - snr, 0); zero iff target is met."""
+    if target < 0:
+        raise ValueError("SNR target must be non-negative")
+    _require_valid(gain_map)
+    field = avg_snr(selected, gain_map, params)
+    return float(np.maximum(target - field[gain_map.valid], 0.0).sum())
+
+
+def exhaustive_feasibility(gain_map, params):
+    """Exact feasibility check for `all_restarts_bisection`.
+
+    Reads every activation's worst valid cell once (through avg_snr); a probe
+    meets its target iff some activation reaches it, and then returns the
+    first such activation in lexicographic order.
+    """
+    worsts = [
+        (sel, float(field[gain_map.valid].min()))
+        for sel, field in all_activation_fields(gain_map, params)
+    ]
+
+    def feasibility(target, gm, p, initial, restarts, seed):
+        for sel, worst in worsts:
+            if worst >= target:
+                return True, Activation(sel)
+        return False, initial
+
+    return feasibility
+
+
+def all_restarts_bisection(gm, p, eps_t, seed, feasibility=deficit_feasibility):
+    """Bisection without a ceiling: every probe asks `feasibility` for all 16 restarts."""
+    best = Activation.centered(gm.n_waveguides, gm.n_taps)
+    t_lo, t_hi = 0.0, maxmin_upper_bound(gm, p)
+    iters = 0
+    while t_hi - t_lo > eps_t:
+        t_mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < t_mid < t_hi:
+            break
+        ok, found = feasibility(t_mid, gm, p, best, restarts=16, seed=seed + iters)
+        iters += 1
+        if ok:
+            best, t_lo = found, t_mid
+        else:
+            t_hi = t_mid
+    return best, iters

@@ -10,19 +10,18 @@ from pinchplan import (
     GridSpec,
     Region,
     WaveguideLayout,
-    avg_gain,
     avg_snr,
     compute_visibility,
     db_to_linear,
     dbm_to_watt,
-    distance_sq,
     fixed_array_gain_map,
     linear_to_db,
     load_bundled,
     precompute_gain_map,
     sample_instantaneous_snr,
 )
-from conftest import random_scenario
+from pinchplan.channel import _point_gains
+from conftest import distance_sq, random_scenario
 
 
 # SHA-256 of the full-table1 gain tensors of the taps and of the fixed array:
@@ -99,15 +98,16 @@ def test_distance_sq_floor():
 
 
 def test_avg_gain_branches():
+    # one cell centred at (5, 0) and two taps at (5, 5, 10): d^2 = 125
+    grid = GridSpec(nx=1, ny=1, cell_x=10.0, cell_y=10.0)
+    points = np.array([[5.0, 5.0, 10.0], [5.0, 5.0, 10.0]])
+    los = np.array([False, True]).reshape(2, 1, 1)
     p = table1_params()
-    assert avg_gain(0, 125.0, p) == pytest.approx(1e-6 / 125.0, rel=1e-9)
-    assert avg_gain(1, 125.0, p) == pytest.approx((p.los_ref_gain + 1e-6) / 125.0, rel=1e-12)
+    blocked, clear = _point_gains(points, los, grid, p).ravel()
+    assert blocked == pytest.approx(1e-6 / 125.0, rel=1e-9)
+    assert clear == pytest.approx((p.los_ref_gain + 1e-6) / 125.0, rel=1e-12)
     p0 = ChannelParams(freq_hz=28e9, tx_power_w=10.0, noise_power_w=1e-10, nlos_power=0.0)
-    assert avg_gain(0, 125.0, p0) == 0.0
-    with pytest.raises(ValueError):
-        avg_gain(1, 0.0, p)
-    with pytest.raises(ValueError):
-        avg_gain(1, -2.0, p)
+    assert _point_gains(points, los, grid, p0)[0, 0, 0] == 0.0
 
 
 def test_gain_map_all_los_limit():

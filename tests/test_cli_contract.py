@@ -9,6 +9,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,11 +19,13 @@ from conftest import WALL, scenario_dict
 
 DB = st.floats(-5000.0, 5000.0, allow_nan=False, allow_infinity=False)
 COMMANDS = (
+    ["gainmap"],
     ["map", "--format", "pgm", "--activation", "1,1"],
+    ["coverage"],
     ["coverage", "--exact"],
     ["minmax"],
     ["minmax", "--exact"],
-    ["minmax", "--exact-feasibility"],
+    ["sweep-threshold"],
     ["sweep-threshold", "--exact"],
     ["sweep-power", "--exact"],
     ["baseline"],
@@ -80,3 +83,12 @@ def test_bnb_node_budget_refusal_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["minmax", "--config", "table1", "--grid-scale", "0.05", "--out", str(out)]) == 0
     doc = json.loads((out / "minmax_summary.json").read_text(encoding="utf-8"))
     assert doc["objective"]["certified_db"] is None and doc["objective"]["bnb_nodes"] is None
+
+
+def test_removed_exact_feasibility_flag_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["minmax", "--exact-feasibility", "--config", "table1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exact-feasibility" in capsys.readouterr().err
+    assert not out.exists()

@@ -11,14 +11,14 @@ from pinchplan import (
     GainMap,
     MaxCoverInstance,
     avg_snr,
-    best_candidate,
     coordinate_ascent,
     coverage_count,
     emit_milp,
     encode_max_cover,
     exact_enumerate,
-    residual_snr,
 )
+from pinchplan.channel import _candidate_matrix
+from pinchplan.coverage import _best_tap
 from conftest import (
     brute_best_coverage,
     brute_max_cover,
@@ -37,6 +37,12 @@ def synthetic_map(gains, valid=None):
 UNIT_PARAMS = ChannelParams(
     freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0, n_eff=1.0
 )
+
+
+def best_tap(wg, resid, gain_map, params, threshold):
+    """The ascent's pick for waveguide `wg` against the others' field `resid`."""
+    gains_v = _candidate_matrix(gain_map, params)[wg]
+    return _best_tap(resid[gain_map.valid], gains_v, threshold)[0]
 
 
 def test_activation_basics():
@@ -72,40 +78,10 @@ def test_coverage_count_closed_threshold():
     assert coverage_count([0], gm, UNIT_PARAMS, 3.0 * (1 + 1e-9)) == 0
 
 
-def test_residual_identity():
-    rng = np.random.default_rng(31)
-    scn = random_scenario(rng, waveguides=3, taps=3, k_max=2)
-    gm = scn.gain_map()
-    p = scn.params
-    sel = [2, 1, 0]
-    field = avg_snr(sel, gm, p)
-    for n in range(3):
-        resid = residual_snr(sel, n, gm, p)
-        assert np.all(resid >= 0)
-        assert np.allclose(resid + p.snr_scale * gm.gains[n, sel[n]], field, rtol=1e-12)
-    with pytest.raises(ValueError):
-        residual_snr(sel, 3, gm, p)
-
-
-def test_residual_ignores_own_tap():
-    rng = np.random.default_rng(32)
-    scn = random_scenario(rng, waveguides=2, taps=3, k_max=1)
-    gm = scn.gain_map()
-    a = residual_snr([0, 1], 0, gm, scn.params)
-    b = residual_snr([2, 1], 0, gm, scn.params)
-    assert np.allclose(a, b, rtol=1e-12)
-
-
-def test_single_waveguide_residual_is_zero():
-    gm = synthetic_map(np.random.default_rng(33).uniform(1, 2, (1, 4, 3, 2)))
-    resid = residual_snr([2], 0, gm, UNIT_PARAMS)
-    assert np.allclose(resid, 0.0, atol=1e-18)
-
-
 def test_best_candidate_single_tap():
     gm = synthetic_map(np.random.default_rng(34).uniform(1, 2, (2, 1, 3, 2)))
     resid = np.zeros((3, 2))
-    assert best_candidate(0, resid, gm, UNIT_PARAMS, 1.0) == 0
+    assert best_tap(0, resid, gm, UNIT_PARAMS, 1.0) == 0
 
 
 def test_best_candidate_margin_breaks_count_ties():
@@ -115,11 +91,11 @@ def test_best_candidate_margin_breaks_count_ties():
     gains[0, 1] = 5.0
     gm = synthetic_map(gains)
     resid = np.zeros((2, 1))
-    assert best_candidate(0, resid, gm, UNIT_PARAMS, 1.0) == 1
+    assert best_tap(0, resid, gm, UNIT_PARAMS, 1.0) == 1
     # identical taps: smallest index wins
     gains[0, 1] = 2.0
     gm = synthetic_map(gains)
-    assert best_candidate(0, resid, gm, UNIT_PARAMS, 1.0) == 0
+    assert best_tap(0, resid, gm, UNIT_PARAMS, 1.0) == 0
 
 
 def test_best_candidate_matches_brute_scan():
@@ -131,8 +107,8 @@ def test_best_candidate_matches_brute_scan():
         thr = envelope_quantile(gm, p, rng.uniform(0.2, 0.8))
         sel = [int(rng.integers(3)), int(rng.integers(3))]
         n = int(rng.integers(2))
-        resid = residual_snr(sel, n, gm, p)
-        got = best_candidate(n, resid, gm, p, thr)
+        resid = p.snr_scale * gm.gains[1 - n, sel[1 - n]]
+        got = best_tap(n, resid, gm, p, thr)
         # independent scan over taps with the same (count, margin, -m) order
         best = None
         for m in range(3):

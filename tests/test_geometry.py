@@ -8,7 +8,6 @@ from pinchplan import (
     GridSpec,
     Region,
     WaveguideLayout,
-    candidate_position,
     compute_visibility,
     load_bundled,
     segment_blocked,
@@ -72,14 +71,12 @@ def test_candidate_position_and_bounds():
     region = Region(x_len=200.0, y_len=60.0, height=10.0)
     layout = WaveguideLayout.uniform(region, 4)
     taps = CandidateGrid.uniform(region, 4, 10)
-    pos = candidate_position(0, 0, layout, taps)
-    assert np.allclose(pos, [10.0, -30.0, 10.0])
-    pos = candidate_position(3, 9, layout, taps)
-    assert np.allclose(pos, [190.0, 30.0, 10.0])
+    points = layout.tap_points(taps)  # row n * taps + m is tap (n, m)
+    assert points.shape == (40, 3)
+    assert np.allclose(points[0], [10.0, -30.0, 10.0])
+    assert np.allclose(points[3 * 10 + 9], [190.0, 30.0, 10.0])
     with pytest.raises(GeometryError):
-        candidate_position(4, 0, layout, taps)
-    with pytest.raises(GeometryError):
-        candidate_position(0, 10, layout, taps)
+        WaveguideLayout.uniform(region, 3).tap_points(taps)
 
 
 def test_grid_centers():

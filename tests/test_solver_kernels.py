@@ -18,16 +18,17 @@ from pinchplan import (
     exact_enumerate,
     exact_maxmin,
     load_bundled,
-    maxmin_upper_bound,
+    worst_grid_snr,
 )
-from pinchplan import minmax
 from pinchplan.channel import _candidate_matrix, db_to_linear
 from pinchplan.coverage import _activation_at, _score_activations
 from conftest import (
     all_activation_fields,
+    all_restarts_bisection,
     brute_best_coverage,
     brute_best_worst,
     envelope_quantile,
+    exhaustive_feasibility,
     random_scenario,
 )
 
@@ -97,11 +98,13 @@ def test_pinned_maxmin_plans_table1_full():
 
 
 def test_exact_feasibility_pinned_table1_quarter(quarter_table1):
+    # bisection whose probes read every activation's worst cell brackets the optimum
     scn, gm = quarter_table1
-    res = bisection_maxmin(gm, scn.params, eps_t=scn.solver.eps_t, exact_feasibility=True)
-    assert res.activation.selected == (1, 5, 9, 1)
-    assert res.t_star == 122.2581707229541
-    assert res.bisection_iters == res.feasibility_evals == 21
+    p = scn.params
+    act, iters = all_restarts_bisection(gm, p, scn.solver.eps_t, 0, exhaustive_feasibility(gm, p))
+    assert act.selected == (1, 5, 9, 1)
+    assert worst_grid_snr(act.as_array(), gm, p) == 122.2581707229541
+    assert iters == 21
 
 
 @pytest.mark.parametrize("n_wg", [1, 2, 3])
@@ -118,32 +121,6 @@ def test_score_activations_order_and_values(n_wg):
         assert _activation_at(i, gm).selected == sel  # lexicographic order
         assert np.allclose(seen[i], field[gm.valid], rtol=1e-12, atol=0)
         assert scores[i] == seen[i].min()
-
-
-def test_exact_probes_take_the_first_activation_meeting_the_target(monkeypatch):
-    probes = []
-
-    def recording(worst, target, gain_map):
-        verdict = first_meeting(worst, target, gain_map)
-        probes.append((target, verdict))
-        return verdict
-
-    first_meeting = minmax._first_meeting
-    monkeypatch.setattr(minmax, "_first_meeting", recording)
-    rng = np.random.default_rng(73)
-    for _ in range(4):
-        scn = random_scenario(rng, waveguides=3, taps=3, k_max=2)
-        gm, p = scn.gain_map(), scn.params
-        worsts = [(sel, field[gm.valid].min()) for sel, field in all_activation_fields(gm, p)]
-        probes.clear()
-        res = bisection_maxmin(gm, p, eps_t=1e-4 * maxmin_upper_bound(gm, p), exact_feasibility=True)
-        assert len(probes) == res.feasibility_evals > 0
-        for target, (ok, found) in probes:
-            # the oracle recomputes each field through avg_snr; no target lands
-            # within its rounding of a worst cell on these draws
-            meeting = [sel for sel, w in worsts if w >= target]
-            assert ok == bool(meeting)
-            assert (found.selected if ok else None) == (meeting[0] if meeting else None)
 
 
 def test_exhaustive_search_matches_oracles_three_waveguides():
