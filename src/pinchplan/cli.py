@@ -9,7 +9,6 @@ refusal, 4 IO failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time

@@ -33,6 +33,13 @@ DEFAULT_MAX_SWEEPS = 50
 # Valid cells per block of LP linking rows: the coefficient block is
 # (N*M, _LP_CHUNK) floats, so no full (N*M, V) copy is made.
 _LP_CHUNK = 256
+# Distinct coefficient texts the LP writer keeps. Gains over a regular grid
+# and tap lattice repeat (1.7% of a 6x16-tap stress scenario's coefficients
+# are distinct, 2.9% of full table1's), so each text is formatted once. Past
+# this many entries (about 20 MB) the writer drops them and formats the rest
+# of the file inline, which bounds memory and the extra work on inputs whose
+# coefficients rarely repeat.
+_LP_MEMO_CAP = 1 << 17
 
 
 class BudgetError(RuntimeError):
@@ -290,6 +297,22 @@ def _lp_terms(parts: list[str], per_line: int = 6) -> list[str]:
     return lines
 
 
+def _coef_texts(block: np.ndarray, memo: dict[int, str]) -> list[list[str]]:
+    """'%.17g' texts of `block.T`, formatting only bit patterns not yet in `memo`.
+
+    Keying on the float64 bits keeps every pattern's own text (0.0 and -0.0
+    differ). The texts formatted here are added to `memo`.
+    """
+    keys, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
+    texts = np.array(list(map(memo.get, keys.tolist())), dtype=object)
+    miss = np.flatnonzero(np.equal(texts, None))
+    if len(miss):
+        new = keys[miss]
+        texts[miss] = fresh = ["%.17g" % x for x in new.view(np.float64).tolist()]
+        memo.update(zip(new.tolist(), fresh))
+    return texts[inverse].reshape(block.shape).T.tolist()
+
+
 def emit_milp(
     gain_map: GainMap,
     params: ChannelParams,
@@ -303,9 +326,12 @@ def emit_milp(
     sum_nm snr_scale*gain * a_n_m - threshold * c_u_v >= 0 (no big-M needed
     since the threshold itself scales the indicator). Names are 1-based.
     Coefficients carry 17 significant digits so parsing the file back
-    reproduces them bit-exactly. UTF-8, LF line endings.
+    reproduces them bit-exactly. UTF-8, LF line endings. Refuses a threshold
+    that is not positive or a map without valid cells (ValueError) before
+    a file is opened.
     """
     _check_threshold(threshold)
+    _require_valid(gain_map)
     if isinstance(out, str):
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             emit_milp(gain_map, params, threshold, fh)
@@ -325,16 +351,28 @@ def emit_milp(
     for line in _lp_terms(["covered:"] + obj, per_line=8):
         w(f" {line}\n")
     w("Subject To\n")
-    # One %-template per linking row, laid out by the same _lp_terms split;
-    # '%.17g' % x formats exactly like f"{x:.17g}".
-    parts = ["snr_%d_%d:"]
-    parts += [f"+ %.17g a_{n + 1}_{m + 1}" for n in range(n_wg) for m in range(n_tap)]
-    parts.append(f"- {threshold:.17g} c_%d_%d")
-    parts.append(">= 0")
-    row = "".join(f" {line}\n" for line in _lp_terms(parts, per_line=4))
+
+    def row_template(coef: str) -> str:
+        # One %-template per linking row, laid out by the same _lp_terms split;
+        # '%.17g' % x formats exactly like f"{x:.17g}".
+        parts = ["snr_%d_%d:"]
+        parts += [f"+ {coef} a_{n + 1}_{m + 1}" for n in range(n_wg) for m in range(n_tap)]
+        parts.append(f"- {threshold:.17g} c_%d_%d")
+        parts.append(">= 0")
+        return "".join(f" {line}\n" for line in _lp_terms(parts, per_line=4))
+
+    cached_row, inline_row = row_template("%s"), row_template("%.17g")
+    memo: dict[int, str] | None = {}
     for start in range(0, len(cells), _LP_CHUNK):
         chunk = cells[start : start + _LP_CHUNK]
-        coefs = (rho * gains_flat[:, chunk]).T.tolist()
+        # float64 whatever the tensor's dtype: widening is exact, so the texts are unchanged
+        block = (rho * gains_flat[:, chunk]).astype(np.float64, copy=False)
+        if memo is None:
+            row, coefs = inline_row, block.T.tolist()
+        else:
+            row, coefs = cached_row, _coef_texts(block, memo)
+            if len(memo) > _LP_MEMO_CAP:
+                memo = None
         names = _one_based_cells(chunk, ny)
         w("".join(row % (u, v, *c, u, v) for (u, v), c in zip(names, coefs)))
     for n in range(n_wg):

@@ -1,8 +1,9 @@
 """Property test of the CLI contract over the channel inputs.
 
 Every run ends in a documented exit code (0, 2, 3 or 4) without raising,
-a run that exits 0 writes strict JSON (no NaN or Infinity) and PGM pixels
-within 0..255, and a run that exits 2 or 3 leaves no product file behind.
+a run that exits 0 writes strict JSON (no NaN or Infinity), LP files
+without inf or nan coefficients and PGM pixels within 0..255, and a run
+that exits 2 or 3 leaves no product file behind.
 """
 
 import json
@@ -23,6 +24,7 @@ COMMANDS = (
     ["map", "--format", "pgm", "--activation", "1,1"],
     ["coverage"],
     ["coverage", "--exact"],
+    ["coverage", "--milp", "model.lp"],
     ["minmax"],
     ["minmax", "--exact"],
     ["sweep-threshold"],
@@ -45,6 +47,9 @@ def _check_products(out: Path) -> None:
         pixels = [int(tok) for line in lines[4:] for tok in line.split()]
         assert len(pixels) == 6 * 4
         assert all(0 <= p <= 255 for p in pixels)
+    for path in out.glob("*.lp"):
+        tokens = set(path.read_text(encoding="utf-8").lower().split())
+        assert not tokens & {"inf", "-inf", "+inf", "nan", "-nan", "+nan"}, path.name
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,7 +6,20 @@ import numpy as np
 import pytest
 
 import writer_oracles as oracle
-from pinchplan import GridSpec, Region, db_to_linear, emit_milp, export_map, load_bundled
+from conftest import WALL, scenario_dict
+from pinchplan import (
+    GainMap,
+    GridSpec,
+    MaxCoverInstance,
+    Region,
+    coverage,
+    db_to_linear,
+    emit_milp,
+    encode_max_cover,
+    export_map,
+    load_bundled,
+    scenario_from_dict,
+)
 from pinchplan.cli import _write_npz
 from pinchplan.mapio import _field_db
 
@@ -35,26 +48,91 @@ def _field(scn, gm, zero_valid=True):
     return field
 
 
+def assert_milp_matches(gm, params, threshold):
+    """emit_milp against the oracle; returns the LP text."""
+    new, ref = io.StringIO(), io.StringIO()
+    emit_milp(gm, params, threshold, new)
+    oracle.emit_milp(gm, params, threshold, ref)
+    assert_same(new.getvalue(), ref.getvalue())
+    return new.getvalue()
+
+
 # 0.1 + 0.2 prints as 0.30000000000000004: it needs all 17 significant digits
 @pytest.mark.parametrize("threshold", [db_to_linear(24.0), 0.1 + 0.2, db_to_linear(18.123456789012345)])
 def test_emit_milp_matches_oracle(quarter, threshold):
     scn, _, gm = quarter
-    new, ref = io.StringIO(), io.StringIO()
-    emit_milp(gm, scn.params, threshold, new)
-    oracle.emit_milp(gm, scn.params, threshold, ref)
-    assert_same(new.getvalue(), ref.getvalue())
-    assert f"- {threshold:.17g} c_" in new.getvalue()
+    text = assert_milp_matches(gm, scn.params, threshold)
+    assert f"- {threshold:.17g} c_" in text
 
 
 def test_emit_milp_matches_oracle_across_chunks():
     # more valid cells than one row block, and a block edge inside a grid row
     scn = load_bundled("table1").with_grid_scale(0.1)
     gm = scn.gain_map()
-    assert np.count_nonzero(gm.valid) > 256
-    new, ref = io.StringIO(), io.StringIO()
-    emit_milp(gm, scn.params, 0.1 + 0.2, new)
-    oracle.emit_milp(gm, scn.params, 0.1 + 0.2, ref)
-    assert_same(new.getvalue(), ref.getvalue())
+    assert np.count_nonzero(gm.valid) > coverage._LP_CHUNK
+    assert_milp_matches(gm, scn.params, 0.1 + 0.2)
+
+
+def _irregular_taps():
+    # seeded tap positions off any lattice, so few coefficients repeat
+    cfg = scenario_dict(waveguides=3, taps=5, nx=40, ny=12, blockages=WALL)
+    rng = np.random.default_rng(11)
+    cfg["taps"] = {"x": [sorted(rng.uniform(0.0, 80.0, 5).tolist()) for _ in range(3)]}
+    scn = scenario_from_dict(cfg)
+    gm = scn.gain_map()
+    coefs = scn.params.snr_scale * gm.gains[..., gm.valid]
+    assert np.unique(coefs).size > 0.5 * coefs.size
+    return gm, scn.params
+
+
+def _max_cover():
+    # coefficients are exact zeros and the threshold
+    rng = np.random.default_rng(4)
+    subsets = [(rng.choice(300, 20, replace=False) + 1).tolist() for _ in range(6)]
+    return encode_max_cover(MaxCoverInstance(n_elements=300, subsets=subsets, budget=3), 0.1 + 0.2)
+
+
+def _signed_zeros_float32():
+    # 0.0 and -0.0 print differently; float32 gains print as their float64 widening
+    gm, params = _max_cover()
+    gains = gm.gains.astype(np.float32)
+    gains[:, ::2] *= -1.0
+    return GainMap(gains=gains, valid=gm.valid), params
+
+
+@pytest.mark.parametrize("make", [_irregular_taps, _max_cover, _signed_zeros_float32])
+def test_emit_milp_matches_oracle_on_few_and_many_repeats(make):
+    gm, params = make()
+    assert np.count_nonzero(gm.valid) > coverage._LP_CHUNK
+    assert_milp_matches(gm, params, 0.1 + 0.2)
+
+
+def test_emit_milp_switches_to_inline_formatting_past_the_memo_cap(quarter, monkeypatch):
+    # the memo is dropped after a few row blocks, so the rest of the file is
+    # written by the inline template
+    scn, _, gm = quarter
+    blocks = -(-np.count_nonzero(gm.valid) // coverage._LP_CHUNK)
+    memo_sizes = []
+    coef_texts = coverage._coef_texts
+
+    def counted(block, memo):
+        memo_sizes.append(len(memo))
+        return coef_texts(block, memo)
+
+    monkeypatch.setattr(coverage, "_coef_texts", counted)
+    monkeypatch.setattr(coverage, "_LP_MEMO_CAP", 3000)
+    assert_milp_matches(gm, scn.params, 0.1 + 0.2)
+    assert 1 < len(memo_sizes) < blocks
+    assert memo_sizes[-1] <= 3000
+
+
+def test_emit_milp_without_valid_cells_refuses_before_writing(quarter, tmp_path):
+    scn, _, gm = quarter
+    empty = GainMap(gains=gm.gains, valid=np.zeros_like(gm.valid))
+    path = tmp_path / "model.lp"
+    with pytest.raises(ValueError, match="no valid grid cells"):
+        emit_milp(empty, scn.params, 1.0, str(path))
+    assert not path.exists()
 
 
 def test_csv_matches_oracle(quarter, tmp_path):
