@@ -149,8 +149,10 @@ def _cmd_coverage(args) -> int:
             restarts=args.restarts,
             seed=scn.solver.seed,
         )
+    written = [out / "coverage_map.csv", out / "coverage_summary.json"]
     if args.milp is not None:
-        emit_milp(gm, scn.params, thr, str(out / args.milp))
+        written.append(out / args.milp)
+        emit_milp(gm, scn.params, thr, str(written[-1]))
     export_map(res.snr_field, gm.valid, scn.grid, out / "coverage_map.csv", fmt="csv")
     summary = RunSummary(
         digest=scn.digest(),
@@ -166,7 +168,7 @@ def _cmd_coverage(args) -> int:
         wall_time_s=time.perf_counter() - t0,
     )
     _write_summary(out, "coverage_summary.json", summary)
-    _note(args, "coverage", [out / "coverage_map.csv", out / "coverage_summary.json"], summary.wall_time_s)
+    _note(args, "coverage", written, summary.wall_time_s)
     return 0
 
 

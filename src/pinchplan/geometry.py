@@ -17,6 +17,15 @@ import numpy as np
 # by this absolute tolerance so exact grazing contacts land inside.
 SLAB_TOL = 1e-12
 
+# Points per shadow window in `points_visibility`. Tap rows are waveguide-major
+# and sorted in x, so neighbouring points share most of a blockage's shadow.
+# Measured per call in interleaved runs on a busy 2-core machine: chunks of
+# 2 to 8 points stay within 15% of each other on the 6x16-tap stress grid and
+# on table1; 1 point pays the per-window overhead (quarter table1 7.1 against
+# 3.1 ms), and one window per blockage tests 41% of the stress tensor, against
+# 13% at 8 points (94 against 48 ms).
+VIS_CHUNK = 8
+
 
 class GeometryError(ValueError):
     """A deployment description violates a structural constraint."""
@@ -182,10 +191,11 @@ def _axis_interval(start, end, lo: float, hi: float) -> tuple[np.ndarray, np.nda
 
     Broadcasts over start and end. A segment parallel to the slab gets
     (-inf, inf) when it runs inside it and the empty (inf, -inf) otherwise,
-    so no NaN ever reaches the comparisons.
+    so no NaN ever reaches the comparisons. A nearly parallel segment's
+    parameters may overflow to +-inf, which orders the same way.
     """
     d = np.asarray(end, dtype=float) - start
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t1 = (lo - start) / d
         t2 = (hi - start) / d
     ax_lo = np.minimum(t1, t2)
@@ -232,6 +242,12 @@ def points_visibility(
     comparisons of a (K, nx) against a (K, ny) table; max and min are exact
     and order-free on non-NaN values, so this is bit-for-bit the
     per-segment slab test.
+
+    A link whose z-clipped x or y interval is empty is never blocked, so per
+    blockage and per chunk of `VIS_CHUNK` points the comparisons run only on
+    the box spanned by the first and last column, and the first and last
+    row, where some point of the chunk has a non-empty interval: the
+    blockage's shadow window. Everything outside it stays unblocked.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -239,10 +255,9 @@ def points_visibility(
     sx, sy, sz = pts[:, 0:1], pts[:, 1:2], pts[:, 2:3]
     gx = grid.x_centers()
     gy = grid.y_centers()
+    starts = range(0, len(pts), VIS_CHUNK)
 
     blocked = np.zeros((len(pts), grid.nx, grid.ny), dtype=bool)
-    hit = np.empty_like(blocked)
-    other = np.empty_like(blocked)
     valid = np.ones((grid.nx, grid.ny), dtype=bool)
     for blk in blockages:
         x_bounds, y_bounds, z_bounds = _padded_bounds(blk)
@@ -256,11 +271,21 @@ def points_visibility(
         y_lo = np.maximum(y_lo, t_lo)
         y_hi = np.minimum(y_hi, t_hi)
         # Blocked iff max(Lx, Ly) <= min(Hx, Hy). Both intervals carry the same
-        # z clip, so Lx <= Hy and Ly <= Hx already imply Lx <= Hx and Ly <= Hy.
-        np.less_equal(x_lo[:, :, None], y_hi[:, None, :], out=hit)
-        np.less_equal(y_lo[:, None, :], x_hi[:, :, None], out=other)
-        hit &= other
-        blocked |= hit
+        # z clip, so Lx <= Hy and Ly <= Hx already imply Lx <= Hx and Ly <= Hy,
+        # and an empty x or y interval fails one of the two comparisons.
+        cols = np.logical_or.reduceat(x_lo <= x_hi, starts, axis=0)
+        rows = np.logical_or.reduceat(y_lo <= y_hi, starts, axis=0)
+        for k0, col_open, row_open in zip(starts, cols, rows):
+            u = np.flatnonzero(col_open)
+            v = np.flatnonzero(row_open)
+            if u.size == 0 or v.size == 0:
+                continue
+            ks = slice(k0, k0 + VIS_CHUNK)
+            us = slice(u[0], u[-1] + 1)
+            vs = slice(v[0], v[-1] + 1)
+            hit = x_lo[ks, us, None] <= y_hi[ks, None, vs]
+            hit &= y_lo[ks, None, vs] <= x_hi[ks, us, None]
+            blocked[ks, us, vs] |= hit
         in_x = (gx >= blk.x_min) & (gx <= blk.x_max)
         in_y = (gy >= blk.y_min) & (gy <= blk.y_max)
         valid &= ~(in_x[:, None] & in_y[None, :])
@@ -280,8 +305,9 @@ def compute_visibility(
     all-ones tensor. valid[u, v] is False exactly when the center lies inside
     some obstacle footprint (closed intervals). Because every center lies on
     the floor, each segment's slab intervals separate into an x part per
-    (tap, column), a y part per (tap, row) and a z part per tap, so the
-    tensor costs two comparisons per link (see `points_visibility`).
+    (tap, column), a y part per (tap, row) and a z part per tap. Per
+    obstacle, the two comparisons per link run only inside the shadow
+    window of each chunk of neighbouring taps (see `points_visibility`).
     """
     points = layout.tap_points(taps)
     for blk in blockages:

@@ -44,13 +44,18 @@ def export_map(
 
 
 def _write_csv(db: np.ndarray, valid: np.ndarray, grid: GridSpec, path) -> None:
-    # '%.9g' % x formats exactly like f"{x:.9g}"; each coordinate is formatted once
+    # '%.9g' % x formats exactly like f"{x:.9g}"; each coordinate is formatted
+    # once, and each grid row is one '%' over a template that already holds
+    # its x and y texts (neither can contain a '%')
     xs = ["%.9g" % x for x in grid.x_centers().tolist()]
-    ys = ["%.9g" % y for y in grid.y_centers().tolist()]
+    tails = [",%.9g,%%.9g,%%d\n" % y for y in grid.y_centers().tolist()]
+    cells = [None] * (2 * grid.ny)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,snr_db,valid\n")
         for x, db_row, valid_row in zip(xs, db.tolist(), valid.tolist()):
-            fh.write("".join("%s,%s,%.9g,%d\n" % (x, y, d, ok) for y, d, ok in zip(ys, db_row, valid_row)))
+            cells[0::2] = db_row
+            cells[1::2] = valid_row
+            fh.write((x + x.join(tails)) % tuple(cells))
 
 
 def _write_pgm(db, valid, grid: GridSpec, path, db_window) -> None:

@@ -67,7 +67,7 @@ def test_coverage_heuristic_and_exact(tmp_path):
     assert header == "x,y,snr_db,valid"
 
 
-def test_coverage_milp_emission(tmp_path):
+def test_coverage_milp_emission(tmp_path, capsys):
     code, out = run(
         tmp_path, "coverage", "--config", "table1", *SMALL, "--milp", "model.lp"
     )
@@ -75,6 +75,10 @@ def test_coverage_milp_emission(tmp_path):
     text = (out / "model.lp").read_text(encoding="utf-8")
     assert text.startswith("\\ tap-activation coverage MILP\n")
     assert text.endswith("End\n")
+    # the stderr note names every product, the LP file included
+    note = capsys.readouterr().err
+    for name in ("coverage_map.csv", "coverage_summary.json", "model.lp"):
+        assert str(out / name) in note
 
 
 def test_minmax_bisection_and_exact(tmp_path):

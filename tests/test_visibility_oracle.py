@@ -4,7 +4,8 @@ Blockage faces, taps and array elements are snapped to the lattice of grid
 cell edges and centres, so taps stand exactly above grid centres (parallel
 segments in x) and obstacle faces pass exactly through centres and segment
 endpoints (grazing contacts), the cases where a reordered interval test could
-round differently.
+round differently. The shadow-window routine is also checked bit for bit
+against the full-tensor separable test on random off-lattice point sets.
 """
 
 import hashlib
@@ -29,11 +30,15 @@ from pinchplan import (
     segment_blocked,
 )
 from pinchplan.channel import C_LIGHT
+from pinchplan.geometry import _axis_interval, _padded_bounds
 
 # los / valid of bundled table1 at its full 400x120 grid, measured with the
 # per-tap slab loop this routine replaced.
 TABLE1_LOS_SHA256 = "dfda63e1fc3eda33a12766321d5505eb528b022d709a43e398320511c941afae"
 TABLE1_VALID_SHA256 = "3645dfe886255648ea20b1aeac8c83a2cc1b02aa7c813e51d764cd26c99eadd7"
+# los of `seeded_hall(7)`, measured with the full-tensor test that
+# `full_tensor_visibility` keeps.
+HALL7_LOS_SHA256 = "103c418e021988c85235306b2908786dded6c6080b18530a6f2cb939708c7cdb"
 
 
 def oracle_visibility(points, blockages, grid):
@@ -50,6 +55,102 @@ def oracle_visibility(points, blockages, grid):
                 b.x_min <= gx[u] <= b.x_max and b.y_min <= gy[v] <= b.y_max for b in blockages
             )
     return los, valid
+
+
+def full_tensor_visibility(points, blockages, grid):
+    """los[k, u, v] by the separable interval test over the whole (K, nx, ny) tensor."""
+    pts = np.asarray(points, dtype=float)
+    sx, sy, sz = pts[:, 0:1], pts[:, 1:2], pts[:, 2:3]
+    gx, gy = grid.x_centers(), grid.y_centers()
+    blocked = np.zeros((len(pts), grid.nx, grid.ny), dtype=bool)
+    for blk in blockages:
+        x_bounds, y_bounds, z_bounds = _padded_bounds(blk)
+        z_lo, z_hi = _axis_interval(sz, 0.0, *z_bounds)
+        t_lo = np.maximum(z_lo, 0.0)
+        t_hi = np.minimum(z_hi, 1.0)
+        x_lo, x_hi = _axis_interval(sx, gx[None, :], *x_bounds)
+        y_lo, y_hi = _axis_interval(sy, gy[None, :], *y_bounds)
+        x_lo = np.maximum(x_lo, t_lo)
+        x_hi = np.minimum(x_hi, t_hi)
+        y_lo = np.maximum(y_lo, t_lo)
+        y_hi = np.minimum(y_hi, t_hi)
+        blocked |= (x_lo[:, :, None] <= y_hi[:, None, :]) & (y_lo[:, None, :] <= x_hi[:, :, None])
+    return ~blocked
+
+
+def seeded_hall(seed):
+    """6 waveguides x 16 taps over a 200 x 60 m hall at 400 x 120 cells, 12 seeded cuboids."""
+    rng = np.random.default_rng(seed)
+    region = Region(x_len=200.0, y_len=60.0, height=10.0)
+    layout = WaveguideLayout.uniform(region, 6)
+    taps = CandidateGrid.uniform(region, 6, 16)
+    blockages = []
+    for c in range(6):
+        for r in range(2):
+            w, d = rng.uniform(5.0, 10.0), rng.uniform(5.0, 12.0)
+            x0 = c * 200.0 / 6 + rng.uniform(1.0, 200.0 / 6 - w - 1.0)
+            y0 = -30.0 + r * 30.0 + rng.uniform(0.0, 30.0 - d)
+            blockages.append(Blockage(x_min=x0, x_max=x0 + w, y_min=y0, y_max=y0 + d,
+                                      height=rng.uniform(3.0, 8.0)))
+    return layout, taps, blockages, GridSpec.from_region(region, 400, 120)
+
+
+@st.composite
+def off_lattice_points(draw):
+    """A small grid, up to 40 points above it and up to 4 boxes, at arbitrary floats.
+
+    Some points stand exactly above a grid centre or a box face, some boxes
+    reach past the grid edge, and a box beyond the points' x range casts no
+    shadow on any cell.
+    """
+    nx = draw(st.integers(1, 12))
+    ny = draw(st.integers(1, 10))
+    region = Region(x_len=draw(st.floats(2.0, 50.0)), y_len=draw(st.floats(2.0, 30.0)), height=10.0)
+    grid = GridSpec.from_region(region, nx, ny)
+    gx, gy = grid.x_centers().tolist(), grid.y_centers().tolist()
+    x_span = st.floats(-0.2 * region.x_len, 1.2 * region.x_len)
+    y_span = st.floats(-0.7 * region.y_len, 0.7 * region.y_len)
+    blockages = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            x0, x1 = sorted(draw(st.lists(st.one_of(x_span, st.sampled_from(gx)), min_size=2, max_size=2, unique=True)))
+        else:  # beyond every point and every cell
+            x0 = 1.5 * region.x_len
+            x1 = x0 + 1.0
+        y0, y1 = sorted(draw(st.lists(st.one_of(y_span, st.sampled_from(gy)), min_size=2, max_size=2, unique=True)))
+        blockages.append(Blockage(x_min=x0, x_max=x1, y_min=y0, y_max=y1, height=draw(st.floats(0.5, 9.5))))
+    faces_x = gx + [c for b in blockages for c in (b.x_min, b.x_max) if c < 1.5 * region.x_len]
+    faces_y = gy + [c for b in blockages for c in (b.y_min, b.y_max)]
+    n_points = draw(st.integers(1, 40))
+    points = draw(st.lists(
+        st.tuples(
+            st.one_of(x_span, st.sampled_from(faces_x)),
+            st.one_of(y_span, st.sampled_from(faces_y)),
+            st.one_of(st.floats(0.5, 12.0), st.just(10.0)),
+        ),
+        min_size=n_points, max_size=n_points,
+    ))
+    return np.array(points, dtype=float), blockages, grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(off_lattice_points())
+def test_shadow_windows_match_the_full_tensor(case):
+    points, blockages, grid = case
+    vis = points_visibility(points, blockages, grid)
+    assert vis.los.shape == (len(points), grid.nx, grid.ny)
+    assert np.array_equal(vis.los, full_tensor_visibility(points, blockages, grid))
+
+
+def test_seeded_hall_visibility_bytes_pinned():
+    layout, taps, blockages, grid = seeded_hall(7)
+    points = layout.tap_points(taps)
+    vis = compute_visibility(layout, taps, blockages, grid)
+    los = np.ascontiguousarray(vis.los)
+    assert hashlib.sha256(los.tobytes()).hexdigest() == HALL7_LOS_SHA256
+    # 93 points end in a partial chunk
+    part = points_visibility(points[:-3], blockages, grid)
+    assert np.array_equal(part.los, los.reshape(len(points), grid.nx, grid.ny)[:-3])
 
 
 @st.composite
