@@ -40,6 +40,12 @@ _LP_CHUNK = 256
 # of the file inline, which bounds memory and the extra work on inputs whose
 # coefficients rarely repeat.
 _LP_MEMO_CAP = 1 << 17
+# Floats per (taps, cells) block of a tap scan (`_tap_blocks`): 256 KB, well
+# inside a 2 MB L2 cache. At a full grid a block is one tap. One block of all
+# taps was slower there: 3.5 to 5.8 MB leaves L2, and on full table1 the
+# ascent took 14.6 against 11.1 ms and 16 deficit descents 266 against 227 ms
+# (2-core machine, 2 MB of L2 per core).
+_BLOCK_VALUES = 1 << 15
 
 
 class BudgetError(RuntimeError):
@@ -106,21 +112,63 @@ def coverage_count(selected, gain_map: GainMap, params: ChannelParams, threshold
     return int(np.count_nonzero(_covered(field, threshold) & gain_map.valid))
 
 
-def _best_tap(resid_v: np.ndarray, gains_v: np.ndarray, threshold: float):
-    """(tap, count, margin) over candidate fields resid_v + gains_v[m]."""
+def _tap_blocks(n_tap: int, n_cells: int) -> list[slice]:
+    """Consecutive slices of range(n_tap), each of at most max(1, _BLOCK_VALUES // n_cells) taps.
+
+    A (taps, cells) block of one slice fits in _BLOCK_VALUES floats, so a
+    tap scan runs one elementwise operation per block and the block stays in
+    cache for the row reductions that follow. The first slice is the longest.
+    """
+    step = max(1, _BLOCK_VALUES // n_cells)
+    return [slice(start, min(start + step, n_tap)) for start in range(0, n_tap, step)]
+
+
+def _block_buffer(n_tap: int, n_cells: int) -> np.ndarray:
+    """Scratch rows for the longest `_tap_blocks` block."""
+    return np.empty((_tap_blocks(n_tap, n_cells)[0].stop, n_cells))
+
+
+def _first_min(keys: np.ndarray) -> int:
+    """Where a scan that keeps the first key and takes each strictly smaller one ends.
+
+    That is 0 when keys[0] is NaN (nothing compares below it), else the first
+    minimum of the non-NaN keys (a NaN key never wins).
+    """
+    return 0 if np.isnan(keys[0]) else int(np.nanargmin(keys))
+
+
+def _best_tap(resid_v: np.ndarray, gains_v: np.ndarray, threshold: float, buf=None):
+    """(tap, count) maximizing the covered count of the fields resid_v + gains_v[m].
+
+    Ties go to the larger margin sum(max(field - threshold, 0)), then to the
+    smaller tap; a NaN margin never wins, but the first tied tap stays when
+    its own margin is NaN. Counts are taken for every tap, block by block in
+    `buf` (a `_block_buffer`, allocated here when not given); margins only
+    for the taps tied at the top count, each summed along its own row.
+    """
+    n_tap, n_cells = gains_v.shape
+    if buf is None:
+        buf = _block_buffer(n_tap, n_cells)
     thr_eff = threshold * (1.0 - COVERAGE_SLACK)
-    cand = np.empty_like(resid_v)
-    over = np.empty_like(resid_v)
-    hit = np.empty(resid_v.shape, dtype=bool)
-    best = None
-    for m in range(gains_v.shape[0]):
-        np.add(resid_v, gains_v[m], out=cand)
-        count = int(np.count_nonzero(np.greater_equal(cand, thr_eff, out=hit)))
-        np.subtract(cand, threshold, out=over)
-        margin = float(np.maximum(over, 0.0, out=over).sum())
-        if best is None or count > best[1] or (count == best[1] and margin > best[2]):
-            best = (m, count, margin)
-    return best
+    hit = np.empty(buf.shape, dtype=bool)
+    counts = np.empty(n_tap, dtype=np.int32)  # a count is at most n_cells, far below 2**31
+    for taps in _tap_blocks(n_tap, n_cells):
+        k = taps.stop - taps.start
+        np.add(resid_v, gains_v[taps], out=buf[:k])
+        # an int32 row sum of the hits is about twice as fast as count_nonzero(axis=1)
+        counts[taps] = np.greater_equal(buf[:k], thr_eff, out=hit[:k]).sum(axis=1, dtype=np.int32)
+    tied = np.flatnonzero(counts == counts.max())
+    m = tied[0]
+    if len(tied) > 1:
+        margins = np.empty(len(tied))
+        for rows in _tap_blocks(len(tied), n_cells):
+            over = buf[: rows.stop - rows.start]
+            np.take(gains_v, tied[rows], axis=0, out=over)
+            np.add(resid_v, over, out=over)
+            np.subtract(over, threshold, out=over)
+            margins[rows] = np.maximum(over, 0.0, out=over).sum(axis=1)
+        m = tied[_first_min(-margins)]
+    return int(m), int(counts[m])
 
 
 def _ascent_once(
@@ -134,13 +182,14 @@ def _ascent_once(
     sel = list(sel0)
     field_v = gains_v[np.arange(n_wg), sel].sum(axis=0)
     resid_v = np.empty_like(field_v)
+    buf = _block_buffer(gains_v.shape[1], gains_v.shape[2])
     sweeps_used = 0
     for _ in range(max_sweeps):
         sweeps_used += 1
         changed = False
         for n in range(n_wg):
             np.subtract(field_v, gains_v[n, sel[n]], out=resid_v)
-            m, count, _ = _best_tap(resid_v, gains_v[n], threshold)
+            m, count = _best_tap(resid_v, gains_v[n], threshold, buf)
             if m != sel[n]:
                 sel[n] = m
                 changed = True

@@ -226,6 +226,21 @@ def segment_blocked(p_start, p_end, blockage: Blockage) -> bool:
     return bool(t_lo <= t_hi)
 
 
+def _distinct_pairs(first: np.ndarray, second: np.ndarray):
+    """(first value of each distinct pair, a row holding the pair, the pair of every row).
+
+    Each (first, second) row is viewed as one complex number, so np.unique
+    sorts and merges the rows without a structured dtype. Rows that compare
+    equal share a pair, so 0.0 and -0.0 merge; their slab intervals are the
+    same. NaN rows stay apart.
+    """
+    pairs = np.stack((first, second), axis=1).view(np.complex128).ravel()
+    keys, first_row, pair_of = np.unique(
+        pairs, return_index=True, return_inverse=True, equal_nan=False
+    )
+    return keys.real, first_row, pair_of.reshape(-1)
+
+
 def points_visibility(
     points,
     blockages: tuple[Blockage, ...] | list[Blockage],
@@ -241,7 +256,9 @@ def points_visibility(
     max(0, Lz, Lx, Ly) <= min(1, Hz, Hx, Hy), so the per-link work is two
     comparisons of a (K, nx) against a (K, ny) table; max and min are exact
     and order-free on non-NaN values, so this is bit-for-bit the
-    per-segment slab test.
+    per-segment slab test. The x table is computed once per distinct (x, z)
+    pair of the points and the y table once per distinct (y, z) pair (taps
+    on a lattice share a few), then gathered per point.
 
     A link whose z-clipped x or y interval is empty is never blocked, so per
     blockage and per chunk of `VIS_CHUNK` points the comparisons run only on
@@ -252,7 +269,9 @@ def points_visibility(
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise GeometryError("transmitter points must be a (K, 3) array")
-    sx, sy, sz = pts[:, 0:1], pts[:, 1:2], pts[:, 2:3]
+    sz = pts[:, 2:3]
+    x_pair, x_first, x_of = _distinct_pairs(pts[:, 0], pts[:, 2])
+    y_pair, y_first, y_of = _distinct_pairs(pts[:, 1], pts[:, 2])
     gx = grid.x_centers()
     gy = grid.y_centers()
     starts = range(0, len(pts), VIS_CHUNK)
@@ -264,12 +283,12 @@ def points_visibility(
         z_lo, z_hi = _axis_interval(sz, 0.0, *z_bounds)
         t_lo = np.maximum(z_lo, 0.0)
         t_hi = np.minimum(z_hi, 1.0)
-        x_lo, x_hi = _axis_interval(sx, gx[None, :], *x_bounds)
-        y_lo, y_hi = _axis_interval(sy, gy[None, :], *y_bounds)
-        x_lo = np.maximum(x_lo, t_lo)
-        x_hi = np.minimum(x_hi, t_hi)
-        y_lo = np.maximum(y_lo, t_lo)
-        y_hi = np.minimum(y_hi, t_hi)
+        x_lo, x_hi = _axis_interval(x_pair[:, None], gx[None, :], *x_bounds)
+        y_lo, y_hi = _axis_interval(y_pair[:, None], gy[None, :], *y_bounds)
+        x_lo = np.maximum(x_lo, t_lo[x_first])[x_of]
+        x_hi = np.minimum(x_hi, t_hi[x_first])[x_of]
+        y_lo = np.maximum(y_lo, t_lo[y_first])[y_of]
+        y_hi = np.minimum(y_hi, t_hi[y_first])[y_of]
         # Blocked iff max(Lx, Ly) <= min(Hx, Hy). Both intervals carry the same
         # z clip, so Lx <= Hy and Ly <= Hx already imply Lx <= Hx and Ly <= Hy,
         # and an empty x or y interval fails one of the two comparisons.

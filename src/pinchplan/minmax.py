@@ -18,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array, avg_snr
-from .coverage import Activation, BudgetError, DEFAULT_MAX_SWEEPS, _require_valid
+from .coverage import (
+    Activation,
+    BudgetError,
+    DEFAULT_MAX_SWEEPS,
+    _block_buffer,
+    _first_min,
+    _require_valid,
+    _tap_blocks,
+)
 
 DEFAULT_EPS_T = 1e-3  # linear-SNR bracket width at which bisection stops
 DEFAULT_FEAS_RESTARTS = 16  # descent starts per feasibility check (first = caller's initial)
@@ -51,37 +59,53 @@ def worst_grid_snr(selected, gain_map: GainMap, params: ChannelParams) -> float:
     return float(field[gain_map.valid].min())
 
 
+def _deficit_rows(target: float, resid_v: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """max(target - (resid_v + rows), 0) per cell, written to `out` (which may be `rows`)."""
+    np.add(resid_v, rows, out=out)
+    np.subtract(target, out, out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
 def _deficit_descent(target: float, gains_v: np.ndarray, sel: list, max_sweeps: int) -> float:
     """Coordinate descent on the total deficit, mutating `sel`; returns the final deficit.
 
     Each single-waveguide update picks the tap minimizing the updated total
     deficit (ties: smaller worst single-cell deficit, then smallest index),
-    so the deficit never increases. Stops on a zero deficit, a sweep with no
-    strict deficit decrease, or `max_sweeps` sweeps.
+    so the deficit never increases. A NaN deficit never wins, and tap 0
+    stays when its own deficit is NaN. Stops on a zero deficit, a sweep with
+    no strict deficit decrease, or `max_sweeps` sweeps. Deficits are summed
+    for every tap, block by block (`_tap_blocks`), each along its own row;
+    worst cells only for the taps tied at the smallest deficit.
     """
-    n_wg, n_tap = gains_v.shape[0], gains_v.shape[1]
+    n_wg, n_tap, n_cells = gains_v.shape
     field_v = gains_v[np.arange(n_wg), sel].sum(axis=0)
     deficit = float(np.maximum(target - field_v, 0.0).sum())
     if deficit == 0.0:
         return 0.0
 
     resid_v = np.empty_like(field_v)
-    gap = np.empty_like(field_v)
+    blocks = _tap_blocks(n_tap, n_cells)
+    buf = _block_buffer(n_tap, n_cells)
+    sums = np.empty(n_tap)
     for _ in range(max_sweeps):
         improved = False
         for n in range(n_wg):
             np.subtract(field_v, gains_v[n, sel[n]], out=resid_v)
-            best = None
-            for m in range(n_tap):
-                np.add(resid_v, gains_v[n, m], out=gap)
-                np.subtract(target, gap, out=gap)
-                np.maximum(gap, 0.0, out=gap)
-                key = (float(gap.sum()), float(gap.max()))
-                if best is None or key < best[1]:
-                    best = (m, key)
-            m, (new_deficit, _) = best
+            for taps in blocks:
+                gap = buf[: taps.stop - taps.start]
+                sums[taps] = _deficit_rows(target, resid_v, gains_v[n, taps], gap).sum(axis=1)
+            m = _first_min(sums)
+            tied = np.flatnonzero(sums == sums[m])  # empty when sums[m] is NaN
+            if len(tied) > 1:
+                worst = np.empty(len(tied))
+                for rows in _tap_blocks(len(tied), n_cells):
+                    gap = buf[: rows.stop - rows.start]
+                    np.take(gains_v[n], tied[rows], axis=0, out=gap)
+                    worst[rows] = _deficit_rows(target, resid_v, gap, gap).max(axis=1)
+                m = int(tied[_first_min(worst)])
             sel[n] = m
             np.add(resid_v, gains_v[n, m], out=field_v)
+            new_deficit = float(sums[m])
             if new_deficit < deficit:
                 improved = True
             deficit = new_deficit

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .channel import avg_snr, db_to_linear, linear_to_db
-from .coverage import Activation, _exact_coverages, coordinate_ascent, coverage_count
+from .coverage import Activation, _covered, _exact_coverages, coordinate_ascent
 from .minmax import MinMaxResult, bisection_maxmin, exact_maxmin, worst_grid_snr
 from .scenario import Scenario, random_activation
 
@@ -116,19 +116,36 @@ def threshold_sweep(
         "|".join(str(i) for i in res.activation.one_based()) for res in results
     ]
 
-    draws = [random_activation(scenario, s) for s in derived_seeds(scenario.solver.seed, n_random)]
+    fields = _draw_fields(scenario, gm, n_random)
     means, stds = [], []
     for thr in thresholds:
-        fr = np.array([coverage_count(a.as_array(), gm, params, thr) / n_valid for a in draws])
+        fr = np.array([_covered_share(f, thr, n_valid) for f in fields])
         means.append(float(fr.mean()))
         stds.append(float(fr.std(ddof=1)) if n_random > 1 else 0.0)
     table.columns["random_mean"] = means
     table.columns["random_std"] = stds
 
-    fgm = scenario.fixed_array_map(params)
-    fsel = np.zeros(scenario.layout.count, dtype=int)
-    table.columns["fixed"] = [coverage_count(fsel, fgm, params, thr) / n_valid for thr in thresholds]
+    fixed_field = _fixed_field(scenario)
+    table.columns["fixed"] = [_covered_share(fixed_field, thr, n_valid) for thr in thresholds]
     return table
+
+
+def _draw_fields(scenario: Scenario, gm, n_random: int) -> list[np.ndarray]:
+    """Valid-cell SNR field of each seeded random activation, at scenario defaults."""
+    draws = [random_activation(scenario, s) for s in derived_seeds(scenario.solver.seed, n_random)]
+    return [avg_snr(a.as_array(), gm, scenario.params)[gm.valid] for a in draws]
+
+
+def _covered_share(field_v: np.ndarray, threshold: float, n_valid: int) -> float:
+    """Share of the n_valid cells that a valid-cell field covers, as `coverage_count` counts."""
+    return int(np.count_nonzero(_covered(field_v, threshold))) / n_valid
+
+
+def _fixed_field(scenario: Scenario) -> np.ndarray:
+    """Valid-cell SNR field of the fixed array, at scenario defaults."""
+    fgm = scenario.fixed_array_map(scenario.params)
+    fsel = np.zeros(scenario.layout.count, dtype=int)
+    return avg_snr(fsel, fgm, scenario.params)[fgm.valid]
 
 
 def power_sweep(
@@ -192,24 +209,18 @@ def power_sweep(
 
 def baseline_stats(scenario: Scenario, n_random: int = N_RANDOM_DRAWS) -> dict:
     """Fixed-array and random-activation reference numbers at scenario defaults."""
-    params = scenario.params
     gm = scenario.gain_map()
     n_valid = int(np.count_nonzero(gm.valid))
     thr = scenario.threshold_linear
 
-    fgm = scenario.fixed_array_map(params)
-    fsel = np.zeros(scenario.layout.count, dtype=int)
-    fixed_field = avg_snr(fsel, fgm, params)
-
-    draws = [random_activation(scenario, s) for s in derived_seeds(scenario.solver.seed, n_random)]
-    rand_cov = np.array([coverage_count(a.as_array(), gm, params, thr) / n_valid for a in draws])
-    rand_worst_db = np.array(
-        [linear_to_db(worst_grid_snr(a.as_array(), gm, params)) for a in draws]
-    )
+    fixed_field = _fixed_field(scenario)
+    fields = _draw_fields(scenario, gm, n_random)
+    rand_cov = np.array([_covered_share(f, thr, n_valid) for f in fields])
+    rand_worst_db = np.array([linear_to_db(float(f.min())) for f in fields])
     return {
         "threshold_db": scenario.solver.threshold_db,
-        "fixed_coverage": coverage_count(fsel, fgm, params, thr) / n_valid,
-        "fixed_worst_db": linear_to_db(float(fixed_field[fgm.valid].min())),
+        "fixed_coverage": _covered_share(fixed_field, thr, n_valid),
+        "fixed_worst_db": linear_to_db(float(fixed_field.min())),
         "random_coverage_mean": float(rand_cov.mean()),
         "random_coverage_std": float(rand_cov.std(ddof=1)) if n_random > 1 else 0.0,
         "random_worst_db_mean": float(rand_worst_db.mean()),

@@ -234,3 +234,64 @@ def all_restarts_bisection(gm, p, eps_t, seed, feasibility=deficit_feasibility):
         else:
             t_hi = t_mid
     return best, iters
+
+
+def loop_best_tap(resid_v, gains_v, threshold):
+    """(tap, count) of the per-tap scan `coverage._best_tap` replaced.
+
+    The reference for the blocked scan: one tap at a time, the best kept
+    while a later tap has a strictly higher count, or the same count and a
+    strictly larger margin.
+    """
+    thr_eff = threshold * (1.0 - 1e-12)
+    cand = np.empty_like(resid_v)
+    over = np.empty_like(resid_v)
+    hit = np.empty(resid_v.shape, dtype=bool)
+    best = None
+    for m in range(gains_v.shape[0]):
+        np.add(resid_v, gains_v[m], out=cand)
+        count = int(np.count_nonzero(np.greater_equal(cand, thr_eff, out=hit)))
+        np.subtract(cand, threshold, out=over)
+        margin = float(np.maximum(over, 0.0, out=over).sum())
+        if best is None or count > best[1] or (count == best[1] and margin > best[2]):
+            best = (m, count, margin)
+    return best[:2]
+
+
+def loop_deficit_descent(target, gains_v, sel, max_sweeps):
+    """The per-tap scan `minmax._deficit_descent` replaced; mutates `sel`.
+
+    The reference for the blocked descent: one tap at a time, the best kept
+    while a later tap's (deficit, worst-cell deficit) compares strictly below.
+    """
+    n_wg, n_tap = gains_v.shape[0], gains_v.shape[1]
+    field_v = gains_v[np.arange(n_wg), sel].sum(axis=0)
+    deficit = float(np.maximum(target - field_v, 0.0).sum())
+    if deficit == 0.0:
+        return 0.0
+
+    resid_v = np.empty_like(field_v)
+    gap = np.empty_like(field_v)
+    for _ in range(max_sweeps):
+        improved = False
+        for n in range(n_wg):
+            np.subtract(field_v, gains_v[n, sel[n]], out=resid_v)
+            best = None
+            for m in range(n_tap):
+                np.add(resid_v, gains_v[n, m], out=gap)
+                np.subtract(target, gap, out=gap)
+                np.maximum(gap, 0.0, out=gap)
+                key = (float(gap.sum()), float(gap.max()))
+                if best is None or key < best[1]:
+                    best = (m, key)
+            m, (new_deficit, _) = best
+            sel[n] = m
+            np.add(resid_v, gains_v[n, m], out=field_v)
+            if new_deficit < deficit:
+                improved = True
+            deficit = new_deficit
+            if deficit == 0.0:
+                return 0.0
+        if not improved:
+            break
+    return deficit

@@ -1,4 +1,4 @@
-"""The shared candidate matrix, the exhaustive scores and pinned plans.
+"""The shared candidate matrix, the exhaustive scores, the blocked tap scans and pinned plans.
 
 The plan pins were measured on the bundled table1 scenario at grid scale
 0.25 before the solvers moved onto the contiguous matrix; the move keeps
@@ -6,8 +6,12 @@ every elementwise operation in the same order, so the plans, counts and
 the worst-grid SNR stay bit-identical.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchplan import (
     Activation,
@@ -21,7 +25,9 @@ from pinchplan import (
     worst_grid_snr,
 )
 from pinchplan.channel import _candidate_matrix, db_to_linear
-from pinchplan.coverage import _activation_at, _score_activations
+from pinchplan import coverage
+from pinchplan.coverage import _activation_at, _best_tap, _score_activations, _tap_blocks
+from pinchplan.minmax import _deficit_descent
 from conftest import (
     all_activation_fields,
     all_restarts_bisection,
@@ -29,6 +35,8 @@ from conftest import (
     brute_best_worst,
     envelope_quantile,
     exhaustive_feasibility,
+    loop_best_tap,
+    loop_deficit_descent,
     random_scenario,
 )
 
@@ -153,3 +161,81 @@ def test_exhaustive_search_lexicographic_ties_three_waveguides():
     gm = GainMap(gains=gains, valid=np.ones((3, 2), dtype=bool))
     assert exact_enumerate(gm, UNIT_PARAMS, 3.5).activation.selected == (0, 0, 0)
     assert exact_maxmin(gm, UNIT_PARAMS).activation.selected == (0, 0, 0)
+
+
+# Entry strategies of the kernel test maps: floats; small integers, which tie
+# counts, margins, deficit sums and worst cells; small integers with NaN and inf.
+KERNEL_VALUES = [
+    st.floats(0.0, 3.0),
+    st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+    st.sampled_from([0.0, 1.0, 2.0, np.nan, np.inf]),
+]
+
+
+@st.composite
+def kernel_map(draw, n_wg):
+    """(gains, values): gains (n_wg, taps, cells) drawn from `values`, one of KERNEL_VALUES."""
+    values = draw(st.sampled_from(KERNEL_VALUES))
+    n_tap, n_cells = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    flat = draw(st.lists(values, min_size=n_wg * n_tap * n_cells, max_size=n_wg * n_tap * n_cells))
+    return np.array(flat).reshape(n_wg, n_tap, n_cells), values
+
+
+def blocks_of(taps_per_block, n_cells):
+    """Patch the block size so `_tap_blocks` cuts `taps_per_block` taps per block."""
+    return mock.patch.object(coverage, "_BLOCK_VALUES", taps_per_block * n_cells)
+
+
+def same_float(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+def test_tap_blocks_cover_the_taps_in_order():
+    assert _tap_blocks(7, 40_000) == [slice(m, m + 1) for m in range(7)]  # a full grid: one tap each
+    assert _tap_blocks(10, 2784) == [slice(0, 10)]  # a quarter grid: all taps at once
+    with blocks_of(2, 5):
+        assert _tap_blocks(5, 5) == [slice(0, 2), slice(2, 4), slice(4, 5)]  # ragged last block
+
+
+# 1 tap, 2 taps, 3 taps (a ragged last block for 4, 5 or 7 taps) and all taps per block
+@pytest.mark.parametrize("taps_per_block", [1, 2, 3, 7])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_blocked_best_tap_matches_the_per_tap_loop(taps_per_block, data):
+    gains, values = data.draw(kernel_map(1))
+    resid = np.array(data.draw(st.lists(values, min_size=gains.shape[2], max_size=gains.shape[2])))
+    threshold = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]) | st.floats(0.1, 6.0))
+    with blocks_of(taps_per_block, gains.shape[2]), np.errstate(invalid="ignore"):
+        assert _best_tap(resid, gains[0], threshold) == loop_best_tap(resid, gains[0], threshold)
+
+
+@pytest.mark.parametrize("taps_per_block", [1, 2, 3, 7])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_blocked_deficit_descent_matches_the_per_tap_loop(taps_per_block, data):
+    gains, _ = data.draw(kernel_map(data.draw(st.integers(1, 3))))
+    n_wg, n_tap, n_cells = gains.shape
+    target = data.draw(st.sampled_from([1.0, 2.0, 3.0, 4.5, 6.0]) | st.floats(0.0, 9.0))
+    sel = data.draw(st.lists(st.integers(0, n_tap - 1), min_size=n_wg, max_size=n_wg))
+    want_sel = list(sel)
+    with blocks_of(taps_per_block, n_cells), np.errstate(invalid="ignore"):
+        want = loop_deficit_descent(target, gains, want_sel, 50)
+        got = _deficit_descent(target, gains, sel, 50)
+    assert sel == want_sel and same_float(got, want)
+
+
+def test_nan_first_tap_stays_and_later_nan_never_wins():
+    # three taps tie at one covered cell; a NaN margin keeps its place only as the first tie
+    resid = np.zeros(2)
+    gains = np.array([[np.nan, 2.0], [2.0, 0.0], [3.0, 0.0]])
+    assert _best_tap(resid, gains, 1.0) == loop_best_tap(resid, gains, 1.0) == (0, 1)
+    gains = np.array([[2.0, 0.0], [np.nan, 2.0], [3.0, 0.0]])
+    assert _best_tap(resid, gains, 1.0) == loop_best_tap(resid, gains, 1.0) == (2, 1)
+    # a NaN deficit on tap 0 keeps tap 0, even over two taps tied below it; on a later tap it never wins
+    for row, start, want in ((0, 1, 0), (1, 0, 2)):
+        gains = np.array([[[1.0, 1.0], [2.0, 2.0], [2.0, 2.0]]])
+        gains[0, row, 0] = np.nan
+        sel, want_sel = [start], [start]
+        got = _deficit_descent(3.0, gains, sel, 50)
+        assert same_float(got, loop_deficit_descent(3.0, gains, want_sel, 50))
+        assert sel == want_sel == [want]
