@@ -1,8 +1,8 @@
 """Batch command line: precompute gain maps, plan activations, export results.
 
-Every subcommand loads one scenario, writes its products into --out, and
-prints a one-line timing note to stderr. File outputs are deterministic for
-a fixed scenario and seed. Exit codes: 0 ok, 2 validation problem, 3 budget
+Every subcommand loads one scenario, writes its products into --out, then
+its <name>_summary.json, and last prints one note to stderr naming every
+file it wrote. File outputs are deterministic for a fixed scenario and seed. Exit codes: 0 ok, 2 validation problem, 3 budget
 refusal, 4 IO failure.
 """
 
@@ -25,7 +25,7 @@ from .geometry import GeometryError
 from .mapio import MAP_FORMATS, export_map
 from .minmax import DEFAULT_FEAS_RESTARTS, bisection_maxmin, exact_maxmin
 from .scenario import Scenario, ScenarioError, load_bundled, load_scenario
-from .sweeps import N_RANDOM_DRAWS, RunSummary, baseline_stats, power_sweep, threshold_sweep
+from .sweeps import N_RANDOM_DRAWS, RunSummary, _baseline, power_sweep, threshold_sweep
 
 DEFAULT_THRESHOLDS_DB = "12,15,18,21,24,27,30"
 DEFAULT_POWERS_DBM = "30,35,40,45"
@@ -44,19 +44,6 @@ def _resolve_scenario(args) -> Scenario:
     if args.seed is not None:
         scn = replace(scn, solver=replace(scn.solver, seed=args.seed))
     return scn
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_summary(out: Path, name: str, summary: RunSummary) -> Path:
-    path = out / name
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(summary.to_json())
-    return path
 
 
 def _write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
@@ -95,10 +82,10 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _cmd_gainmap(args) -> int:
-    t0 = time.perf_counter()
-    scn = _resolve_scenario(args)
-    out = _out_dir(args)
+# Each _cmd_* plans one subcommand and writes its products into `out`. It
+# returns the files it wrote, the method, the objective and the 1-based
+# activation (or None); `_run` turns the last three into the summary.
+def _cmd_gainmap(scn, args, out):
     vis = scn.visibility()
     gm = scn.gain_map(vis)
     npz_path = out / "gainmap.npz"
@@ -112,28 +99,15 @@ def _cmd_gainmap(args) -> int:
             "y_centers": scn.grid.y_centers(),
         },
     )
-    blocked_fraction = float(1.0 - vis.los.mean())
-    summary = RunSummary(
-        digest=scn.digest(),
-        method="gainmap",
-        objective={
-            "blocked_fraction": blocked_fraction,
-            "valid_cells": int(np.count_nonzero(gm.valid)),
-            "total_cells": int(gm.valid.size),
-        },
-        activation=None,
-        seed=scn.solver.seed,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    _write_summary(out, "gainmap_summary.json", summary)
-    _note(args, "gainmap", [npz_path, out / "gainmap_summary.json"], summary.wall_time_s)
-    return 0
+    objective = {
+        "blocked_fraction": float(1.0 - vis.los.mean()),
+        "valid_cells": int(np.count_nonzero(gm.valid)),
+        "total_cells": int(gm.valid.size),
+    }
+    return [npz_path], "gainmap", objective, None
 
 
-def _cmd_coverage(args) -> int:
-    t0 = time.perf_counter()
-    scn = _resolve_scenario(args)
-    out = _out_dir(args)
+def _cmd_coverage(scn, args, out):
     gm = scn.gain_map()
     thr_db = scn.solver.threshold_db if args.gamma_db is None else args.gamma_db
     thr = db_to_linear(thr_db)
@@ -149,33 +123,21 @@ def _cmd_coverage(args) -> int:
             restarts=args.restarts,
             seed=scn.solver.seed,
         )
-    written = [out / "coverage_map.csv", out / "coverage_summary.json"]
+    written = [out / "coverage_map.csv"]
     if args.milp is not None:
         written.append(out / args.milp)
         emit_milp(gm, scn.params, thr, str(written[-1]))
-    export_map(res.snr_field, gm.valid, scn.grid, out / "coverage_map.csv", fmt="csv")
-    summary = RunSummary(
-        digest=scn.digest(),
-        method=f"coverage/{res.method}",
-        objective={
-            "threshold_db": thr_db,
-            "covered_count": res.covered_count,
-            "coverage_fraction": res.coverage_fraction,
-            "sweeps_used": res.sweeps_used,
-        },
-        activation=res.activation.one_based(),
-        seed=scn.solver.seed,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    _write_summary(out, "coverage_summary.json", summary)
-    _note(args, "coverage", written, summary.wall_time_s)
-    return 0
+    export_map(res.snr_field, gm.valid, scn.grid, written[0], fmt="csv")
+    objective = {
+        "threshold_db": thr_db,
+        "covered_count": res.covered_count,
+        "coverage_fraction": res.coverage_fraction,
+        "sweeps_used": res.sweeps_used,
+    }
+    return written, f"coverage/{res.method}", objective, res.activation.one_based()
 
 
-def _cmd_minmax(args) -> int:
-    t0 = time.perf_counter()
-    scn = _resolve_scenario(args)
-    out = _out_dir(args)
+def _cmd_minmax(scn, args, out):
     gm = scn.gain_map()
     eps_t = scn.solver.eps_t if args.eps_t is None else args.eps_t
     if args.exact:
@@ -190,27 +152,18 @@ def _cmd_minmax(args) -> int:
             seed=scn.solver.seed,
         )
     # dB conversions refuse a zero worst cell or optimum before any file is written
-    worst_db = linear_to_db(res.t_star)
-    certificate = _certificate(res)
-    export_map(res.snr_field, gm.valid, scn.grid, out / "minmax_map.csv", fmt="csv")
-    summary = RunSummary(
-        digest=scn.digest(),
-        method="minmax/" + ("exact" if res.exact else "bisection"),
-        objective={
-            "worst_grid_db": worst_db,
-            "worst_grid_linear": res.t_star,
-            "bisection_iters": res.bisection_iters,
-            "feasibility_evals": res.feasibility_evals,
-            "eps_t": eps_t,
-            **certificate,
-        },
-        activation=res.activation.one_based(),
-        seed=scn.solver.seed,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    _write_summary(out, "minmax_summary.json", summary)
-    _note(args, "minmax", [out / "minmax_map.csv", out / "minmax_summary.json"], summary.wall_time_s)
-    return 0
+    objective = {
+        "worst_grid_db": linear_to_db(res.t_star),
+        "worst_grid_linear": res.t_star,
+        "bisection_iters": res.bisection_iters,
+        "feasibility_evals": res.feasibility_evals,
+        "eps_t": eps_t,
+        **_certificate(res),
+    }
+    path = out / "minmax_map.csv"
+    export_map(res.snr_field, gm.valid, scn.grid, path, fmt="csv")
+    method = "minmax/" + ("exact" if res.exact else "bisection")
+    return [path], method, objective, res.activation.one_based()
 
 
 def _certificate(res) -> dict:
@@ -219,85 +172,44 @@ def _certificate(res) -> dict:
     return {"certified_db": db, "bnb_nodes": res.bnb_nodes}
 
 
-def _cmd_baseline(args) -> int:
-    t0 = time.perf_counter()
-    scn = _resolve_scenario(args)
-    out = _out_dir(args)
-    stats = baseline_stats(scn, n_random=args.draws)
-    fgm = scn.fixed_array_map()
-    fixed_field = avg_snr(np.zeros(scn.layout.count, dtype=int), fgm, scn.params)
-    export_map(fixed_field, fgm.valid, scn.grid, out / "fixed_map.csv", fmt="csv")
-    summary = RunSummary(
-        digest=scn.digest(),
-        method="baseline",
-        objective=stats,
-        activation=None,
-        seed=scn.solver.seed,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    _write_summary(out, "baseline_summary.json", summary)
-    _note(args, "baseline", [out / "fixed_map.csv", out / "baseline_summary.json"], summary.wall_time_s)
-    return 0
+def _cmd_baseline(scn, args, out):
+    stats, fixed_field, valid = _baseline(scn, args.draws)
+    path = out / "fixed_map.csv"
+    export_map(fixed_field, valid, scn.grid, path, fmt="csv")
+    return [path], "baseline", stats, None
 
 
-def _cmd_sweep_threshold(args) -> int:
-    t0 = time.perf_counter()
-    scn = _resolve_scenario(args)
-    out = _out_dir(args)
+def _cmd_sweep_threshold(scn, args, out):
     thresholds = _parse_float_list(args.gammas, "--gammas")
     table = threshold_sweep(scn, thresholds, exact=args.exact, n_random=args.draws)
-    csv_path = out / "threshold_sweep.csv"
-    table.write_csv(csv_path)
-    summary = RunSummary(
-        digest=scn.digest(),
-        method="sweep-threshold/" + ("exact" if args.exact else "coordinate_ascent"),
-        objective={
-            "thresholds_db": thresholds,
-            "optimized": table.columns.get("optimized"),
-            "random_mean": table.columns.get("random_mean"),
-            "fixed": table.columns.get("fixed"),
-        },
-        activation=None,
-        seed=scn.solver.seed,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    _write_summary(out, "threshold_sweep_summary.json", summary)
-    _note(args, "sweep-threshold", [csv_path, out / "threshold_sweep_summary.json"], summary.wall_time_s)
-    return 0
+    path = out / "threshold_sweep.csv"
+    table.write_csv(path)
+    objective = {
+        "thresholds_db": thresholds,
+        "optimized": table.columns.get("optimized"),
+        "random_mean": table.columns.get("random_mean"),
+        "fixed": table.columns.get("fixed"),
+    }
+    return [path], "sweep-threshold/" + ("exact" if args.exact else "coordinate_ascent"), objective, None
 
 
-def _cmd_sweep_power(args) -> int:
-    t0 = time.perf_counter()
-    scn = _resolve_scenario(args)
-    out = _out_dir(args)
+def _cmd_sweep_power(scn, args, out):
     powers = _parse_float_list(args.powers, "--powers")
     table, minmax_res = power_sweep(scn, powers, n_random=args.draws, exact=args.exact)
-    certificate = _certificate(minmax_res)  # before the table is written
-    csv_path = out / "power_sweep.csv"
-    table.write_csv(csv_path)
-    summary = RunSummary(
-        digest=scn.digest(),
-        method="sweep-power/" + ("exact" if args.exact else "bisection"),
-        objective={
-            "powers_dbm": powers,
-            "optimized_db": table.columns.get("optimized_db"),
-            "random_mean_db": table.columns.get("random_mean_db"),
-            "fixed_db": table.columns.get("fixed_db"),
-            **certificate,
-        },
-        activation=minmax_res.activation.one_based(),
-        seed=scn.solver.seed,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    _write_summary(out, "power_sweep_summary.json", summary)
-    _note(args, "sweep-power", [csv_path, out / "power_sweep_summary.json"], summary.wall_time_s)
-    return 0
+    objective = {
+        "powers_dbm": powers,
+        "optimized_db": table.columns.get("optimized_db"),
+        "random_mean_db": table.columns.get("random_mean_db"),
+        "fixed_db": table.columns.get("fixed_db"),
+        **_certificate(minmax_res),  # before the table is written
+    }
+    path = out / "power_sweep.csv"
+    table.write_csv(path)
+    method = "sweep-power/" + ("exact" if args.exact else "bisection")
+    return [path], method, objective, minmax_res.activation.one_based()
 
 
-def _cmd_map(args) -> int:
-    t0 = time.perf_counter()
-    scn = _resolve_scenario(args)
-    out = _out_dir(args)
+def _cmd_map(scn, args, out):
     gm = scn.gain_map()
     try:
         act = Activation.from_one_based(int(tok) for tok in args.activation.split(","))
@@ -307,22 +219,29 @@ def _cmd_map(args) -> int:
     worst_db = linear_to_db(float(field[gm.valid].min()))  # before the map is written
     path = out / f"map.{args.format}"
     export_map(field, gm.valid, scn.grid, path, fmt=args.format)
+    return [path], "map", {"worst_valid_db": worst_db, "format": args.format}, act.one_based()
+
+
+def _run(args) -> None:
+    """Run one subcommand: its products, then its summary, then one stderr note naming every file."""
+    t0 = time.perf_counter()
+    scn = _resolve_scenario(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    written, method, objective, activation = args.func(scn, args, out)
     summary = RunSummary(
         digest=scn.digest(),
-        method="map",
-        objective={"worst_valid_db": worst_db, "format": args.format},
-        activation=act.one_based(),
+        method=method,
+        objective=objective,
+        activation=activation,
         seed=scn.solver.seed,
         wall_time_s=time.perf_counter() - t0,
     )
-    _write_summary(out, "map_summary.json", summary)
-    _note(args, "map", [path, out / "map_summary.json"], summary.wall_time_s)
-    return 0
-
-
-def _note(args, cmd: str, files: list[Path], dt: float | None) -> None:
-    names = ", ".join(str(p) for p in files)
-    print(f"[pinchplan] {cmd}: wrote {names} in {dt:.2f} s", file=sys.stderr)
+    written.append(out / args.summary)
+    with open(written[-1], "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(summary.to_json())
+    names = ", ".join(str(p) for p in written)
+    print(f"[pinchplan] {args.command}: wrote {names} in {summary.wall_time_s:.2f} s", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,45 +255,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pinchplan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gainmap", parents=[common], help="precompute and store the gain tensor")
-    p.set_defaults(func=_cmd_gainmap)
+    def add(name: str, func, summary: str, text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.set_defaults(func=func, summary=summary)
+        return p
 
-    p = sub.add_parser("coverage", parents=[common], help="maximize threshold coverage")
+    add("gainmap", _cmd_gainmap, "gainmap_summary.json", "precompute and store the gain tensor")
+
+    p = add("coverage", _cmd_coverage, "coverage_summary.json", "maximize threshold coverage")
     p.add_argument("--exact", action="store_true", help="enumerate every activation (budget-guarded)")
     p.add_argument("--gamma-db", type=_finite_float, default=None, help="SNR threshold in dB (default: scenario value)")
     p.add_argument("--restarts", type=int, default=1, help="extra seeded restarts for the ascent")
     p.add_argument("--milp", default=None, metavar="FILE", help="also write the MILP as an LP file")
-    p.set_defaults(func=_cmd_coverage)
 
-    p = sub.add_parser("minmax", parents=[common], help="maximize the worst-grid average SNR")
+    p = add("minmax", _cmd_minmax, "minmax_summary.json", "maximize the worst-grid average SNR")
     p.add_argument("--exact", action="store_true", help="certified optimum by branch-and-bound (budget-guarded)")
     p.add_argument("--eps-t", type=_finite_float, default=None, help="bisection bracket width, linear SNR")
     p.add_argument(
         "--restarts", type=int, default=DEFAULT_FEAS_RESTARTS,
         help="deficit-descent starts per feasibility check"
     )
-    p.set_defaults(func=_cmd_minmax)
 
-    p = sub.add_parser("baseline", parents=[common], help="fixed-array and random-activation references")
-    p.add_argument("--draws", type=int, default=N_RANDOM_DRAWS, help="random activations to average")
-    p.set_defaults(func=_cmd_baseline)
+    p = add("baseline", _cmd_baseline, "baseline_summary.json", "fixed-array and random-activation references")
+    p.add_argument("--draws", type=int, default=N_RANDOM_DRAWS, help="random activations to average (at least 1)")
 
-    p = sub.add_parser("sweep-threshold", parents=[common], help="coverage versus SNR threshold")
+    p = add("sweep-threshold", _cmd_sweep_threshold, "threshold_sweep_summary.json", "coverage versus SNR threshold")
     p.add_argument("--exact", action="store_true", help="enumerate every activation (budget-guarded)")
     p.add_argument("--gammas", default=DEFAULT_THRESHOLDS_DB, help="comma-separated thresholds in dB")
-    p.add_argument("--draws", type=int, default=N_RANDOM_DRAWS, help="random activations to average")
-    p.set_defaults(func=_cmd_sweep_threshold)
+    p.add_argument("--draws", type=int, default=N_RANDOM_DRAWS, help="random activations to average (at least 1)")
 
-    p = sub.add_parser("sweep-power", parents=[common], help="worst-grid SNR versus transmit power")
+    p = add("sweep-power", _cmd_sweep_power, "power_sweep_summary.json", "worst-grid SNR versus transmit power")
     p.add_argument("--exact", action="store_true", help="certified optimum by branch-and-bound (budget-guarded)")
     p.add_argument("--powers", default=DEFAULT_POWERS_DBM, help="comma-separated powers in dBm")
-    p.add_argument("--draws", type=int, default=N_RANDOM_DRAWS, help="random activations to average")
-    p.set_defaults(func=_cmd_sweep_power)
+    p.add_argument("--draws", type=int, default=N_RANDOM_DRAWS, help="random activations to average (at least 1)")
 
-    p = sub.add_parser("map", parents=[common], help="export the SNR map of a given activation")
+    p = add("map", _cmd_map, "map_summary.json", "export the SNR map of a given activation")
     p.add_argument("--activation", required=True, help="comma-separated 1-based tap indices, one per waveguide")
     p.add_argument("--format", choices=MAP_FORMATS, default="csv")
-    p.set_defaults(func=_cmd_map)
     return parser
 
 
@@ -382,7 +299,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _run(args)
     except BudgetError as exc:
         print(f"pinchplan: budget refusal: {exc}", file=sys.stderr)
         return 3
@@ -392,6 +309,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"pinchplan: io error: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 def entry() -> None:

@@ -109,10 +109,8 @@ class Scenario:
             vis = self.visibility()
         return precompute_gain_map(self.layout, self.taps, self.grid, vis, self.params)
 
-    def fixed_array_map(self, params: ChannelParams | None = None) -> GainMap:
-        return fixed_array_gain_map(
-            self.region, self.blockages, self.grid, params or self.params, self.layout.count
-        )
+    def fixed_array_map(self) -> GainMap:
+        return fixed_array_gain_map(self.region, self.blockages, self.grid, self.params, self.layout.count)
 
     def with_grid_scale(self, factor: float) -> "Scenario":
         """Same deployment on a grid rescaled by `factor` per axis (at least 1x1)."""

@@ -94,6 +94,7 @@ def threshold_sweep(
         raise ValueError("threshold list must not be empty")
     if any(b <= a for a, b in zip(thresholds_db, thresholds_db[1:])):
         raise ValueError("threshold list must be strictly ascending")
+    draws = _draws(scenario, n_random)
 
     params = scenario.params
     gm = scenario.gain_map()
@@ -116,24 +117,32 @@ def threshold_sweep(
         "|".join(str(i) for i in res.activation.one_based()) for res in results
     ]
 
-    fields = _draw_fields(scenario, gm, n_random)
-    means, stds = [], []
-    for thr in thresholds:
-        fr = np.array([_covered_share(f, thr, n_valid) for f in fields])
-        means.append(float(fr.mean()))
-        stds.append(float(fr.std(ddof=1)) if n_random > 1 else 0.0)
-    table.columns["random_mean"] = means
-    table.columns["random_std"] = stds
+    fields = _draw_fields(scenario, gm, draws)
+    stats = [_mean_std([_covered_share(f, thr, n_valid) for f in fields]) for thr in thresholds]
+    table.columns["random_mean"], table.columns["random_std"] = map(list, zip(*stats))
 
-    fixed_field = _fixed_field(scenario)
-    table.columns["fixed"] = [_covered_share(fixed_field, thr, n_valid) for thr in thresholds]
+    fixed_field, fixed_valid = _fixed_field(scenario)
+    fixed_v = fixed_field[fixed_valid]
+    table.columns["fixed"] = [_covered_share(fixed_v, thr, n_valid) for thr in thresholds]
     return table
 
 
-def _draw_fields(scenario: Scenario, gm, n_random: int) -> list[np.ndarray]:
-    """Valid-cell SNR field of each seeded random activation, at scenario defaults."""
-    draws = [random_activation(scenario, s) for s in derived_seeds(scenario.solver.seed, n_random)]
+def _draws(scenario: Scenario, n_random: int) -> list[Activation]:
+    """The seeded random activations that every random-method column averages over."""
+    if n_random < 1:
+        raise ValueError(f"the number of random draws must be at least 1, got {n_random}")
+    return [random_activation(scenario, s) for s in derived_seeds(scenario.solver.seed, n_random)]
+
+
+def _draw_fields(scenario: Scenario, gm, draws: list[Activation]) -> list[np.ndarray]:
+    """Valid-cell SNR field of each random activation, at scenario defaults."""
     return [avg_snr(a.as_array(), gm, scenario.params)[gm.valid] for a in draws]
+
+
+def _mean_std(values: list[float]) -> tuple[float, float]:
+    """Mean and sample standard deviation (0.0 for a single draw) of per-draw values."""
+    a = np.array(values)
+    return float(a.mean()), float(a.std(ddof=1)) if a.size > 1 else 0.0
 
 
 def _covered_share(field_v: np.ndarray, threshold: float, n_valid: int) -> float:
@@ -141,11 +150,11 @@ def _covered_share(field_v: np.ndarray, threshold: float, n_valid: int) -> float
     return int(np.count_nonzero(_covered(field_v, threshold))) / n_valid
 
 
-def _fixed_field(scenario: Scenario) -> np.ndarray:
-    """Valid-cell SNR field of the fixed array, at scenario defaults."""
-    fgm = scenario.fixed_array_map(scenario.params)
+def _fixed_field(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """SNR field of the fixed array at scenario defaults, and its valid-cell mask."""
+    fgm = scenario.fixed_array_map()
     fsel = np.zeros(scenario.layout.count, dtype=int)
-    return avg_snr(fsel, fgm, scenario.params)[fgm.valid]
+    return avg_snr(fsel, fgm, scenario.params), fgm.valid
 
 
 def power_sweep(
@@ -163,6 +172,7 @@ def power_sweep(
     powers_dbm = [float(p) for p in powers_dbm]
     if not powers_dbm:
         raise ValueError("power list must not be empty")
+    draws = _draws(scenario, n_random)
 
     gm = scenario.gain_map()
     params0 = scenario.params
@@ -187,19 +197,14 @@ def power_sweep(
         "|".join(str(i) for i in minmax_res.activation.one_based())
     ] * len(powers_dbm)
 
-    draws = [random_activation(scenario, s) for s in derived_seeds(scenario.solver.seed, n_random)]
-    means, stds = [], []
-    for p in per_power_params:
-        worsts_db = np.array(
-            [linear_to_db(worst_grid_snr(a.as_array(), gm, p)) for a in draws]
-        )
-        means.append(float(worsts_db.mean()))
-        stds.append(float(worsts_db.std(ddof=1)) if n_random > 1 else 0.0)
-    table.columns["random_mean_db"] = means
-    table.columns["random_std_db"] = stds
+    stats = [
+        _mean_std([linear_to_db(worst_grid_snr(a.as_array(), gm, p)) for a in draws])
+        for p in per_power_params
+    ]
+    table.columns["random_mean_db"], table.columns["random_std_db"] = map(list, zip(*stats))
 
     # element gains carry no transmit power, so one map serves every P
-    fgm = scenario.fixed_array_map(params0)
+    fgm = scenario.fixed_array_map()
     fsel = np.zeros(scenario.layout.count, dtype=int)
     table.columns["fixed_db"] = [
         linear_to_db(worst_grid_snr(fsel, fgm, p)) for p in per_power_params
@@ -209,21 +214,29 @@ def power_sweep(
 
 def baseline_stats(scenario: Scenario, n_random: int = N_RANDOM_DRAWS) -> dict:
     """Fixed-array and random-activation reference numbers at scenario defaults."""
+    return _baseline(scenario, n_random)[0]
+
+
+def _baseline(scenario: Scenario, n_random: int) -> tuple[dict, np.ndarray, np.ndarray]:
+    """`baseline_stats`, plus the fixed array's SNR field and valid-cell mask for its map."""
+    draws = _draws(scenario, n_random)
     gm = scenario.gain_map()
     n_valid = int(np.count_nonzero(gm.valid))
     thr = scenario.threshold_linear
 
-    fixed_field = _fixed_field(scenario)
-    fields = _draw_fields(scenario, gm, n_random)
-    rand_cov = np.array([_covered_share(f, thr, n_valid) for f in fields])
-    rand_worst_db = np.array([linear_to_db(float(f.min())) for f in fields])
-    return {
+    fixed_field, fixed_valid = _fixed_field(scenario)
+    fixed_v = fixed_field[fixed_valid]
+    fields = _draw_fields(scenario, gm, draws)
+    cov_mean, cov_std = _mean_std([_covered_share(f, thr, n_valid) for f in fields])
+    worst_mean, worst_std = _mean_std([linear_to_db(float(f.min())) for f in fields])
+    stats = {
         "threshold_db": scenario.solver.threshold_db,
-        "fixed_coverage": _covered_share(fixed_field, thr, n_valid),
-        "fixed_worst_db": linear_to_db(float(fixed_field.min())),
-        "random_coverage_mean": float(rand_cov.mean()),
-        "random_coverage_std": float(rand_cov.std(ddof=1)) if n_random > 1 else 0.0,
-        "random_worst_db_mean": float(rand_worst_db.mean()),
-        "random_worst_db_std": float(rand_worst_db.std(ddof=1)) if n_random > 1 else 0.0,
+        "fixed_coverage": _covered_share(fixed_v, thr, n_valid),
+        "fixed_worst_db": linear_to_db(float(fixed_v.min())),
+        "random_coverage_mean": cov_mean,
+        "random_coverage_std": cov_std,
+        "random_worst_db_mean": worst_mean,
+        "random_worst_db_std": worst_std,
         "n_random": n_random,
     }
+    return stats, fixed_field, fixed_valid

@@ -306,7 +306,9 @@ def test_fixed_array_elements_share_visibility_on_bundled():
     import dataclasses
 
     # with no NLoS power a gain is positive exactly where the LoS ray is present
-    los = scn.fixed_array_map(dataclasses.replace(p, nlos_power=0.0)).gains > 0
+    los = fixed_array_gain_map(
+        scn.region, scn.blockages, scn.grid, dataclasses.replace(p, nlos_power=0.0), scn.layout.count
+    ).gains > 0
     cells = los[0].size
     for k in range(1, los.shape[0]):
         assert np.count_nonzero(los[k] != los[0]) <= 1e-3 * cells

@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from pinchplan.cli import main
 from conftest import WALL, scenario_dict
 
 SMALL = ["--grid-scale", "0.05"]  # table1 at 20x6, fast enough for every command
+# the keys of every summary file (perfbench/checks.py checks the same set)
+SUMMARY_KEYS = {"activation", "digest", "method", "objective", "seed", "tool_version"}
 
 
 def run(tmp_path, *argv):
@@ -401,3 +405,62 @@ def test_sweep_power_refuses_an_overflowing_power(tmp_path, capsys):
     assert code == 2
     assert "invalid input" in err and "overflows" in err and "Traceback" not in err
     assert not (out / "power_sweep_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gainmap"],
+        ["coverage"],
+        ["coverage", "--milp", "model.lp"],
+        ["minmax"],
+        ["baseline", "--draws", "3"],
+        ["sweep-threshold", "--gammas", "18,24", "--draws", "3"],
+        ["sweep-power", "--powers", "30,40", "--draws", "3"],
+        ["map", "--activation", "2,6,9,4"],
+    ],
+    ids=" ".join,
+)
+def test_every_subcommand_names_its_files_with_the_summary_last(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv, "--config", "table1", *SMALL)
+    assert code == 0
+    note = capsys.readouterr().err
+    prefix = f"[pinchplan] {argv[0]}: wrote "
+    assert note.startswith(prefix) and note.count("\n") == 1
+    names = note[len(prefix):note.rindex(" in ")].split(", ")
+    assert sorted(names) == sorted(str(p) for p in out.iterdir())
+    summary = Path(names[-1])
+    assert summary.name.endswith("_summary.json")
+    assert not any(name.endswith("_summary.json") for name in names[:-1])
+    doc = read_json(summary)
+    assert set(doc) == SUMMARY_KEYS  # no wall_time_s
+    assert isinstance(doc["objective"], dict)
+
+
+@pytest.mark.parametrize("draws", ["0", "-1"])
+@pytest.mark.parametrize("command", ["baseline", "sweep-threshold", "sweep-power"])
+def test_draws_below_one_exit_2_before_writing(tmp_path, capsys, command, draws):
+    code, out = run(tmp_path, command, "--config", "table1", *SMALL, "--draws", draws)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid input" in err and "draws" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_baseline_builds_one_fixed_array_map(tmp_path, monkeypatch):
+    from pinchplan import channel
+
+    original = channel.fixed_array_gain_map
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # wrap the function in every module that bound it by name
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "pinchplan" and getattr(mod, "fixed_array_gain_map", None) is original:
+            monkeypatch.setattr(mod, "fixed_array_gain_map", counting)
+    code, out = run(tmp_path, "baseline", "--config", "table1", *SMALL)
+    assert code == 0 and (out / "fixed_map.csv").exists()
+    assert len(calls) == 1

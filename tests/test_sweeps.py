@@ -187,6 +187,17 @@ def test_baseline_stats_contents():
     assert stats != baseline_stats(reseeded, n_random=10)
 
 
+@pytest.mark.parametrize("n_random", [0, -1])
+def test_random_draws_below_one_are_refused(n_random):
+    scn = small_table1()
+    with pytest.raises(ValueError, match="draws"):
+        baseline_stats(scn, n_random=n_random)
+    with pytest.raises(ValueError, match="draws"):
+        threshold_sweep(scn, [18.0], n_random=n_random)
+    with pytest.raises(ValueError, match="draws"):
+        power_sweep(scn, [40.0], n_random=n_random)
+
+
 def test_exact_threshold_sweep_walks_the_activations_once(monkeypatch):
     walks = []
     score_activations = coverage._score_activations
