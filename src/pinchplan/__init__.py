@@ -18,7 +18,6 @@ from .geometry import (
     WaveguideLayout,
     compute_visibility,
     points_visibility,
-    segment_blocked,
 )
 from .channel import (
     C_LIGHT,
@@ -30,17 +29,14 @@ from .channel import (
     fixed_array_gain_map,
     linear_to_db,
     precompute_gain_map,
-    sample_instantaneous_snr,
 )
 from .coverage import (
     Activation,
     BudgetError,
     CoverageResult,
-    MaxCoverInstance,
     coordinate_ascent,
     coverage_count,
     emit_milp,
-    encode_max_cover,
     exact_enumerate,
 )
 from .minmax import (
@@ -60,7 +56,7 @@ from .scenario import (
     random_activation,
     scenario_from_dict,
 )
-from .mapio import export_map, read_map_csv
+from .mapio import export_map
 from .sweeps import RunSummary, SweepTable, baseline_stats, derived_seeds, power_sweep, threshold_sweep
 
 __all__ = [
@@ -75,7 +71,6 @@ __all__ = [
     "GainMap",
     "GeometryError",
     "GridSpec",
-    "MaxCoverInstance",
     "MinMaxResult",
     "Region",
     "RunSummary",
@@ -96,7 +91,6 @@ __all__ = [
     "deficit_feasibility",
     "derived_seeds",
     "emit_milp",
-    "encode_max_cover",
     "exact_enumerate",
     "exact_maxmin",
     "export_map",
@@ -109,10 +103,7 @@ __all__ = [
     "power_sweep",
     "precompute_gain_map",
     "random_activation",
-    "read_map_csv",
-    "sample_instantaneous_snr",
     "scenario_from_dict",
-    "segment_blocked",
     "threshold_sweep",
     "worst_grid_snr",
 ]

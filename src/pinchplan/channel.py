@@ -111,10 +111,6 @@ class ChannelParams:
         return C_LIGHT / self.freq_hz
 
     @property
-    def guide_wavelength(self) -> float:
-        return self.wavelength / self.n_eff
-
-    @property
     def los_ref_gain(self) -> float:
         """Free-space power gain at 1 m, (wavelength / 4 pi)^2."""
         return (self.wavelength / (4.0 * math.pi)) ** 2
@@ -214,58 +210,6 @@ def avg_snr(selected, gain_map: GainMap, params: ChannelParams) -> np.ndarray:
     for n in range(1, len(sel)):
         field += params.snr_scale * gain_map.gains[n, sel[n]]
     return field
-
-
-def sample_instantaneous_snr(
-    selected,
-    layout: WaveguideLayout,
-    taps: CandidateGrid,
-    grid: GridSpec,
-    vis: VisibilityMap,
-    params: ChannelParams,
-    seed: int,
-    n_samples: int = 1,
-) -> np.ndarray:
-    """Draw instantaneous post-beamforming SNR fields, shape (n_samples, nx, ny).
-
-    Per sample and per waveguide the active tap's channel is the deterministic
-    LoS ray (zeroed when blocked) plus one circularly-symmetric complex
-    Gaussian scatter term with variance nlos_power / d^2.
-    Maximum-ratio transmission makes the SNR snr_scale * sum_n |h_n|^2.
-    Same seed, same arguments: bit-identical output.
-    """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    sel = np.asarray(selected, dtype=int)
-    if sel.shape != (layout.count,):
-        raise ValueError(f"selection must pick one tap per waveguide ({layout.count} entries)")
-    n_grid = grid.nx * grid.ny
-
-    x_sel = taps.x_taps[np.arange(layout.count), sel]  # (N,)
-    dx = grid.x_centers()[None, :, None] - x_sel[:, None, None]
-    dy = grid.y_centers()[None, None, :] - layout.y_positions()[:, None, None]
-    dist = np.sqrt(dx * dx + dy * dy + layout.height**2).reshape(layout.count, n_grid)
-    los_mask = vis.los[np.arange(layout.count), sel].reshape(layout.count, n_grid)
-
-    phase = (
-        -2.0 * np.pi / params.wavelength * dist
-        + 2.0 * np.pi / params.guide_wavelength * x_sel[:, None]
-    )
-    h_los = np.where(los_mask, math.sqrt(params.los_ref_gain) * np.exp(1j * phase) / dist, 0.0)
-
-    scatter_std = math.sqrt(params.nlos_power / 2.0) / dist  # per real/imag part
-    rng = np.random.default_rng(seed)
-    out = np.empty((n_samples, n_grid))
-    # chunk the sample axis so the draw buffer stays modest
-    chunk = max(1, min(n_samples, int(4e6 // max(1, layout.count * n_grid)) + 1))
-    for start in range(0, n_samples, chunk):
-        stop = min(start + chunk, n_samples)
-        shape = (stop - start, layout.count, n_grid)
-        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        h *= scatter_std
-        h += h_los
-        out[start:stop] = params.snr_scale * (np.abs(h) ** 2).sum(axis=1)
-    return out.reshape(n_samples, grid.nx, grid.ny)
 
 
 def fixed_array_gain_map(

@@ -70,6 +70,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _lp_file_name(text: str) -> str:
+    """argparse type: a plain file name in --out that no other coverage product uses."""
+    if text in ("", ".", "..", "coverage_map.csv", "coverage_summary.json") or Path(text).name != text:
+        raise argparse.ArgumentTypeError(
+            f"expected a plain file name other than coverage_map.csv and coverage_summary.json, got {text!r}"
+        )
+    return text
+
+
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -266,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="enumerate every activation (budget-guarded)")
     p.add_argument("--gamma-db", type=_finite_float, default=None, help="SNR threshold in dB (default: scenario value)")
     p.add_argument("--restarts", type=int, default=1, help="extra seeded restarts for the ascent")
-    p.add_argument("--milp", default=None, metavar="FILE", help="also write the MILP as an LP file")
+    p.add_argument("--milp", type=_lp_file_name, default=None, metavar="FILE", help="also write the MILP as an LP file in --out")
 
     p = add("minmax", _cmd_minmax, "minmax_summary.json", "maximize the worst-grid average SNR")
     p.add_argument("--exact", action="store_true", help="certified optimum by branch-and-bound (budget-guarded)")

@@ -4,9 +4,8 @@ The planner picks one active tap per waveguide to maximize the number of
 valid grid cells whose average SNR clears a threshold. The selection problem
 embeds maximum coverage (so it is NP-hard in general); the workhorse is a
 coordinate ascent with a closed-form single-waveguide update, backed by an
-exhaustive enumerator for small instances, an LP-file emitter for external
-MILP solvers, and an encoder that maps abstract max-coverage instances onto
-gain maps for cross-checks.
+exhaustive enumerator for small instances and an LP-file emitter for
+external MILP solvers.
 """
 
 from __future__ import annotations
@@ -435,55 +434,3 @@ def emit_milp(
     for line in _lp_terms(tap_vars + cell_vars, per_line=10):
         w(f" {line}\n")
     w("End\n")
-
-
-@dataclass(frozen=True)
-class MaxCoverInstance:
-    """Abstract maximum-coverage instance: pick `budget` subsets, cover elements.
-
-    Elements are 1-based labels 1..n_elements.
-    """
-
-    n_elements: int
-    subsets: tuple[frozenset[int], ...]
-    budget: int
-
-    def __post_init__(self) -> None:
-        if self.n_elements < 1:
-            raise ValueError("need at least one element")
-        subsets = tuple(frozenset(int(e) for e in s) for s in self.subsets)
-        if len(subsets) < 1:
-            raise ValueError("need at least one subset")
-        for s in subsets:
-            if any(not 1 <= e <= self.n_elements for e in s):
-                raise ValueError(f"subset elements must lie in [1, {self.n_elements}]")
-        if not 1 <= self.budget <= len(subsets):
-            raise ValueError("budget must lie in [1, number of subsets]")
-        object.__setattr__(self, "subsets", subsets)
-
-
-def encode_max_cover(
-    instance: MaxCoverInstance, threshold: float
-) -> tuple[GainMap, ChannelParams]:
-    """Encode a max-coverage instance as a gain map with unit SNR scale.
-
-    One synthetic waveguide per budget slot, one tap per subset, one grid
-    cell per element; a tap contributes exactly `threshold` to the cells of
-    its subset, so a cell is covered iff some chosen subset contains it and
-    the optimal covered counts of the two problems coincide.
-    """
-    _check_threshold(threshold)
-    k, j, g = instance.budget, len(instance.subsets), instance.n_elements
-    gains = np.zeros((k, j, g, 1))
-    for m, s in enumerate(instance.subsets):
-        for e in s:
-            gains[:, m, e - 1, 0] = threshold
-    gain_map = GainMap(gains=gains, valid=np.ones((g, 1), dtype=bool))
-    params = ChannelParams(
-        freq_hz=1e9,
-        tx_power_w=1.0,
-        noise_power_w=1.0,
-        nlos_power=0.0,
-        n_eff=1.0,
-    )
-    return gain_map, params

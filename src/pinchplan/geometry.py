@@ -208,24 +208,6 @@ def _axis_interval(start, end, lo: float, hi: float) -> tuple[np.ndarray, np.nda
     return ax_lo, ax_hi
 
 
-def segment_blocked(p_start, p_end, blockage: Blockage) -> bool:
-    """True when the closed segment intersects the closed cuboid (grazing counts).
-
-    Slab method: the segment is blocked when the parameter intervals of its
-    three axes and [0, 1] share a point.
-    """
-    p0 = np.asarray(p_start, dtype=float)
-    p1 = np.asarray(p_end, dtype=float)
-    if p0.shape != (3,) or p1.shape != (3,):
-        raise GeometryError("segment endpoints must be 3-D points")
-    t_lo, t_hi = 0.0, 1.0
-    for start, end, (lo, hi) in zip(p0, p1, _padded_bounds(blockage)):
-        ax_lo, ax_hi = _axis_interval(start, end, lo, hi)
-        t_lo = max(t_lo, ax_lo)
-        t_hi = min(t_hi, ax_hi)
-    return bool(t_lo <= t_hi)
-
-
 def _distinct_pairs(first: np.ndarray, second: np.ndarray):
     """(first value of each distinct pair, a row holding the pair, the pair of every row).
 

@@ -1,7 +1,8 @@
 """Export of per-grid SNR fields to CSV and plain PGM images.
 
 CSV rows run u-major (x outer, y inner) with header x,y,snr_db,valid and 9
-significant digits, enough to re-import the field to well under 1e-6 dB.
+significant digits, so a reader recovers the field to well under 1e-6 dB.
+The package writes maps only; the test suite carries the CSV reader.
 PGM output is a plain (P2) top-view image, one pixel per grid cell, with the
 dB window used for the 0..255 mapping recorded in a comment; cells inside
 obstacle footprints are painted 0.
@@ -82,19 +83,3 @@ def _write_pgm(db, valid, grid: GridSpec, path, db_window) -> None:
         for row in pixels.T[::-1]:
             fh.write(" ".join(map(str, row.tolist())))
             fh.write("\n")
-
-
-def read_map_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read back an exported CSV map: (x, y, snr_db, valid) as flat u-major arrays."""
-    xs, ys, db, valid = [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "x,y,snr_db,valid":
-            raise ValueError(f"unexpected map CSV header: {header!r}")
-        for line in fh:
-            fx, fy, fdb, fvalid = line.strip().split(",")
-            xs.append(float(fx))
-            ys.append(float(fy))
-            db.append(float(fdb))
-            valid.append(bool(int(fvalid)))
-    return np.asarray(xs), np.asarray(ys), np.asarray(db), np.asarray(valid)

@@ -37,7 +37,6 @@ BNB_NODE_BUDGET = 2_000_000
 # it cannot succeed, and the margin dwarfs the descent's field rounding.
 CEILING_MARGIN = 1e-9
 _BNB_CELLS = 1024  # cells per side of the bounding subset
-_BNB_STARTS = 16  # max-min ascent starts that give the first incumbent
 
 
 @dataclass
@@ -176,55 +175,12 @@ def _field(gains_v: np.ndarray, sel, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _maxmin_ascent(gains_v: np.ndarray, sel: list, max_sweeps: int) -> list:
-    """Coordinate ascent on the worst cell, mutating `sel`: each waveguide takes
-    the first tap whose candidate field has the largest minimum."""
-    n_wg, n_tap, n_cells = gains_v.shape
-    field_v = gains_v[np.arange(n_wg), sel].sum(axis=0)
-    resid_v = np.empty(n_cells)
-    cand = np.empty((n_tap, n_cells))
-    for _ in range(max_sweeps):
-        changed = False
-        for n in range(n_wg):
-            np.subtract(field_v, gains_v[n, sel[n]], out=resid_v)
-            np.add(resid_v, gains_v[n], out=cand)
-            m = int(np.argmax(cand.min(axis=1)))
-            changed |= m != sel[n]
-            sel[n] = m
-            np.copyto(field_v, cand[m])
-        if not changed:
-            break
-    return sel
-
-
 def _reach(gains: np.ndarray) -> np.ndarray:
     """Row n: per-cell sum of the best taps of waveguides n.. (row N is zero)."""
     reach = np.zeros((gains.shape[0] + 1, gains.shape[2]))
     for n in range(gains.shape[0] - 1, -1, -1):
         np.add(gains[n].max(axis=0), reach[n + 1], out=reach[n])
     return reach
-
-
-def _first_incumbent(gains_v: np.ndarray, weak: np.ndarray, field: np.ndarray):
-    """(worst cell, selection) of the best of _BNB_STARTS max-min ascents.
-
-    The ascents run on the `weak` cells alone; their plans are scored on
-    every cell, in waveguide order. Ties keep the smaller selection.
-    """
-    n_wg, n_tap = gains_v.shape[:2]
-    gains_weak = np.take(gains_v, weak, axis=2)
-    rng = np.random.default_rng(0)
-    best, best_sel = -math.inf, None
-    for start in range(_BNB_STARTS):
-        if start == 0:
-            sel = [(n_tap - 1) // 2] * n_wg
-        else:
-            sel = [int(m) for m in rng.integers(0, n_tap, n_wg)]
-        sel = tuple(_maxmin_ascent(gains_weak, sel, DEFAULT_MAX_SWEEPS))
-        value = float(_field(gains_v, sel, field).min())
-        if value > best or (value == best and sel < best_sel):
-            best, best_sel = value, sel
-    return best, best_sel
 
 
 @dataclass
@@ -242,8 +198,8 @@ def _bnb_maxmin(gain_map: GainMap, params: ChannelParams) -> _Certificate:
     over a cell subset S, of the partial field plus each later waveguide's
     per-cell best tap. A minimum over a subset is at least the minimum over
     all cells, so the bound holds for every activation below the node.
-    S is the _BNB_CELLS weakest-envelope cells and the _BNB_CELLS worst cells
-    of the first incumbent (`_first_incumbent`). Children are searched best
+    The first incumbent is the centred plan; S is the _BNB_CELLS weakest-
+    envelope cells and its _BNB_CELLS worst cells. Children are searched best
     bound first. A leaf is checked on S and, if it can still win, scored on
     every valid cell. A node is pruned only when its bound, raised by the
     rounding slack of the envelope sum, lies below the incumbent; an equal
@@ -261,9 +217,10 @@ def _bnb_maxmin(gain_map: GainMap, params: ChannelParams) -> _Certificate:
     k = min(_BNB_CELLS, n_cells)
     in_s = np.zeros(n_cells, dtype=bool)
     in_s[np.argpartition(envelope, k - 1)[:k]] = True
-    field = np.empty(n_cells)
-    best, best_sel = _first_incumbent(gains_v, np.flatnonzero(in_s), field)
-    in_s[np.argpartition(_field(gains_v, best_sel, field), k - 1)[:k]] = True
+    best_sel = Activation.centered(n_wg, n_tap).selected
+    field = _field(gains_v, best_sel, np.empty(n_cells))
+    best = float(field.min())
+    in_s[np.argpartition(field, k - 1)[:k]] = True
     cells = np.flatnonzero(in_s)
     gains_s = np.take(gains_v, cells, axis=2)
     # child bound rows of depth n: tap gain plus the reach of the later

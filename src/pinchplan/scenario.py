@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelParams, GainMap, db_to_linear, fixed_array_gain_map, precompute_gain_map
-from .coverage import TENSOR_BYTES_BUDGET, Activation, BudgetError
+from .coverage import DEFAULT_MAX_SWEEPS, TENSOR_BYTES_BUDGET, Activation, BudgetError
 from .geometry import (
     Blockage,
     CandidateGrid,
@@ -47,10 +47,9 @@ from .geometry import (
     WaveguideLayout,
     compute_visibility,
 )
+from .minmax import DEFAULT_EPS_T
 
 SCHEMA_VERSION = 1
-
-_SOLVER_DEFAULTS = {"threshold_db": 18.0, "eps_t": 1e-3, "max_sweeps": 50, "seed": 0}
 
 
 class ScenarioError(ValueError):
@@ -74,9 +73,13 @@ class ChannelSpec:
 @dataclass(frozen=True)
 class SolverDefaults:
     threshold_db: float = 18.0
-    eps_t: float = 1e-3
-    max_sweeps: int = 50
+    eps_t: float = DEFAULT_EPS_T
+    max_sweeps: int = DEFAULT_MAX_SWEEPS
     seed: int = 0
+
+
+# the applied-default order is the field order
+_SOLVER_DEFAULTS = asdict(SolverDefaults())
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
 from pinchplan import (
     Activation,
+    ChannelParams,
+    GainMap,
     GeometryError,
     avg_snr,
     deficit_feasibility,
     maxmin_upper_bound,
     scenario_from_dict,
 )
-from pinchplan.coverage import _require_valid
+from pinchplan.coverage import _check_threshold, _require_valid
+from pinchplan.geometry import SLAB_TOL
 
 
 def scenario_dict(
@@ -126,6 +131,34 @@ def segment_box_distance(start, end, lo, hi, iters=200):
     return dist(0.5 * (a + b))
 
 
+def segment_blocked(p_start, p_end, blockage) -> bool:
+    """True when the closed segment intersects the closed cuboid (grazing counts).
+
+    Slab method, one axis at a time: the segment is blocked when the
+    parameter intervals of its three axes and [0, 1] share a point. Each
+    cuboid bound is padded by SLAB_TOL. The interval code is this oracle's
+    own, so it stays independent of the `points_visibility` it checks.
+    """
+    p0 = np.asarray(p_start, dtype=float)
+    p1 = np.asarray(p_end, dtype=float)
+    if p0.shape != (3,) or p1.shape != (3,):
+        raise GeometryError("segment endpoints must be 3-D points")
+    b = blockage
+    t_lo, t_hi = 0.0, 1.0
+    for start, end, lo, hi in zip(p0, p1, (b.x_min, b.y_min, 0.0), (b.x_max, b.y_max, b.height)):
+        lo, hi = lo - SLAB_TOL, hi + SLAB_TOL
+        d = end - start
+        if d == 0.0:  # parallel to the slab: all of t, or none
+            if not lo <= start <= hi:
+                return False
+            continue
+        with np.errstate(over="ignore"):
+            t1, t2 = (lo - start) / d, (hi - start) / d
+        t_lo = max(t_lo, min(t1, t2))
+        t_hi = min(t_hi, max(t1, t2))
+    return bool(t_lo <= t_hi)
+
+
 def brute_max_cover(universe_size, subsets, budget):
     """Exhaustive Maximum-Coverage optimum over all budget-sized picks."""
     best = 0
@@ -135,6 +168,56 @@ def brute_max_cover(universe_size, subsets, budget):
             union |= subsets[j]
         best = max(best, len(union))
     return best
+
+
+@dataclass(frozen=True)
+class MaxCoverInstance:
+    """Abstract maximum-coverage instance: pick `budget` subsets, cover elements.
+
+    Elements are 1-based labels 1..n_elements.
+    """
+
+    n_elements: int
+    subsets: tuple[frozenset[int], ...]
+    budget: int
+
+    def __post_init__(self) -> None:
+        if self.n_elements < 1:
+            raise ValueError("need at least one element")
+        subsets = tuple(frozenset(int(e) for e in s) for s in self.subsets)
+        if len(subsets) < 1:
+            raise ValueError("need at least one subset")
+        for s in subsets:
+            if any(not 1 <= e <= self.n_elements for e in s):
+                raise ValueError(f"subset elements must lie in [1, {self.n_elements}]")
+        if not 1 <= self.budget <= len(subsets):
+            raise ValueError("budget must lie in [1, number of subsets]")
+        object.__setattr__(self, "subsets", subsets)
+
+
+def encode_max_cover(instance: MaxCoverInstance, threshold: float):
+    """Encode a max-coverage instance as (gain map, params) with unit SNR scale.
+
+    One synthetic waveguide per budget slot, one tap per subset, one grid
+    cell per element; a tap contributes exactly `threshold` to the cells of
+    its subset, so a cell is covered iff some chosen subset contains it and
+    the optimal covered counts of the two problems coincide.
+    """
+    _check_threshold(threshold)
+    k, j, g = instance.budget, len(instance.subsets), instance.n_elements
+    gains = np.zeros((k, j, g, 1))
+    for m, s in enumerate(instance.subsets):
+        for e in s:
+            gains[:, m, e - 1, 0] = threshold
+    gain_map = GainMap(gains=gains, valid=np.ones((g, 1), dtype=bool))
+    params = ChannelParams(
+        freq_hz=1e9,
+        tx_power_w=1.0,
+        noise_power_w=1.0,
+        nlos_power=0.0,
+        n_eff=1.0,
+    )
+    return gain_map, params
 
 
 def all_activation_fields(gain_map, params):
@@ -186,6 +269,66 @@ def distance_sq(wg, tap, u, v, layout, taps, grid) -> float:
     dx = grid.x_centers()[u] - x_tap
     dy = grid.y_centers()[v] - y_wg
     return float(dx * dx + dy * dy + layout.height**2)
+
+
+def sample_instantaneous_snr(selected, layout, taps, grid, vis, params, seed, n_samples=1):
+    """Draw instantaneous post-beamforming SNR fields, shape (n_samples, nx, ny).
+
+    Per sample and per waveguide the active tap's channel is the deterministic
+    LoS ray (zeroed when blocked) plus one circularly-symmetric complex
+    Gaussian scatter term with variance nlos_power / d^2.
+    Maximum-ratio transmission makes the SNR snr_scale * sum_n |h_n|^2.
+    Same seed, same arguments: bit-identical output.
+    """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    sel = np.asarray(selected, dtype=int)
+    if sel.shape != (layout.count,):
+        raise ValueError(f"selection must pick one tap per waveguide ({layout.count} entries)")
+    n_grid = grid.nx * grid.ny
+
+    x_sel = taps.x_taps[np.arange(layout.count), sel]  # (N,)
+    dx = grid.x_centers()[None, :, None] - x_sel[:, None, None]
+    dy = grid.y_centers()[None, None, :] - layout.y_positions()[:, None, None]
+    dist = np.sqrt(dx * dx + dy * dy + layout.height**2).reshape(layout.count, n_grid)
+    los_mask = vis.los[np.arange(layout.count), sel].reshape(layout.count, n_grid)
+
+    guide_wavelength = params.wavelength / params.n_eff
+    phase = (
+        -2.0 * np.pi / params.wavelength * dist
+        + 2.0 * np.pi / guide_wavelength * x_sel[:, None]
+    )
+    h_los = np.where(los_mask, math.sqrt(params.los_ref_gain) * np.exp(1j * phase) / dist, 0.0)
+
+    scatter_std = math.sqrt(params.nlos_power / 2.0) / dist  # per real/imag part
+    rng = np.random.default_rng(seed)
+    out = np.empty((n_samples, n_grid))
+    # chunk the sample axis so the draw buffer stays modest
+    chunk = max(1, min(n_samples, int(4e6 // max(1, layout.count * n_grid)) + 1))
+    for start in range(0, n_samples, chunk):
+        stop = min(start + chunk, n_samples)
+        shape = (stop - start, layout.count, n_grid)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h *= scatter_std
+        h += h_los
+        out[start:stop] = params.snr_scale * (np.abs(h) ** 2).sum(axis=1)
+    return out.reshape(n_samples, grid.nx, grid.ny)
+
+
+def read_map_csv(path):
+    """Read back an exported CSV map: (x, y, snr_db, valid) as flat u-major arrays."""
+    xs, ys, db, valid = [], [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "x,y,snr_db,valid":
+            raise ValueError(f"unexpected map CSV header: {header!r}")
+        for line in fh:
+            fx, fy, fdb, fvalid = line.strip().split(",")
+            xs.append(float(fx))
+            ys.append(float(fy))
+            db.append(float(fdb))
+            valid.append(bool(int(fvalid)))
+    return np.asarray(xs), np.asarray(ys), np.asarray(db), np.asarray(valid)
 
 
 def total_deficit(selected, gain_map, params, target: float) -> float:

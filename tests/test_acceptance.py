@@ -12,28 +12,28 @@ import numpy as np
 from pinchplan import (
     Activation,
     Blockage,
-    MaxCoverInstance,
     avg_snr,
     bisection_maxmin,
     compute_visibility,
     coordinate_ascent,
-    encode_max_cover,
     exact_enumerate,
     exact_maxmin,
     load_bundled,
     power_sweep,
     random_activation,
-    sample_instantaneous_snr,
     threshold_sweep,
     worst_grid_snr,
 )
 from pinchplan.cli import main
 from conftest import (
+    MaxCoverInstance,
     all_restarts_bisection,
     brute_max_cover,
+    encode_max_cover,
     envelope_quantile,
     exhaustive_feasibility,
     random_scenario,
+    sample_instantaneous_snr,
 )
 
 

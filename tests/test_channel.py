@@ -18,10 +18,9 @@ from pinchplan import (
     linear_to_db,
     load_bundled,
     precompute_gain_map,
-    sample_instantaneous_snr,
 )
 from pinchplan.channel import _point_gains
-from conftest import distance_sq, random_scenario
+from conftest import distance_sq, random_scenario, sample_instantaneous_snr
 
 
 # SHA-256 of the full-table1 gain tensors of the taps and of the fixed array:
@@ -47,7 +46,6 @@ def test_params_derived_constants():
     p = table1_params()
     assert p.snr_scale == pytest.approx(1e11)
     assert p.wavelength == pytest.approx(0.0107068735)
-    assert p.guide_wavelength == pytest.approx(p.wavelength / 1.4)
     # free-space reference gain at 28 GHz, frozen from (lambda / 4 pi)^2
     assert p.los_ref_gain == pytest.approx(7.2594817e-07, rel=1e-6)
     assert abs(p.los_ref_gain - (p.wavelength / (4 * math.pi)) ** 2) <= 1e-12 * p.los_ref_gain

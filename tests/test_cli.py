@@ -464,3 +464,18 @@ def test_baseline_builds_one_fixed_array_map(tmp_path, monkeypatch):
     code, out = run(tmp_path, "baseline", "--config", "table1", *SMALL)
     assert code == 0 and (out / "fixed_map.csv").exists()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["coverage_map.csv", "coverage_summary.json", "../escaped.lp", "ABSOLUTE", "sub/m.lp", ".", ".."],
+)
+def test_milp_name_must_be_a_plain_file_no_other_product_uses(tmp_path, capsys, name):
+    if name == "ABSOLUTE":
+        name = str(tmp_path / "absolute.lp")
+    out = tmp_path / "run" / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["coverage", "--config", "table1", *SMALL, "--milp", name, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --milp" in capsys.readouterr().err
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))

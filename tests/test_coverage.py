@@ -9,19 +9,19 @@ from pinchplan import (
     BudgetError,
     ChannelParams,
     GainMap,
-    MaxCoverInstance,
     avg_snr,
     coordinate_ascent,
     coverage_count,
     emit_milp,
-    encode_max_cover,
     exact_enumerate,
 )
 from pinchplan.channel import _candidate_matrix
 from pinchplan.coverage import _best_tap
 from conftest import (
+    MaxCoverInstance,
     brute_best_coverage,
     brute_max_cover,
+    encode_max_cover,
     envelope_quantile,
     random_scenario,
 )

@@ -10,9 +10,8 @@ from pinchplan import (
     WaveguideLayout,
     compute_visibility,
     load_bundled,
-    segment_blocked,
 )
-from conftest import random_scenario, segment_box_distance
+from conftest import random_scenario, segment_blocked, segment_box_distance
 
 
 def test_waveguide_positions_four_over_sixty():

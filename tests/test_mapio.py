@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pinchplan import GridSpec, Region, export_map, read_map_csv
+from pinchplan import GridSpec, Region, export_map
 from pinchplan.mapio import MAP_FORMATS
+from conftest import read_map_csv
 
 
 def small_grid():

@@ -77,6 +77,7 @@ def test_pinned_plans_table1_quarter(quarter_table1):
     assert res.activation.selected == (1, 5, 9, 1)
     assert res.t_star == 122.2581707229541
     assert res.bisection_iters == 21
+    assert res.bnb_nodes == 2400
 
     assert exact_maxmin(gm, p).activation.selected == (1, 5, 9, 1)
 
@@ -99,6 +100,7 @@ def test_pinned_maxmin_plans_table1_full():
     res = exact_maxmin(gm, p)
     assert res.activation.selected == (4, 0, 9, 3)
     assert res.certified == res.t_star == 119.77306000149508
+    assert res.bnb_nodes == 2390
     res = bisection_maxmin(gm, p, eps_t=scn.solver.eps_t, seed=scn.solver.seed)
     assert res.activation.selected == (4, 0, 9, 3)
     assert res.t_star == res.certified == 119.77306000149508

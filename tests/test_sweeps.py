@@ -15,13 +15,12 @@ from pinchplan import (
     linear_to_db,
     load_bundled,
     power_sweep,
-    read_map_csv,
     scenario_from_dict,
     threshold_sweep,
 )
 from pinchplan import coverage
 from pinchplan.mapio import export_map
-from conftest import brute_best_coverage, envelope_quantile, random_scenario
+from conftest import brute_best_coverage, envelope_quantile, random_scenario, read_map_csv
 
 THRESHOLDS = [12.0, 15.0, 18.0, 21.0, 24.0, 27.0, 30.0]
 

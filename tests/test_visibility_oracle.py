@@ -27,10 +27,10 @@ from pinchplan import (
     fixed_array_gain_map,
     load_bundled,
     points_visibility,
-    segment_blocked,
 )
 from pinchplan.channel import C_LIGHT
 from pinchplan.geometry import _axis_interval, _padded_bounds
+from conftest import segment_blocked
 
 # los / valid of bundled table1 at its full 400x120 grid, measured with the
 # per-tap slab loop this routine replaced.

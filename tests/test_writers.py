@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 import writer_oracles as oracle
-from conftest import WALL, scenario_dict
+from conftest import WALL, MaxCoverInstance, encode_max_cover, scenario_dict
 from pinchplan import (
     GainMap,
     GridSpec,
-    MaxCoverInstance,
     Region,
     coverage,
     db_to_linear,
     emit_milp,
-    encode_max_cover,
     export_map,
     load_bundled,
     scenario_from_dict,
