@@ -69,7 +69,9 @@ class ChannelParams:
     freq_hz : carrier frequency.
     tx_power_w, noise_power_w : transmit power and noise power, linear watts.
     nlos_power : average diffuse scatter gain at 1 m (dimensionless).
-    n_eff : effective refractive index of the waveguide dielectric.
+    n_eff : effective refractive index of the waveguide dielectric. It is
+        validated and kept for the scenario digest, but nothing reads it: the
+        closed-form average SNR has no phase term, so no product depends on it.
     """
 
     freq_hz: float

@@ -35,9 +35,10 @@ _LP_CHUNK = 256
 # Distinct coefficient texts the LP writer keeps. Gains over a regular grid
 # and tap lattice repeat (1.7% of a 6x16-tap stress scenario's coefficients
 # are distinct, 2.9% of full table1's), so each text is formatted once. Past
-# this many entries (about 20 MB) the writer drops them and formats the rest
-# of the file inline, which bounds memory and the extra work on inputs whose
-# coefficients rarely repeat.
+# this many entries the writer drops them and formats the rest of the file
+# inline, which bounds memory and the extra work on inputs whose coefficients
+# rarely repeat. At the cap the memo takes about 12 MB on a 6x16-tap
+# scenario, nearly all of it the texts themselves.
 _LP_MEMO_CAP = 1 << 17
 # Floats per (taps, cells) block of a tap scan (`_tap_blocks`): 256 KB, well
 # inside a 2 MB L2 cache. At a full grid a block is one tap. One block of all
@@ -345,20 +346,37 @@ def _lp_terms(parts: list[str], per_line: int = 6) -> list[str]:
     return lines
 
 
-def _coef_texts(block: np.ndarray, memo: dict[int, str]) -> list[list[str]]:
-    """'%.17g' texts of `block.T`, formatting only bit patterns not yet in `memo`.
+class _TextMemo:
+    """'%.17g' texts keyed on float64 bits: sorted uint64 keys and their texts, in step."""
+
+    def __init__(self) -> None:
+        self.keys = np.empty(0, np.uint64)
+        self.texts = np.empty(0, object)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+
+def _coef_texts(block: np.ndarray, memo: _TextMemo) -> np.ndarray:
+    """'%.17g' texts of `block.T` (an object array), formatting only bit patterns not in `memo`.
 
     Keying on the float64 bits keeps every pattern's own text (0.0 and -0.0
-    differ). The texts formatted here are added to `memo`.
+    differ). The texts formatted here are merged into `memo` at their sorted
+    positions.
     """
     keys, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
-    texts = np.array(list(map(memo.get, keys.tolist())), dtype=object)
-    miss = np.flatnonzero(np.equal(texts, None))
-    if len(miss):
+    pos = np.searchsorted(memo.keys, keys)
+    hit = pos < len(memo)
+    hit[hit] = memo.keys[pos[hit]] == keys[hit]
+    texts = np.empty(len(keys), object)
+    texts[hit] = memo.texts[pos[hit]]
+    miss = ~hit
+    if miss.any():
         new = keys[miss]
-        texts[miss] = fresh = ["%.17g" % x for x in new.view(np.float64).tolist()]
-        memo.update(zip(new.tolist(), fresh))
-    return texts[inverse].reshape(block.shape).T.tolist()
+        texts[miss] = ["%.17g" % x for x in new.view(np.float64).tolist()]
+        memo.keys = np.insert(memo.keys, pos[miss], new)
+        memo.texts = np.insert(memo.texts, pos[miss], texts[miss])
+    return texts[inverse].reshape(block.shape).T
 
 
 def emit_milp(
@@ -410,19 +428,24 @@ def emit_milp(
         return "".join(f" {line}\n" for line in _lp_terms(parts, per_line=4))
 
     cached_row, inline_row = row_template("%s"), row_template("%.17g")
-    memo: dict[int, str] | None = {}
+    memo: _TextMemo | None = _TextMemo()
     for start in range(0, len(cells), _LP_CHUNK):
         chunk = cells[start : start + _LP_CHUNK]
         # float64 whatever the tensor's dtype: widening is exact, so the texts are unchanged
         block = (rho * gains_flat[:, chunk]).astype(np.float64, copy=False)
+        # one row of %-arguments per cell: u, v, its coefficients, u, v
+        args = np.empty((len(chunk), n_wg * n_tap + 4), dtype=object)
+        u, v = np.divmod(chunk, ny)
+        args[:, 0] = args[:, -2] = u + 1
+        args[:, 1] = args[:, -1] = v + 1
         if memo is None:
-            row, coefs = inline_row, block.T.tolist()
+            row, coefs = inline_row, block.T
         else:
             row, coefs = cached_row, _coef_texts(block, memo)
             if len(memo) > _LP_MEMO_CAP:
                 memo = None
-        names = _one_based_cells(chunk, ny)
-        w("".join(row % (u, v, *c, u, v) for (u, v), c in zip(names, coefs)))
+        args[:, 2:-2] = coefs
+        w((row * len(chunk)) % tuple(args.ravel().tolist()))
     for n in range(n_wg):
         parts = [f"pick_{n + 1}:", f"a_{n + 1}_1"]
         parts += [f"+ a_{n + 1}_{m + 1}" for m in range(1, n_tap)]

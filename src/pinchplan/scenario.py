@@ -258,7 +258,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
     n_wg = _integer(doc, "waveguides", "scenario")
     if n_wg < 2:
         raise ScenarioError("waveguides must be at least 2")
-    layout = WaveguideLayout.uniform(region, n_wg)
+
+    grid_doc = doc["grid"]
+    _check_keys(grid_doc, "grid", {"nx", "ny"})
+    nx = _integer(grid_doc, "nx", "grid")
+    ny = _integer(grid_doc, "ny", "grid")
+    # a grid without cells would pass the tensor budget whatever the tap count
+    if nx < 1 or ny < 1:
+        raise ScenarioError("grid needs at least one cell per axis")
 
     taps_doc = doc["taps"]
     if not isinstance(taps_doc, dict):
@@ -267,19 +274,25 @@ def scenario_from_dict(doc: dict) -> Scenario:
         count = _integer(taps_doc, "count", "taps")
         if count < 1:
             raise ScenarioError("taps.count must be at least 1")
+        # refused before the tap positions are allocated
+        _check_tensor_bytes(n_wg, count, nx, ny)
         taps = CandidateGrid.uniform(region, n_wg, count)
     elif set(taps_doc) == {"x"}:
         rows = taps_doc["x"]
-        if not isinstance(rows, list) or len(rows) != n_wg:
+        if not isinstance(rows, list) or len(rows) != n_wg or not all(isinstance(row, list) for row in rows):
             raise ScenarioError(f"taps.x must list tap coordinates for each of the {n_wg} waveguides")
+        rows = [[_number(row, j, f"taps.x[{i}]") for j in range(len(row))] for i, row in enumerate(rows)]
         try:
             taps = CandidateGrid(x_taps=np.asarray(rows, dtype=float))
         except (GeometryError, ValueError) as exc:
             raise ScenarioError(f"taps.x invalid: {exc}") from exc
         if np.any(taps.x_taps < 0) or np.any(taps.x_taps > region.x_len):
             raise ScenarioError("tap x coordinates must lie within [0, region.x_len]")
+        _check_tensor_bytes(n_wg, taps.count, nx, ny)
     else:
         raise ScenarioError("taps must contain exactly one of 'count' or 'x'")
+    # after the tensor budget, which also bounds the waveguide count
+    layout = WaveguideLayout.uniform(region, n_wg)
 
     blockages: list[Blockage] = []
     if "blockages" in doc:
@@ -308,15 +321,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     else:
         applied.append("blockages")
 
-    grid_doc = doc["grid"]
-    _check_keys(grid_doc, "grid", {"nx", "ny"})
-    nx = _integer(grid_doc, "nx", "grid")
-    ny = _integer(grid_doc, "ny", "grid")
-    try:
-        grid = GridSpec.from_region(region, nx, ny)
-    except GeometryError as exc:
-        raise ScenarioError(str(exc)) from exc
-    _check_tensor_bytes(n_wg, taps.count, nx, ny)
+    grid = GridSpec.from_region(region, nx, ny)
 
     ch = doc["channel"]
     _check_keys(

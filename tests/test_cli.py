@@ -255,6 +255,10 @@ def test_version_flag():
         ("minmax", "channel", "tx_power_dbm", float("inf")),
         ("coverage", "channel", "freq_hz", float("inf")),
         ("coverage", "region", None, 5),
+        # tap coordinates that are not finite numbers, also for a single tap
+        ("coverage", "taps", None, {"x": [[float("nan")], [1.0]]}),
+        ("coverage", "taps", None, {"x": [[1.0, 2.0, {}], [1.0, 2.0, 3.0]]}),
+        ("coverage", "taps", None, {"x": [[10**400], [1.0]]}),
     ],
 )
 def test_bad_scenario_values_exit_2_without_traceback(tmp_path, capsys, command, section, key, value):
@@ -342,6 +346,37 @@ def test_huge_grid_in_scenario_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "budget refusal" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("taps", "count", 10**12), ("grid", "nx", 10**400), (None, "waveguides", 10**400)],
+    ids=["taps.count", "grid.nx", "waveguides"],
+)
+def test_huge_sizes_exit_3_before_allocating(tmp_path, capsys, section, key, value):
+    # refused from the sizes alone: no waveguide, tap or cell coordinates are built first
+    cfg = scenario_dict(waveguides=2, taps=3, nx=6, ny=4)
+    (cfg if section is None else cfg[section])[key] = value
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out = run(tmp_path, "coverage", "--config", str(path))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "budget refusal" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_grid_without_cells_exits_2_before_the_taps_are_built(tmp_path, capsys):
+    # a grid without cells meets the tensor budget whatever the waveguide count
+    cfg = scenario_dict(waveguides=2, taps=3, nx=0, ny=4)
+    cfg["waveguides"] = 10**12
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out = run(tmp_path, "coverage", "--config", str(path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "at least one cell per axis" in err and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
 
 

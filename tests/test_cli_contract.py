@@ -1,4 +1,4 @@
-"""Property test of the CLI contract over the channel inputs.
+"""Property tests of the CLI contract over the channel, geometry and solver inputs.
 
 Every run ends in a documented exit code (0, 2, 3 or 4) without raising,
 a run that exits 0 writes strict JSON (no NaN or Infinity), LP files
@@ -7,7 +7,10 @@ that exits 2 or 3 leaves no product file behind.
 """
 
 import json
+import math
 import tempfile
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -38,18 +41,36 @@ def _refuse_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-def _check_products(out: Path) -> None:
+def _check_products(out: Path, cells: int) -> None:
     for path in out.glob("*.json"):
         json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
     for path in out.glob("*.pgm"):
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "P2" and lines[3] == "255"
         pixels = [int(tok) for line in lines[4:] for tok in line.split()]
-        assert len(pixels) == 6 * 4
+        assert len(pixels) == cells
         assert all(0 <= p <= 255 for p in pixels)
     for path in out.glob("*.lp"):
         tokens = set(path.read_text(encoding="utf-8").lower().split())
         assert not tokens & {"inf", "-inf", "+inf", "nan", "-nan", "+nan"}, path.name
+
+
+def _run_commands(cfg: dict, commands) -> None:
+    """Run each command on `cfg` and assert the contract of the module docstring."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scn.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        for i, argv in enumerate(commands):
+            out = Path(tmp) / f"out{i}"
+            err = StringIO()
+            with redirect_stderr(err):
+                code = main([*argv, "--config", str(path), "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                _check_products(out, cfg["grid"]["nx"] * cfg["grid"]["ny"])
+            if code in (2, 3):
+                assert not out.exists() or not any(out.iterdir()), argv
 
 
 @settings(max_examples=30, deadline=None)
@@ -60,17 +81,51 @@ def test_cli_exit_codes_and_finite_products(tx_power_dbm, noise_dbm, nlos_db, po
         tx_power_dbm=tx_power_dbm, noise_dbm=noise_dbm, nlos_db=nlos_db,
     )
     sweep = ["sweep-power", "--powers=" + ",".join(repr(p) for p in powers)]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "scn.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
-        for i, argv in enumerate((*COMMANDS, sweep)):
-            out = Path(tmp) / f"out{i}"
-            code = main([*argv, "--config", str(path), "--out", str(out)])
-            assert code in (0, 2, 3, 4)
-            if code == 0:
-                _check_products(out)
-            if code in (2, 3):
-                assert not out.exists() or not any(out.iterdir()), argv
+    _run_commands(cfg, (*COMMANDS, sweep))
+
+
+# Finite, non-finite and wrongly typed values for the geometry and solver keys.
+# Integers stay small or far over the tensor budget, so a run that is accepted
+# stays on a tiny grid with few activations to enumerate.
+WRONG_TYPE = st.sampled_from(["1", None, True, [1.0], {}])
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
+    WRONG_TYPE,
+)
+SMALL_INT = st.one_of(st.integers(-1, 5), st.sampled_from([10**12, 10**400]), NUMBER)
+TAP_X = st.one_of(
+    st.lists(st.lists(st.one_of(st.floats(-1.0, 81.0), NUMBER), max_size=4), min_size=1, max_size=3),
+    WRONG_TYPE,
+)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("scenario"), st.just("waveguides"), SMALL_INT),
+    st.tuples(st.just("region"), st.sampled_from(["x_len", "y_len", "height"]), NUMBER),
+    st.tuples(st.just("taps"), st.just("count"), SMALL_INT),
+    st.tuples(st.just("taps"), st.just("x"), TAP_X),
+    st.tuples(st.just("blockages"), st.sampled_from(["x_min", "x_max", "y_min", "y_max", "height"]), NUMBER),
+    st.tuples(st.just("grid"), st.sampled_from(["nx", "ny"]), SMALL_INT),
+    st.tuples(st.just("solver"), st.sampled_from(["eps_t", "threshold_db"]), NUMBER),
+    st.tuples(st.just("solver"), st.just("max_sweeps"), SMALL_INT),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(MUTATIONS, min_size=1, max_size=3))
+def test_cli_contract_over_mutated_geometry_and_solver(mutations):
+    # a copy of WALL, which other tests share
+    cfg = scenario_dict(waveguides=2, taps=3, nx=6, ny=4, blockages=[dict(WALL[0])])
+    cfg["solver"].update(threshold_db=18.0, eps_t=1.0e-3, max_sweeps=50)
+    for section, key, value in mutations:
+        if section == "scenario":
+            cfg[key] = value
+        elif section == "taps":
+            cfg["taps"] = {key: value}
+        elif section == "blockages":
+            cfg["blockages"][0][key] = value
+        else:
+            cfg[section][key] = value
+    _run_commands(cfg, COMMANDS)
 
 
 def test_bnb_node_budget_refusal_exits_3(tmp_path, capsys, monkeypatch):

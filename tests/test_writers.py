@@ -1,5 +1,6 @@
 """The streaming product writers against per-element reference writers."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -18,8 +19,13 @@ from pinchplan import (
     load_bundled,
     scenario_from_dict,
 )
-from pinchplan.cli import _write_npz
+from pinchplan.cli import _write_npz, main
 from pinchplan.mapio import _field_db
+
+
+# sha256 of `coverage --milp` on table1 at --grid-scale 0.25 and the scenario
+# threshold; the package smoke test in CI checks the installed wheel against it
+QUARTER_LP_SHA256 = "550154d00a9c7bed60238fdb19168d8638e35d73c0dff52c7cdba784dcf57e9c"
 
 
 def assert_same(new, ref):
@@ -122,6 +128,30 @@ def test_emit_milp_switches_to_inline_formatting_past_the_memo_cap(quarter, monk
     assert_milp_matches(gm, scn.params, 0.1 + 0.2)
     assert 1 < len(memo_sizes) < blocks
     assert memo_sizes[-1] <= 3000
+
+
+def test_coverage_milp_keeps_its_pinned_bytes(tmp_path):
+    # the oracle tests pass as long as writer and oracle agree; this pins the bytes
+    out = tmp_path / "out"
+    argv = ["coverage", "--config", "table1", "--grid-scale", "0.25", "--milp", "model.lp", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256((out / "model.lp").read_bytes()).hexdigest() == QUARTER_LP_SHA256
+
+
+def test_coef_texts_merges_new_keys_around_the_stored_ones():
+    # float64 bits order as uint64: 0.0 and the subnormal sort before every
+    # positive value, -0.0 and negative values after them all
+    first = np.array([[1.0, 2.0], [0.1 + 0.2, 1.0]])
+    second = np.array([[0.0, 5e-324, 1.5], [1e300, -0.0, 2.0], [-2.5, 0.1 + 0.2, 0.0]])
+    memo = coverage._TextMemo()
+    for block, stored in ((first, 3), (second, 9), (second, 9), (first, 9)):
+        texts = coverage._coef_texts(block, memo)
+        assert texts.tolist() == [["%.17g" % x for x in row] for row in block.T.tolist()]
+        assert len(memo) == stored
+    texts = memo.texts.tolist()
+    assert np.all(np.diff(memo.keys) > 0)
+    assert texts == ["%.17g" % x for x in memo.keys.view(np.float64).tolist()]
+    assert {"0", "-0", "4.9406564584124654e-324", "0.30000000000000004"} <= set(texts)
 
 
 def test_emit_milp_without_valid_cells_refuses_before_writing(quarter, tmp_path):
