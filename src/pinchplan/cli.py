@@ -20,10 +20,10 @@ import numpy as np
 
 from . import __version__
 from .channel import avg_snr, db_to_linear, linear_to_db
-from .coverage import Activation, BudgetError, coordinate_ascent, emit_milp, exact_enumerate
+from .coverage import Activation, BudgetError, _require_valid, coordinate_ascent, emit_milp, exact_enumerate
 from .geometry import GeometryError
 from .mapio import MAP_FORMATS, export_map
-from .minmax import DEFAULT_FEAS_RESTARTS, bisection_maxmin, exact_maxmin
+from .minmax import bisection_maxmin, exact_maxmin
 from .scenario import Scenario, ScenarioError, load_bundled, load_scenario
 from .sweeps import N_RANDOM_DRAWS, RunSummary, _baseline, power_sweep, threshold_sweep
 
@@ -67,6 +67,17 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer, as the scenario loader requires of solver.seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
 
 
@@ -157,7 +168,6 @@ def _cmd_minmax(scn, args, out):
             scn.params,
             eps_t=eps_t,
             max_sweeps=scn.solver.max_sweeps,
-            restarts=args.restarts,
             seed=scn.solver.seed,
         )
     # dB conversions refuse a zero worst cell or optimum before any file is written
@@ -220,6 +230,7 @@ def _cmd_sweep_power(scn, args, out):
 
 def _cmd_map(scn, args, out):
     gm = scn.gain_map()
+    _require_valid(gm)
     try:
         act = Activation.from_one_based(int(tok) for tok in args.activation.split(","))
     except ValueError:
@@ -256,7 +267,7 @@ def _run(args) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="scenario JSON path, or a bundled name like 'table1'")
-    common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    common.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
     common.add_argument("--out", default="out", help="output directory (created if missing)")
     common.add_argument("--grid-scale", type=_finite_float, default=None, help="rescale grid resolution by this factor")
 
@@ -280,10 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("minmax", _cmd_minmax, "minmax_summary.json", "maximize the worst-grid average SNR")
     p.add_argument("--exact", action="store_true", help="certified optimum by branch-and-bound (budget-guarded)")
     p.add_argument("--eps-t", type=_finite_float, default=None, help="bisection bracket width, linear SNR")
-    p.add_argument(
-        "--restarts", type=int, default=DEFAULT_FEAS_RESTARTS,
-        help="deficit-descent starts per feasibility check"
-    )
 
     p = add("baseline", _cmd_baseline, "baseline_summary.json", "fixed-array and random-activation references")
     p.add_argument("--draws", type=int, default=N_RANDOM_DRAWS, help="random activations to average (at least 1)")

@@ -123,82 +123,112 @@ def _tap_blocks(n_tap: int, n_cells: int) -> list[slice]:
     return [slice(start, min(start + step, n_tap)) for start in range(0, n_tap, step)]
 
 
-def _block_buffer(n_tap: int, n_cells: int) -> np.ndarray:
-    """Scratch rows for the longest `_tap_blocks` block."""
-    return np.empty((_tap_blocks(n_tap, n_cells)[0].stop, n_cells))
-
-
 def _first_min(keys: np.ndarray) -> int:
     """Where a scan that keeps the first key and takes each strictly smaller one ends.
 
     That is 0 when keys[0] is NaN (nothing compares below it), else the first
-    minimum of the non-NaN keys (a NaN key never wins).
+    minimum of the non-NaN keys (a NaN key never wins). argmin settles
+    every array without a NaN; it lands on a NaN only when there is one.
     """
-    return 0 if np.isnan(keys[0]) else int(np.nanargmin(keys))
+    m = int(keys.argmin())
+    if np.isnan(keys[m]):
+        return 0 if np.isnan(keys[0]) else int(np.nanargmin(keys))
+    return m
+
+
+def _pick_tap(resid_v: np.ndarray, gains_v: np.ndarray, key: Callable, tie_key: Callable, buf: np.ndarray):
+    """(tap, key) of the single-waveguide update both coordinate loops share.
+
+    Picks the tap m whose field row resid_v + gains_v[m] has the smallest
+    key(row); among the taps tied there, the smallest tie_key(row), then the
+    smallest index. Both minima follow `_first_min`. `key` and `tie_key`
+    map a (taps, cells) block of field rows to one value per row and may
+    overwrite the rows. Keys are taken for every tap, block by block
+    (`_tap_blocks`) in `buf`, which holds a waveguide's rows; tie keys only
+    for the tied taps, each block gathered into `buf`.
+    """
+    n_tap, n_cells = gains_v.shape
+    keys = np.concatenate([
+        key(np.add(resid_v, gains_v[taps], out=buf[: taps.stop - taps.start]))
+        for taps in _tap_blocks(n_tap, n_cells)
+    ])
+    m = _first_min(keys)
+    tied = (keys == keys[m]).nonzero()[0]  # empty when keys[m] is NaN
+    if len(tied) > 1:
+        ties = []
+        for rows in _tap_blocks(len(tied), n_cells):
+            block = np.take(gains_v, tied[rows], axis=0, out=buf[: rows.stop - rows.start])
+            ties.append(tie_key(np.add(resid_v, block, out=block)))
+        m = int(tied[_first_min(np.concatenate(ties))])
+    return m, keys[m]
 
 
 def _best_tap(resid_v: np.ndarray, gains_v: np.ndarray, threshold: float, buf=None):
     """(tap, count) maximizing the covered count of the fields resid_v + gains_v[m].
 
-    Ties go to the larger margin sum(max(field - threshold, 0)), then to the
-    smaller tap; a NaN margin never wins, but the first tied tap stays when
-    its own margin is NaN. Counts are taken for every tap, block by block in
-    `buf` (a `_block_buffer`, allocated here when not given); margins only
-    for the taps tied at the top count, each summed along its own row.
+    The `_pick_tap` of the coverage ascent: key -count, tie key -margin,
+    where the margin is sum(max(field - threshold, 0)). So ties go to the
+    larger margin, then to the smaller tap; a NaN margin never wins, but the
+    first tied tap stays when its own margin is NaN. `buf` is scratch of
+    gains_v's shape, allocated here when not given.
     """
-    n_tap, n_cells = gains_v.shape
-    if buf is None:
-        buf = _block_buffer(n_tap, n_cells)
     thr_eff = threshold * (1.0 - COVERAGE_SLACK)
-    hit = np.empty(buf.shape, dtype=bool)
-    counts = np.empty(n_tap, dtype=np.int32)  # a count is at most n_cells, far below 2**31
-    for taps in _tap_blocks(n_tap, n_cells):
-        k = taps.stop - taps.start
-        np.add(resid_v, gains_v[taps], out=buf[:k])
+
+    def neg_count(rows):
         # an int32 row sum of the hits is about twice as fast as count_nonzero(axis=1)
-        counts[taps] = np.greater_equal(buf[:k], thr_eff, out=hit[:k]).sum(axis=1, dtype=np.int32)
-    tied = np.flatnonzero(counts == counts.max())
-    m = tied[0]
-    if len(tied) > 1:
-        margins = np.empty(len(tied))
-        for rows in _tap_blocks(len(tied), n_cells):
-            over = buf[: rows.stop - rows.start]
-            np.take(gains_v, tied[rows], axis=0, out=over)
-            np.add(resid_v, over, out=over)
-            np.subtract(over, threshold, out=over)
-            margins[rows] = np.maximum(over, 0.0, out=over).sum(axis=1)
-        m = tied[_first_min(-margins)]
-    return int(m), int(counts[m])
+        return -(rows >= thr_eff).sum(axis=1, dtype=np.int32)
+
+    def neg_margin(rows):
+        np.subtract(rows, threshold, out=rows)
+        return -np.maximum(rows, 0.0, out=rows).sum(axis=1)
+
+    if buf is None:
+        buf = np.empty(gains_v.shape)
+    m, key = _pick_tap(resid_v, gains_v, neg_count, neg_margin, buf)
+    return m, -int(key)
+
+
+def _field(gains_v: np.ndarray, sel, out: np.ndarray) -> np.ndarray:
+    """Valid-cell field of `sel`, summed in waveguide order like `_score_activations`."""
+    np.copyto(out, gains_v[0, sel[0]])  # 0 + g is g, the first partial-sum row
+    for n in range(1, len(sel)):
+        np.add(out, gains_v[n, sel[n]], out=out)
+    return out
+
+
+def _starts(initial, n_tap: int, restarts: int, seed: int):
+    """Start selections of a restarted loop, as lists: `initial`, then seeded uniform draws."""
+    yield list(initial)
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts - 1):
+        yield [int(m) for m in rng.integers(0, n_tap, len(initial))]
 
 
 def _ascent_once(
-    sel0: tuple[int, ...],
+    sel: list[int],
     gains_v: np.ndarray,
     threshold: float,
     max_sweeps: int,
     on_update: Callable[[int, int, int], None] | None,
-) -> tuple[list[int], int]:
+) -> int:
+    """Coordinate ascent from `sel`, mutating it; returns the sweeps used."""
     n_wg = gains_v.shape[0]
-    sel = list(sel0)
-    field_v = gains_v[np.arange(n_wg), sel].sum(axis=0)
+    field_v = _field(gains_v, sel, np.empty(gains_v.shape[2]))
     resid_v = np.empty_like(field_v)
-    buf = _block_buffer(gains_v.shape[1], gains_v.shape[2])
-    sweeps_used = 0
-    for _ in range(max_sweeps):
-        sweeps_used += 1
+    buf = np.empty(gains_v.shape[1:])
+    for sweep in range(1, max_sweeps + 1):
         changed = False
         for n in range(n_wg):
             np.subtract(field_v, gains_v[n, sel[n]], out=resid_v)
             m, count = _best_tap(resid_v, gains_v[n], threshold, buf)
-            if m != sel[n]:
-                sel[n] = m
-                changed = True
+            changed |= m != sel[n]
+            sel[n] = m
             np.add(resid_v, gains_v[n, m], out=field_v)
             if on_update is not None:
                 on_update(n, m, count)
         if not changed:
             break
-    return sel, sweeps_used
+    return sweep
 
 
 def coordinate_ascent(
@@ -227,19 +257,16 @@ def coordinate_ascent(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     _require_valid(gain_map)
-    n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
     _selection_array(initial.selected, gain_map)
 
     gains_v = _candidate_matrix(gain_map, params)
     thr_eff = threshold * (1.0 - COVERAGE_SLACK)
 
-    rng = np.random.default_rng(seed)
+    field_v = np.empty(gains_v.shape[2])
     best = None  # (count, sel, sweeps)
-    for r in range(restarts):
-        start = initial.selected if r == 0 else tuple(int(m) for m in rng.integers(0, n_tap, size=n_wg))
-        sel, sweeps_used = _ascent_once(start, gains_v, threshold, max_sweeps, on_update)
-        field_v = gains_v[np.arange(n_wg), sel].sum(axis=0)
-        count = int(np.count_nonzero(field_v >= thr_eff))
+    for sel in _starts(initial.selected, gain_map.n_taps, restarts, seed):
+        sweeps_used = _ascent_once(sel, gains_v, threshold, max_sweeps, on_update)
+        count = int(np.count_nonzero(_field(gains_v, sel, field_v) >= thr_eff))
         if best is None or count > best[0]:
             best = (count, sel, sweeps_used)
 

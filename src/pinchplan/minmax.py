@@ -18,15 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array, avg_snr
-from .coverage import (
-    Activation,
-    BudgetError,
-    DEFAULT_MAX_SWEEPS,
-    _block_buffer,
-    _first_min,
-    _require_valid,
-    _tap_blocks,
-)
+from .coverage import Activation, BudgetError, DEFAULT_MAX_SWEEPS, _field, _pick_tap, _require_valid, _starts
 
 DEFAULT_EPS_T = 1e-3  # linear-SNR bracket width at which bisection stops
 DEFAULT_FEAS_RESTARTS = 16  # descent starts per feasibility check (first = caller's initial)
@@ -58,56 +50,40 @@ def worst_grid_snr(selected, gain_map: GainMap, params: ChannelParams) -> float:
     return float(field[gain_map.valid].min())
 
 
-def _deficit_rows(target: float, resid_v: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """max(target - (resid_v + rows), 0) per cell, written to `out` (which may be `rows`)."""
-    np.add(resid_v, rows, out=out)
-    np.subtract(target, out, out=out)
-    return np.maximum(out, 0.0, out=out)
-
-
 def _deficit_descent(target: float, gains_v: np.ndarray, sel: list, max_sweeps: int) -> float:
     """Coordinate descent on the total deficit, mutating `sel`; returns the final deficit.
 
-    Each single-waveguide update picks the tap minimizing the updated total
-    deficit (ties: smaller worst single-cell deficit, then smallest index),
-    so the deficit never increases. A NaN deficit never wins, and tap 0
-    stays when its own deficit is NaN. Stops on a zero deficit, a sweep with
-    no strict deficit decrease, or `max_sweeps` sweeps. Deficits are summed
-    for every tap, block by block (`_tap_blocks`), each along its own row;
-    worst cells only for the taps tied at the smallest deficit.
+    Each single-waveguide update is the `_pick_tap` with key the updated
+    total deficit and tie key the worst single-cell deficit, so the deficit
+    never increases. A NaN deficit never wins, and tap 0 stays when its own
+    deficit is NaN. Stops on a zero deficit, a sweep with no strict deficit
+    decrease, or `max_sweeps` sweeps.
     """
-    n_wg, n_tap, n_cells = gains_v.shape
-    field_v = gains_v[np.arange(n_wg), sel].sum(axis=0)
+    field_v = _field(gains_v, sel, np.empty(gains_v.shape[2]))
     deficit = float(np.maximum(target - field_v, 0.0).sum())
     if deficit == 0.0:
         return 0.0
 
+    def gaps(rows):  # max(target - field, 0) per cell, in place
+        return np.maximum(np.subtract(target, rows, out=rows), 0.0, out=rows)
+
+    def total(rows):
+        return gaps(rows).sum(axis=1)
+
+    def worst(rows):
+        return gaps(rows).max(axis=1)
+
     resid_v = np.empty_like(field_v)
-    blocks = _tap_blocks(n_tap, n_cells)
-    buf = _block_buffer(n_tap, n_cells)
-    sums = np.empty(n_tap)
+    buf = np.empty(gains_v.shape[1:])
     for _ in range(max_sweeps):
         improved = False
-        for n in range(n_wg):
+        for n in range(len(sel)):
             np.subtract(field_v, gains_v[n, sel[n]], out=resid_v)
-            for taps in blocks:
-                gap = buf[: taps.stop - taps.start]
-                sums[taps] = _deficit_rows(target, resid_v, gains_v[n, taps], gap).sum(axis=1)
-            m = _first_min(sums)
-            tied = np.flatnonzero(sums == sums[m])  # empty when sums[m] is NaN
-            if len(tied) > 1:
-                worst = np.empty(len(tied))
-                for rows in _tap_blocks(len(tied), n_cells):
-                    gap = buf[: rows.stop - rows.start]
-                    np.take(gains_v[n], tied[rows], axis=0, out=gap)
-                    worst[rows] = _deficit_rows(target, resid_v, gap, gap).max(axis=1)
-                m = int(tied[_first_min(worst)])
+            m, new_deficit = _pick_tap(resid_v, gains_v[n], total, worst, buf)
             sel[n] = m
             np.add(resid_v, gains_v[n, m], out=field_v)
-            new_deficit = float(sums[m])
-            if new_deficit < deficit:
-                improved = True
-            deficit = new_deficit
+            improved |= bool(new_deficit < deficit)
+            deficit = float(new_deficit)
             if deficit == 0.0:
                 return 0.0
         if not improved:
@@ -141,16 +117,10 @@ def deficit_feasibility(
         raise ValueError("restarts must be at least 1")
     _require_valid(gain_map)
     _selection_array(initial.selected, gain_map)
-    n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
     gains_v = _candidate_matrix(gain_map, params)
 
-    rng = np.random.default_rng(seed)
     best_deficit, best_sel = np.inf, None
-    for start in range(restarts):
-        if start == 0:
-            sel = list(initial.selected)
-        else:
-            sel = [int(m) for m in rng.integers(0, n_tap, n_wg)]
+    for start, sel in enumerate(_starts(initial.selected, gain_map.n_taps, restarts, seed)):
         deficit = _deficit_descent(target, gains_v, sel, max_sweeps)
         if deficit == 0.0:
             return True, Activation(selected=tuple(sel))
@@ -165,14 +135,6 @@ def maxmin_upper_bound(gain_map: GainMap, params: ChannelParams) -> float:
     best_per_wg = gain_map.gains.max(axis=1)  # (N, nx, ny)
     envelope = params.snr_scale * best_per_wg.sum(axis=0)
     return float(envelope[gain_map.valid].min())
-
-
-def _field(gains_v: np.ndarray, sel, out: np.ndarray) -> np.ndarray:
-    """Valid-cell field of `sel`, summed in waveguide order like `_score_activations`."""
-    np.copyto(out, gains_v[0, sel[0]])  # 0 + g is g, the first partial-sum row
-    for n in range(1, len(sel)):
-        np.add(out, gains_v[n, sel[n]], out=out)
-    return out
 
 
 def _reach(gains: np.ndarray) -> np.ndarray:
@@ -288,7 +250,6 @@ def bisection_maxmin(
     params: ChannelParams,
     eps_t: float = DEFAULT_EPS_T,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    restarts: int = DEFAULT_FEAS_RESTARTS,
     seed: int = 0,
 ) -> MinMaxResult:
     """Bisect the worst-grid SNR target, returning the last certified activation.
@@ -296,11 +257,11 @@ def bisection_maxmin(
     The bracket starts at [0, per-cell best-tap envelope minimum] and halves
     until its width is at most eps_t (linear SNR), so the iteration count is
     bounded by ceil(log2(t_max / eps_t)). Each feasibility check runs
-    `restarts` deficit descents, the first from the last feasible activation
-    (at first the centred one). The branch-and-bound optimum, when it fits
-    its node budget, is certified first; a probe above it by more than
-    CEILING_MARGIN cannot succeed, so it runs a single descent, and the
-    bracket and plan are those of the full restarts.
+    DEFAULT_FEAS_RESTARTS deficit descents, the first from the last feasible
+    activation (at first the centred one). The branch-and-bound optimum,
+    when it fits its node budget, is certified first; a probe above it by
+    more than CEILING_MARGIN cannot succeed, so it runs a single descent,
+    and the bracket and plan are those of the full restarts.
     """
     if not eps_t > 0:
         raise ValueError("eps_t must be positive")
@@ -323,7 +284,7 @@ def bisection_maxmin(
         t_mid = 0.5 * (t_lo + t_hi)
         if not t_lo < t_mid < t_hi:
             break  # adjacent floats: at large SNR they lie more than eps_t apart
-        starts = restarts if t_mid <= ceiling else min(restarts, 1)
+        starts = DEFAULT_FEAS_RESTARTS if t_mid <= ceiling else 1
         ok, found = deficit_feasibility(
             t_mid, gain_map, params, best, max_sweeps, starts, seed + iters
         )

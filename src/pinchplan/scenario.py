@@ -136,31 +136,13 @@ class Scenario:
         """Normalized JSON-ready form (explicit tap coordinates)."""
         return {
             "version": SCHEMA_VERSION,
-            "region": {
-                "x_len": self.region.x_len,
-                "y_len": self.region.y_len,
-                "height": self.region.height,
-            },
+            "region": asdict(self.region),
             "waveguides": self.layout.count,
             "taps": {"x": [[float(x) for x in row] for row in self.taps.x_taps]},
-            "blockages": [
-                {
-                    "x_min": b.x_min,
-                    "x_max": b.x_max,
-                    "y_min": b.y_min,
-                    "y_max": b.y_max,
-                    "height": b.height,
-                }
-                for b in self.blockages
-            ],
+            "blockages": [asdict(b) for b in self.blockages],
             "grid": {"nx": self.grid.nx, "ny": self.grid.ny},
             "channel": asdict(self.channel),
-            "solver": {
-                "threshold_db": self.solver.threshold_db,
-                "eps_t": self.solver.eps_t,
-                "max_sweeps": self.solver.max_sweeps,
-                "seed": self.solver.seed,
-            },
+            "solver": asdict(self.solver),
         }
 
     def digest(self) -> str:

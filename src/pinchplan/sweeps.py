@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .channel import avg_snr, db_to_linear, linear_to_db
-from .coverage import Activation, _covered, _exact_coverages, coordinate_ascent
+from .coverage import Activation, _covered, _exact_coverages, _require_valid, coordinate_ascent
 from .minmax import MinMaxResult, bisection_maxmin, exact_maxmin, worst_grid_snr
 from .scenario import Scenario, random_activation
 
@@ -98,9 +98,8 @@ def threshold_sweep(
 
     params = scenario.params
     gm = scenario.gain_map()
+    _require_valid(gm)
     n_valid = int(np.count_nonzero(gm.valid))
-    if n_valid == 0:
-        raise ValueError("no valid grid cells")
 
     table = SweepTable(axis="threshold_db", columns={"threshold_db": thresholds_db})
     thresholds = [db_to_linear(thr_db) for thr_db in thresholds_db]
@@ -221,6 +220,7 @@ def _baseline(scenario: Scenario, n_random: int) -> tuple[dict, np.ndarray, np.n
     """`baseline_stats`, plus the fixed array's SNR field and valid-cell mask for its map."""
     draws = _draws(scenario, n_random)
     gm = scenario.gain_map()
+    _require_valid(gm)
     n_valid = int(np.count_nonzero(gm.valid))
     thr = scenario.threshold_linear
 

@@ -243,6 +243,17 @@ def test_seed_override_changes_digest(tmp_path):
     assert a["objective"]["random_coverage_mean"] != b["objective"]["random_coverage_mean"]
 
 
+@pytest.mark.parametrize("command", ["minmax", "gainmap"])
+def test_negative_seed_exits_2_before_anything_is_made(tmp_path, capsys, command):
+    # the scenario loader refuses a negative solver.seed; --seed refuses it too
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, "--config", "table1", *SMALL, "--seed", "-1")
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

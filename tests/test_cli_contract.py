@@ -128,6 +128,43 @@ def test_cli_contract_over_mutated_geometry_and_solver(mutations):
     _run_commands(cfg, COMMANDS)
 
 
+# a 2x2 grid whose one blockage covers the whole 20 m x 10 m floor; the
+# property tests above never block every cell
+NO_VALID_CELL = scenario_dict(
+    x_len=20.0, y_len=10.0, nx=2, ny=2,
+    blockages=[{"x_min": 0.0, "x_max": 20.0, "y_min": -5.0, "y_max": 5.0, "height": 5.0}],
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gainmap"],
+        ["map", "--activation", "1,1"],
+        ["coverage"],
+        ["minmax"],
+        ["baseline"],
+        ["sweep-threshold"],
+        ["sweep-power"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_scenario_without_valid_cells(tmp_path, capsys, argv):
+    # the gain map of such a scenario is a product; every plan or reference is refused
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(NO_VALID_CELL), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([*argv, "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if argv[0] == "gainmap":
+        assert code == 0
+        _check_products(out, 4)
+    else:
+        assert code == 2 and "invalid input: no valid grid cells" in err
+        assert not out.exists() or not any(out.iterdir())
+
+
 def test_bnb_node_budget_refusal_exits_3(tmp_path, capsys, monkeypatch):
     # the exact max-min solvers refuse a search over the node budget; bisection
     # then plans without a ceiling and reports no certified optimum

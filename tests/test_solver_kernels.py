@@ -26,7 +26,7 @@ from pinchplan import (
 )
 from pinchplan.channel import _candidate_matrix, db_to_linear
 from pinchplan import coverage
-from pinchplan.coverage import _activation_at, _best_tap, _score_activations, _tap_blocks
+from pinchplan.coverage import _activation_at, _best_tap, _first_min, _score_activations, _tap_blocks
 from pinchplan.minmax import _deficit_descent
 from conftest import (
     all_activation_fields,
@@ -190,6 +190,43 @@ def blocks_of(taps_per_block, n_cells):
 
 def same_float(a, b):
     return a == b or (np.isnan(a) and np.isnan(b))
+
+
+def scan_first_min(keys):
+    """The definition of `_first_min`: keep the first key, then take each strictly smaller one."""
+    best = 0
+    for i in range(1, len(keys)):
+        if keys[i] < keys[best]:
+            best = i
+    return best
+
+
+FIRST_MIN_KEYS = st.sampled_from([np.nan, -np.inf, np.inf, -1.0, 0.0, -0.0, 2.0]) | st.floats()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(FIRST_MIN_KEYS, min_size=1, max_size=8).map(lambda keys: np.array(keys))
+    | st.lists(st.integers(-3, 3), min_size=1, max_size=8).map(lambda keys: np.array(keys, dtype=np.int32))
+)
+def test_first_min_follows_its_definition(keys):
+    assert _first_min(keys) == scan_first_min(keys)
+
+
+@pytest.mark.parametrize(
+    "keys, want",
+    [
+        ([np.nan, -1.0, -2.0], 0),  # NaN first: nothing compares below it
+        ([1.0, np.nan, 0.0, np.nan, 0.0], 2),  # a later NaN never wins
+        ([np.nan, np.nan, np.nan], 0),  # all NaN
+        ([np.inf, 3.0, -np.inf, -np.inf], 2),  # -inf is the minimum, its first occurrence wins
+        ([np.inf, np.nan, np.inf], 0),  # inf ties keep the first
+        (np.array([-5, -7, -7, 2], dtype=np.int32), 1),  # integer keys (the coverage counts)
+    ],
+)
+def test_first_min_pinned_cases(keys, want):
+    keys = np.asarray(keys)
+    assert _first_min(keys) == scan_first_min(keys) == want
 
 
 def test_tap_blocks_cover_the_taps_in_order():
