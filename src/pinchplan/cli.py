@@ -70,15 +70,31 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    """argparse type: a non-negative integer, as the scenario loader requires of solver.seed."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float above zero."""
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
     return value
+
+
+def _int_at_least(low: int, wanted: str):
+    """argparse type: an integer of at least `low`, named `wanted` when refused."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+
+    return parse
+
+
+_seed = _int_at_least(0, "a non-negative integer")
+_restarts = _int_at_least(1, "an integer of at least 1")
 
 
 def _lp_file_name(text: str) -> str:
@@ -229,12 +245,12 @@ def _cmd_sweep_power(scn, args, out):
 
 
 def _cmd_map(scn, args, out):
-    gm = scn.gain_map()
-    _require_valid(gm)
     try:
         act = Activation.from_one_based(int(tok) for tok in args.activation.split(","))
     except ValueError:
         raise ValueError(f"--activation expects comma-separated 1-based tap indices, got {args.activation!r}")
+    gm = scn.gain_map()
+    _require_valid(gm)
     field = avg_snr(act.as_array(), gm, scn.params)
     worst_db = linear_to_db(float(field[gm.valid].min()))  # before the map is written
     path = out / f"map.{args.format}"
@@ -285,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("coverage", _cmd_coverage, "coverage_summary.json", "maximize threshold coverage")
     p.add_argument("--exact", action="store_true", help="enumerate every activation (budget-guarded)")
     p.add_argument("--gamma-db", type=_finite_float, default=None, help="SNR threshold in dB (default: scenario value)")
-    p.add_argument("--restarts", type=int, default=1, help="extra seeded restarts for the ascent")
+    p.add_argument("--restarts", type=_restarts, default=1, help="ascent runs: the centered start, then seeded draws")
     p.add_argument("--milp", type=_lp_file_name, default=None, metavar="FILE", help="also write the MILP as an LP file in --out")
 
     p = add("minmax", _cmd_minmax, "minmax_summary.json", "maximize the worst-grid average SNR")
     p.add_argument("--exact", action="store_true", help="certified optimum by branch-and-bound (budget-guarded)")
-    p.add_argument("--eps-t", type=_finite_float, default=None, help="bisection bracket width, linear SNR")
+    p.add_argument("--eps-t", type=_positive_float, default=None, help="bisection bracket width, linear SNR")
 
     p = add("baseline", _cmd_baseline, "baseline_summary.json", "fixed-array and random-activation references")
     p.add_argument("--draws", type=int, default=N_RANDOM_DRAWS, help="random activations to average (at least 1)")

@@ -15,12 +15,19 @@ Schema (version 1; dB quantities are converted to linear once, at load):
       "solver":     {"threshold_db": 18.0, "eps_t": 1.0e-3, "max_sweeps": 50, "seed": 0}
     }
 
-Optional keys and their defaults: "blockages" ([]), "channel.n_eff" (1.4),
-"solver" and each of its fields (values above). Every applied default is
-recorded on the loaded scenario. Unknown keys are rejected, except
-"channel.n_clusters": older files split the NLoS power into clusters, so an
-integer >= 1 there is accepted and has no effect. Saving writes the
-normalized form (explicit tap coordinates), and load -> save -> load
+The keys of "region", of each blockage, of "channel" and of "solver" are
+exactly the fields of `Region`, `Blockage`, `ChannelSpec` and `SolverDefaults`;
+`_section` reads an `int` field as an integer and any other as a finite number.
+A field with a default may be omitted ("channel.n_eff" 1.4, "solver" as above),
+as may "blockages" ([]) and "solver"; each applied default is recorded on the
+loaded scenario. Unknown keys are rejected, except "channel.n_clusters" (older
+files split the NLoS power into clusters): an integer >= 1 there is ignored.
+
+Each value rule is checked in one place: `Region`, `Blockage`, `SolverDefaults`
+and `ChannelParams` (through `Scenario`, which also refuses an overflowing
+average SNR) check their own fields, and `scenario_from_dict` the rules that
+join sections (blockages against the region, the tensor budget). Saving writes
+the normalized form (explicit tap coordinates), and load -> save -> load
 reproduces every value exactly.
 """
 
@@ -29,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -77,9 +84,16 @@ class SolverDefaults:
     max_sweeps: int = DEFAULT_MAX_SWEEPS
     seed: int = 0
 
-
-# the applied-default order is the field order
-_SOLVER_DEFAULTS = asdict(SolverDefaults())
+    def __post_init__(self) -> None:
+        if not self.eps_t > 0:
+            raise ValueError("eps_t must be positive")
+        if not math.isfinite(self.threshold_db):
+            raise ValueError("threshold_db must be a finite number")
+        db_to_linear(self.threshold_db)  # ValueError when the linear value overflows
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -213,6 +227,27 @@ def _integer(section: dict, key: str, path: str) -> int:
     return val
 
 
+def _section(doc, path: str, cls, applied: list[str], legacy: frozenset[str] = frozenset()):
+    """Read the flat JSON object `doc` into the frozen dataclass `cls`, one key per field.
+
+    A field with a default is optional and each default taken is recorded in
+    `applied` as "path.field"; `legacy` keys are accepted and left to the caller.
+    """
+    keys = fields(cls)
+    required = {f.name for f in keys if f.default is MISSING}
+    _check_keys(doc, path, required, {f.name for f in keys} - required | legacy)
+    values = {}
+    for f in keys:
+        if f.name not in doc:
+            applied.append(f"{path}.{f.name}")
+        else:  # the annotation is the string "int" under postponed evaluation
+            values[f.name] = (_integer if f.type in (int, "int") else _number)(doc, f.name, path)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
@@ -225,17 +260,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if doc["version"] != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported scenario version {doc['version']!r} (expected {SCHEMA_VERSION})")
     applied: list[str] = []
-
-    reg = doc["region"]
-    _check_keys(reg, "region", {"x_len", "y_len", "height"})
-    try:
-        region = Region(
-            x_len=_number(reg, "x_len", "region"),
-            y_len=_number(reg, "y_len", "region"),
-            height=_number(reg, "height", "region"),
-        )
-    except GeometryError as exc:
-        raise ScenarioError(str(exc)) from exc
+    region = _section(doc["region"], "region", Region, applied)
 
     n_wg = _integer(doc, "waveguides", "scenario")
     if n_wg < 2:
@@ -283,17 +308,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ScenarioError("blockages must be a list")
         for i, b in enumerate(blk_docs):
             path = f"blockages[{i}]"
-            _check_keys(b, path, {"x_min", "x_max", "y_min", "y_max", "height"})
-            try:
-                blk = Blockage(
-                    x_min=_number(b, "x_min", path),
-                    x_max=_number(b, "x_max", path),
-                    y_min=_number(b, "y_min", path),
-                    y_max=_number(b, "y_max", path),
-                    height=_number(b, "height", path),
-                )
-            except GeometryError as exc:
-                raise ScenarioError(f"{path}: {exc}") from exc
+            blk = _section(b, path, Blockage, applied)
             half = region.y_len / 2.0
             if blk.y_min < -half or blk.y_max > half:
                 raise ScenarioError(f"{path}: y extent must lie within [-{half}, {half}]")
@@ -306,56 +321,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     grid = GridSpec.from_region(region, nx, ny)
 
     ch = doc["channel"]
-    _check_keys(
-        ch,
-        "channel",
-        required={"freq_hz", "tx_power_dbm", "noise_dbm", "nlos_db"},
-        optional={"n_clusters", "n_eff"},
-    )
+    channel = _section(ch, "channel", ChannelSpec, applied, legacy=frozenset({"n_clusters"}))
     if "n_clusters" in ch and _integer(ch, "n_clusters", "channel") < 1:
         raise ScenarioError("channel.n_clusters must be at least 1")
-    if "n_eff" in ch:
-        n_eff = _number(ch, "n_eff", "channel")
-        if n_eff < 1.0:
-            raise ScenarioError("channel.n_eff must be at least 1")
-    else:
-        n_eff = 1.4
-        applied.append("channel.n_eff")
-    channel = ChannelSpec(
-        freq_hz=_number(ch, "freq_hz", "channel"),
-        tx_power_dbm=_number(ch, "tx_power_dbm", "channel"),
-        noise_dbm=_number(ch, "noise_dbm", "channel"),
-        nlos_db=_number(ch, "nlos_db", "channel"),
-        n_eff=n_eff,
-    )
-    if channel.freq_hz <= 0:
-        raise ScenarioError("channel.freq_hz must be positive")
-
-    solver_doc = doc.get("solver", {})
-    if not isinstance(solver_doc, dict):
-        raise ScenarioError("solver must be an object")
-    _check_keys(solver_doc, "solver", set(), set(_SOLVER_DEFAULTS))
-    solver_vals = {}
-    for key, default in _SOLVER_DEFAULTS.items():
-        if key in solver_doc:
-            if key in ("max_sweeps", "seed"):
-                solver_vals[key] = _integer(solver_doc, key, "solver")
-            else:
-                solver_vals[key] = _number(solver_doc, key, "solver")
-        else:
-            solver_vals[key] = default
-            applied.append(f"solver.{key}")
-    solver = SolverDefaults(**solver_vals)
-    if not solver.eps_t > 0:
-        raise ScenarioError("solver.eps_t must be positive")
-    try:
-        db_to_linear(solver.threshold_db)
-    except ValueError as exc:
-        raise ScenarioError(f"solver.threshold_db: {exc}") from exc
-    if solver.max_sweeps < 1:
-        raise ScenarioError("solver.max_sweeps must be at least 1")
-    if solver.seed < 0:
-        raise ScenarioError("solver.seed must be non-negative")
+    solver = _section(doc.get("solver", {}), "solver", SolverDefaults, applied)
 
     return Scenario(
         region=region,

@@ -254,6 +254,40 @@ def test_negative_seed_exits_2_before_anything_is_made(tmp_path, capsys, command
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["coverage", "--restarts", "0"], "argument --restarts: expected an integer of at least 1"),
+        (["coverage", "--exact", "--restarts", "-3"], "argument --restarts: expected an integer of at least 1"),
+        (["coverage", "--restarts", "2.5"], "argument --restarts: expected an integer"),
+        (["minmax", "--eps-t", "-1"], "argument --eps-t: expected a positive number"),
+        (["minmax", "--exact", "--eps-t", "-1"], "argument --eps-t: expected a positive number"),
+        (["minmax", "--eps-t", "0"], "argument --eps-t: expected a positive number"),
+    ],
+)
+def test_solver_flags_out_of_range_exit_2_at_parse_time(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, argv[0], "--config", "table1", *SMALL, *argv[1:])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_map_refuses_a_bad_activation_before_building_the_gain_map(tmp_path, capsys, monkeypatch):
+    def no_gain_map(self, vis=None):
+        raise AssertionError("gain map built before --activation was parsed")
+
+    monkeypatch.setattr("pinchplan.scenario.Scenario.gain_map", no_gain_map)
+    for bad in ("x,y", "1,,2", "0,1,1,1"):
+        code, out = run(tmp_path / bad.replace(",", "_"), "map", "--config", "table1", *SMALL,
+                        "--activation", bad)
+        err = capsys.readouterr().err
+        assert code == 2, bad
+        assert "invalid input" in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

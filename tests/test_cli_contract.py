@@ -84,7 +84,7 @@ def test_cli_exit_codes_and_finite_products(tx_power_dbm, noise_dbm, nlos_db, po
     _run_commands(cfg, (*COMMANDS, sweep))
 
 
-# Finite, non-finite and wrongly typed values for the geometry and solver keys.
+# Finite, non-finite and wrongly typed values for the geometry, channel and solver keys.
 # Integers stay small or far over the tensor budget, so a run that is accepted
 # stays on a tiny grid with few activations to enumerate.
 WRONG_TYPE = st.sampled_from(["1", None, True, [1.0], {}])
@@ -105,8 +105,10 @@ MUTATIONS = st.one_of(
     st.tuples(st.just("taps"), st.just("x"), TAP_X),
     st.tuples(st.just("blockages"), st.sampled_from(["x_min", "x_max", "y_min", "y_max", "height"]), NUMBER),
     st.tuples(st.just("grid"), st.sampled_from(["nx", "ny"]), SMALL_INT),
+    st.tuples(st.just("channel"), st.sampled_from(["freq_hz", "n_eff"]), NUMBER),
+    st.tuples(st.just("channel"), st.just("n_clusters"), SMALL_INT),
     st.tuples(st.just("solver"), st.sampled_from(["eps_t", "threshold_db"]), NUMBER),
-    st.tuples(st.just("solver"), st.just("max_sweeps"), SMALL_INT),
+    st.tuples(st.just("solver"), st.sampled_from(["max_sweeps", "seed"]), SMALL_INT),
 )
 
 

@@ -1,4 +1,7 @@
 import json
+import math
+import re
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from pinchplan import (
     scenario_from_dict,
 )
 from pinchplan.coverage import TENSOR_BYTES_BUDGET
-from conftest import random_scenario, scenario_dict
+from pinchplan.scenario import SolverDefaults, _section
+from conftest import WALL, random_scenario, scenario_dict
 
 
 def test_bundled_table1_values():
@@ -278,4 +282,96 @@ def test_tensor_budget_refuses_grids_over_it(monkeypatch):
         scn.with_grid_scale(1.5)
     cfg["grid"]["nx"] = 7
     with pytest.raises(BudgetError):
+        scenario_from_dict(cfg)
+
+
+@pytest.mark.parametrize("section", ["region", "blockages", "channel", "solver"])
+def test_section_keys_are_the_dataclass_fields(section):
+    cfg = scenario_dict(blockages=[dict(WALL[0])])
+    target = cfg["blockages"][0] if section == "blockages" else cfg[section]
+    target["extra"] = 1.0
+    path = "blockages[0]" if section == "blockages" else section
+    with pytest.raises(ScenarioError, match=rf"unknown key\(s\) in {re.escape(path)}: extra"):
+        scenario_from_dict(cfg)
+
+
+def test_section_reads_int_fields_as_integers():
+    cfg = scenario_dict()
+    cfg["solver"]["max_sweeps"] = 50.0
+    with pytest.raises(ScenarioError, match=r"solver\.max_sweeps must be an integer"):
+        scenario_from_dict(cfg)
+    cfg["solver"]["max_sweeps"] = 50
+    cfg["solver"]["threshold_db"] = 18  # a float field takes an integer literal as a float
+    solver = scenario_from_dict(cfg).solver
+    assert solver.max_sweeps == 50 and type(solver.max_sweeps) is int
+    assert solver.threshold_db == 18.0 and type(solver.threshold_db) is float
+
+
+def test_section_dispatch_on_evaluated_annotations():
+    # this module does not postpone annotations, so `n` is annotated with the type int itself
+    @dataclass(frozen=True)
+    class Pair:
+        n: int
+        x: float = 0.5
+
+    assert Pair.__dataclass_fields__["n"].type is int
+    applied = []
+    assert _section({"n": 3}, "pair", Pair, applied) == Pair(3, 0.5)
+    assert applied == ["pair.x"]
+    with pytest.raises(ScenarioError, match=r"pair\.n must be an integer"):
+        _section({"n": 3.0}, "pair", Pair, [])
+    with pytest.raises(ScenarioError, match=r"missing key\(s\) in pair: n"):
+        _section({"x": 1.0}, "pair", Pair, [])
+
+
+def test_second_blockage_error_names_its_index():
+    good = dict(WALL[0])
+    bad = dict(WALL[0], x_min=40.0, x_max=35.0)
+    with pytest.raises(ScenarioError, match=r"^blockages\[1\]: blockage needs x_min < x_max$"):
+        scenario_from_dict(scenario_dict(blockages=[good, bad]))
+    with pytest.raises(ScenarioError, match=r"^blockages\[1\]\.height must be a number$"):
+        scenario_from_dict(scenario_dict(blockages=[good, dict(good, height="6")]))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"eps_t": 0}, "eps_t must be positive"),
+        ({"eps_t": math.nan}, "eps_t must be positive"),
+        ({"max_sweeps": 0}, "max_sweeps must be at least 1"),
+        ({"seed": -1}, "seed must be non-negative"),
+        ({"threshold_db": 4000}, "linear value overflows"),
+        ({"threshold_db": math.nan}, "threshold_db must be a finite number"),
+    ],
+)
+def test_solver_defaults_check_their_values_when_built(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SolverDefaults(**kwargs)
+    # the same rule refuses a file, under the section's name
+    cfg = scenario_dict()
+    cfg["solver"].update(kwargs)
+    if all(math.isfinite(v) for v in kwargs.values()):
+        with pytest.raises(ScenarioError, match=f"^solver: .*{message}"):
+            scenario_from_dict(cfg)
+
+
+def test_solver_override_is_checked():
+    scn = load_bundled()
+    assert replace(scn.solver, seed=7).seed == 7
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        replace(scn.solver, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("freq_hz", 0.0, "carrier frequency must be positive"),
+        ("freq_hz", -28.0e9, "carrier frequency must be positive"),
+        ("n_eff", 0.5, "effective refractive index must be >= 1"),
+    ],
+)
+def test_channel_rules_are_checked_by_channel_params(key, value, message):
+    cfg = scenario_dict()
+    cfg["channel"][key] = value
+    with pytest.raises(ScenarioError, match=f"^channel: {message}"):
         scenario_from_dict(cfg)
