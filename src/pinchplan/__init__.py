@@ -57,7 +57,7 @@ from .scenario import (
     scenario_from_dict,
 )
 from .mapio import export_map
-from .sweeps import RunSummary, SweepTable, baseline_stats, derived_seeds, power_sweep, threshold_sweep
+from .sweeps import RunSummary, SweepTable, derived_seeds, power_sweep, threshold_sweep
 
 __all__ = [
     "__version__",
@@ -80,7 +80,6 @@ __all__ = [
     "VisibilityMap",
     "WaveguideLayout",
     "avg_snr",
-    "baseline_stats",
     "bisection_maxmin",
     "bundled_scenario_names",
     "compute_visibility",

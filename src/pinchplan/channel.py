@@ -14,7 +14,7 @@ are linear here; dB conversions live at the IO boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,43 +69,32 @@ class ChannelParams:
     freq_hz : carrier frequency.
     tx_power_w, noise_power_w : transmit power and noise power, linear watts.
     nlos_power : average diffuse scatter gain at 1 m (dimensionless).
-    n_eff : effective refractive index of the waveguide dielectric. It is
-        validated and kept for the scenario digest, but nothing reads it: the
-        closed-form average SNR has no phase term, so no product depends on it.
+
+    The closed-form average SNR has no phase term, so the waveguide's
+    refractive index is not a parameter here.
     """
 
     freq_hz: float
     tx_power_w: float
     noise_power_w: float
     nlos_power: float
-    n_eff: float = 1.4
 
     def __post_init__(self) -> None:
         if not self.freq_hz > 0:
             raise ValueError("carrier frequency must be positive")
         if not (self.tx_power_w > 0 and self.noise_power_w > 0):
             raise ValueError("transmit and noise powers must be positive")
-        if self.n_eff < 1.0:
-            raise ValueError("effective refractive index must be >= 1")
         if not (math.isfinite(self.nlos_power) and self.nlos_power >= 0):
             raise ValueError("NLoS power must be a finite non-negative gain")
 
     @classmethod
-    def from_db(
-        cls,
-        freq_hz: float,
-        tx_power_dbm: float,
-        noise_dbm: float,
-        nlos_db: float,
-        n_eff: float = 1.4,
-    ) -> "ChannelParams":
+    def from_db(cls, freq_hz: float, tx_power_dbm: float, noise_dbm: float, nlos_db: float) -> "ChannelParams":
         """Build from the usual dB inputs."""
         return cls(
             freq_hz=freq_hz,
             tx_power_w=dbm_to_watt(tx_power_dbm),
             noise_power_w=dbm_to_watt(noise_dbm),
             nlos_power=db_to_linear(nlos_db),
-            n_eff=n_eff,
         )
 
     @property
@@ -121,9 +110,6 @@ class ChannelParams:
     def snr_scale(self) -> float:
         """Transmit SNR tx_power / noise_power."""
         return self.tx_power_w / self.noise_power_w
-
-    def with_power_w(self, tx_power_w: float) -> "ChannelParams":
-        return replace(self, tx_power_w=tx_power_w)
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,35 @@ def _int_at_least(low: int, wanted: str):
 
 
 _seed = _int_at_least(0, "a non-negative integer")
-_restarts = _int_at_least(1, "an integer of at least 1")
+_count = _int_at_least(1, "an integer of at least 1")
+_tap_index = _int_at_least(1, "a 1-based tap index")
+
+
+def _threshold_db(text: str) -> float:
+    """argparse type: a finite dB value whose linear value does not overflow."""
+    value = _finite_float(text)
+    try:
+        db_to_linear(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _float_list(item):
+    """argparse type: comma-separated `item` values; empty entries are skipped, but one value is needed."""
+
+    def parse(text: str) -> list[float]:
+        values = [item(tok) for tok in text.split(",") if tok.strip() != ""]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list of numbers, got {text!r}")
+        return values
+
+    return parse
+
+
+def _activation(text: str) -> Activation:
+    """argparse type: comma-separated 1-based tap indices (their count is checked against the scenario)."""
+    return Activation.from_one_based(_tap_index(tok) for tok in text.split(","))
 
 
 def _lp_file_name(text: str) -> str:
@@ -104,18 +132,6 @@ def _lp_file_name(text: str) -> str:
             f"expected a plain file name other than coverage_map.csv and coverage_summary.json, got {text!r}"
         )
     return text
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated list of numbers, got {text!r}")
-    if not values:
-        raise ValueError(f"{flag} list is empty")
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{flag} values must be finite numbers, got {text!r}")
-    return values
 
 
 # Each _cmd_* plans one subcommand and writes its products into `out`. It
@@ -215,12 +231,11 @@ def _cmd_baseline(scn, args, out):
 
 
 def _cmd_sweep_threshold(scn, args, out):
-    thresholds = _parse_float_list(args.gammas, "--gammas")
-    table = threshold_sweep(scn, thresholds, exact=args.exact, n_random=args.draws)
+    table = threshold_sweep(scn, args.gammas, exact=args.exact, n_random=args.draws)
     path = out / "threshold_sweep.csv"
     table.write_csv(path)
     objective = {
-        "thresholds_db": thresholds,
+        "thresholds_db": args.gammas,
         "optimized": table.columns.get("optimized"),
         "random_mean": table.columns.get("random_mean"),
         "fixed": table.columns.get("fixed"),
@@ -229,10 +244,9 @@ def _cmd_sweep_threshold(scn, args, out):
 
 
 def _cmd_sweep_power(scn, args, out):
-    powers = _parse_float_list(args.powers, "--powers")
-    table, minmax_res = power_sweep(scn, powers, n_random=args.draws, exact=args.exact)
+    table, minmax_res = power_sweep(scn, args.powers, n_random=args.draws, exact=args.exact)
     objective = {
-        "powers_dbm": powers,
+        "powers_dbm": args.powers,
         "optimized_db": table.columns.get("optimized_db"),
         "random_mean_db": table.columns.get("random_mean_db"),
         "fixed_db": table.columns.get("fixed_db"),
@@ -245,10 +259,7 @@ def _cmd_sweep_power(scn, args, out):
 
 
 def _cmd_map(scn, args, out):
-    try:
-        act = Activation.from_one_based(int(tok) for tok in args.activation.split(","))
-    except ValueError:
-        raise ValueError(f"--activation expects comma-separated 1-based tap indices, got {args.activation!r}")
+    act = args.activation
     gm = scn.gain_map()
     _require_valid(gm)
     field = avg_snr(act.as_array(), gm, scn.params)
@@ -300,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("coverage", _cmd_coverage, "coverage_summary.json", "maximize threshold coverage")
     p.add_argument("--exact", action="store_true", help="enumerate every activation (budget-guarded)")
-    p.add_argument("--gamma-db", type=_finite_float, default=None, help="SNR threshold in dB (default: scenario value)")
-    p.add_argument("--restarts", type=_restarts, default=1, help="ascent runs: the centered start, then seeded draws")
+    p.add_argument("--gamma-db", type=_threshold_db, default=None, help="SNR threshold in dB (default: scenario value)")
+    p.add_argument("--restarts", type=_count, default=1, help="ascent runs: the centered start, then seeded draws")
     p.add_argument("--milp", type=_lp_file_name, default=None, metavar="FILE", help="also write the MILP as an LP file in --out")
 
     p = add("minmax", _cmd_minmax, "minmax_summary.json", "maximize the worst-grid average SNR")
@@ -309,20 +320,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-t", type=_positive_float, default=None, help="bisection bracket width, linear SNR")
 
     p = add("baseline", _cmd_baseline, "baseline_summary.json", "fixed-array and random-activation references")
-    p.add_argument("--draws", type=int, default=N_RANDOM_DRAWS, help="random activations to average (at least 1)")
+    p.add_argument("--draws", type=_count, default=N_RANDOM_DRAWS, help="random activations to average (at least 1)")
 
     p = add("sweep-threshold", _cmd_sweep_threshold, "threshold_sweep_summary.json", "coverage versus SNR threshold")
     p.add_argument("--exact", action="store_true", help="enumerate every activation (budget-guarded)")
-    p.add_argument("--gammas", default=DEFAULT_THRESHOLDS_DB, help="comma-separated thresholds in dB")
-    p.add_argument("--draws", type=int, default=N_RANDOM_DRAWS, help="random activations to average (at least 1)")
+    p.add_argument("--gammas", type=_float_list(_threshold_db), default=DEFAULT_THRESHOLDS_DB, help="comma-separated thresholds in dB")
+    p.add_argument("--draws", type=_count, default=N_RANDOM_DRAWS, help="random activations to average (at least 1)")
 
     p = add("sweep-power", _cmd_sweep_power, "power_sweep_summary.json", "worst-grid SNR versus transmit power")
     p.add_argument("--exact", action="store_true", help="certified optimum by branch-and-bound (budget-guarded)")
-    p.add_argument("--powers", default=DEFAULT_POWERS_DBM, help="comma-separated powers in dBm")
-    p.add_argument("--draws", type=int, default=N_RANDOM_DRAWS, help="random activations to average (at least 1)")
+    p.add_argument("--powers", type=_float_list(_finite_float), default=DEFAULT_POWERS_DBM, help="comma-separated powers in dBm")
+    p.add_argument("--draws", type=_count, default=N_RANDOM_DRAWS, help="random activations to average (at least 1)")
 
     p = add("map", _cmd_map, "map_summary.json", "export the SNR map of a given activation")
-    p.add_argument("--activation", required=True, help="comma-separated 1-based tap indices, one per waveguide")
+    p.add_argument("--activation", type=_activation, required=True, help="comma-separated 1-based tap indices, one per waveguide")
     p.add_argument("--format", choices=MAP_FORMATS, default="csv")
     return parser
 

@@ -73,14 +73,6 @@ class WaveguideLayout:
         n = np.arange(self.count, dtype=float)
         return (n - (self.count - 1) / 2.0) * self.spacing
 
-    def feed_points(self) -> np.ndarray:
-        """(count, 3) feed coordinates at x = 0."""
-        y = self.y_positions()
-        out = np.zeros((self.count, 3))
-        out[:, 1] = y
-        out[:, 2] = self.height
-        return out
-
     def tap_points(self, taps: CandidateGrid) -> np.ndarray:
         """(count * taps, 3) candidate tap coordinates; row n * taps + m is tap (n, m)."""
         n_wg, n_tap = taps.x_taps.shape

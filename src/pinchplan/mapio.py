@@ -30,7 +30,6 @@ def export_map(
     grid: GridSpec,
     path: str | Path,
     fmt: str = "csv",
-    db_window: tuple[float, float] | None = None,
 ) -> None:
     """Write one SNR field (linear input, dB output) as csv or pgm."""
     if snr_field.shape != (grid.nx, grid.ny) or valid.shape != (grid.nx, grid.ny):
@@ -41,7 +40,7 @@ def export_map(
     if fmt == "csv":
         _write_csv(db, valid, grid, path)
     else:
-        _write_pgm(db, valid, grid, path, db_window)
+        _write_pgm(db, valid, grid, path)
 
 
 def _write_csv(db: np.ndarray, valid: np.ndarray, grid: GridSpec, path) -> None:
@@ -59,16 +58,12 @@ def _write_csv(db: np.ndarray, valid: np.ndarray, grid: GridSpec, path) -> None:
             fh.write((x + x.join(tails)) % tuple(cells))
 
 
-def _write_pgm(db, valid, grid: GridSpec, path, db_window) -> None:
-    if db_window is None:
-        # a zero-SNR cell (-inf dB) is left out, so it does not stretch the window to -inf
-        vals = db[valid & np.isfinite(db)]
-        if vals.size == 0:
-            raise ValueError("cannot derive a dB window: no valid cell has a finite dB value")
-        db_window = (float(vals.min()), float(vals.max()))
-    lo, hi = db_window
-    if not hi >= lo:
-        raise ValueError("dB window must satisfy max >= min")
+def _write_pgm(db, valid, grid: GridSpec, path) -> None:
+    # the window spans the valid cells, less any zero-SNR cell (-inf dB), which would stretch it to -inf
+    vals = db[valid & np.isfinite(db)]
+    if vals.size == 0:
+        raise ValueError("cannot derive a dB window: no valid cell has a finite dB value")
+    lo, hi = float(vals.min()), float(vals.max())
     span = hi - lo
     if span > 0:
         scaled = np.clip(np.rint((db - lo) / span * 255.0), 0, 255)

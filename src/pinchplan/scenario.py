@@ -11,23 +11,25 @@ Schema (version 1; dB quantities are converted to linear once, at load):
                       "y_min": 0.0, "y_max": 20.0, "height": 6.0}, ...],
       "grid":       {"nx": 400, "ny": 120},
       "channel":    {"freq_hz": 28.0e9, "tx_power_dbm": 40.0, "noise_dbm": -70.0,
-                     "nlos_db": -60.0, "n_eff": 1.4},
+                     "nlos_db": -60.0},
       "solver":     {"threshold_db": 18.0, "eps_t": 1.0e-3, "max_sweeps": 50, "seed": 0}
     }
 
 The keys of "region", of each blockage, of "channel" and of "solver" are
 exactly the fields of `Region`, `Blockage`, `ChannelSpec` and `SolverDefaults`;
 `_section` reads an `int` field as an integer and any other as a finite number.
-A field with a default may be omitted ("channel.n_eff" 1.4, "solver" as above),
-as may "blockages" ([]) and "solver"; each applied default is recorded on the
-loaded scenario. Unknown keys are rejected, except "channel.n_clusters" (older
-files split the NLoS power into clusters): an integer >= 1 there is ignored.
+A field with a default may be omitted (each "solver" field; defaults as above),
+as may "blockages" ([]) and "solver". Unknown keys are rejected, except two
+legacy keys of older files, which are checked and ignored: "channel.n_clusters"
+(the NLoS power split into clusters) takes an integer >= 1 and "channel.n_eff"
+(the waveguide's refractive index, which the closed-form average SNR never
+reads) a number >= 1.
 
 Each value rule is checked in one place: `Region`, `Blockage`, `SolverDefaults`
 and `ChannelParams` (through `Scenario`, which also refuses an overflowing
 average SNR) check their own fields, and `scenario_from_dict` the rules that
-join sections (blockages against the region, the tensor budget). Saving writes
-the normalized form (explicit tap coordinates), and load -> save -> load
+join sections (blockages against the region, the tensor budget). `to_dict`
+gives the normalized form (explicit tap coordinates), and loading it
 reproduces every value exactly.
 """
 
@@ -71,7 +73,6 @@ class ChannelSpec:
     tx_power_dbm: float
     noise_dbm: float
     nlos_db: float
-    n_eff: float = 1.4
 
     def to_params(self) -> ChannelParams:
         return ChannelParams.from_db(**asdict(self))
@@ -105,7 +106,6 @@ class Scenario:
     grid: GridSpec
     channel: ChannelSpec
     solver: SolverDefaults
-    applied_defaults: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         _check_channel(self.channel, self.layout)
@@ -143,9 +143,6 @@ class Scenario:
     def with_power_dbm(self, tx_power_dbm: float) -> "Scenario":
         return replace(self, channel=replace(self.channel, tx_power_dbm=tx_power_dbm))
 
-    def with_nlos_db(self, nlos_db: float) -> "Scenario":
-        return replace(self, channel=replace(self.channel, nlos_db=nlos_db))
-
     def to_dict(self) -> dict:
         """Normalized JSON-ready form (explicit tap coordinates)."""
         return {
@@ -163,11 +160,6 @@ class Scenario:
         """Content hash of the normalized scenario; independent of file key order."""
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _check_tensor_bytes(n_wg: int, n_tap: int, nx: int, ny: int) -> None:
@@ -227,20 +219,17 @@ def _integer(section: dict, key: str, path: str) -> int:
     return val
 
 
-def _section(doc, path: str, cls, applied: list[str], legacy: frozenset[str] = frozenset()):
+def _section(doc, path: str, cls, legacy: frozenset[str] = frozenset()):
     """Read the flat JSON object `doc` into the frozen dataclass `cls`, one key per field.
 
-    A field with a default is optional and each default taken is recorded in
-    `applied` as "path.field"; `legacy` keys are accepted and left to the caller.
+    A field with a default is optional; `legacy` keys are accepted and left to the caller.
     """
     keys = fields(cls)
     required = {f.name for f in keys if f.default is MISSING}
     _check_keys(doc, path, required, {f.name for f in keys} - required | legacy)
     values = {}
     for f in keys:
-        if f.name not in doc:
-            applied.append(f"{path}.{f.name}")
-        else:  # the annotation is the string "int" under postponed evaluation
+        if f.name in doc:  # the annotation is the string "int" under postponed evaluation
             values[f.name] = (_integer if f.type in (int, "int") else _number)(doc, f.name, path)
     try:
         return cls(**values)
@@ -259,8 +248,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
     if doc["version"] != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported scenario version {doc['version']!r} (expected {SCHEMA_VERSION})")
-    applied: list[str] = []
-    region = _section(doc["region"], "region", Region, applied)
+    region = _section(doc["region"], "region", Region)
 
     n_wg = _integer(doc, "waveguides", "scenario")
     if n_wg < 2:
@@ -301,30 +289,28 @@ def scenario_from_dict(doc: dict) -> Scenario:
     # after the tensor budget, which also bounds the waveguide count
     layout = WaveguideLayout.uniform(region, n_wg)
 
+    blk_docs = doc.get("blockages", [])
+    if not isinstance(blk_docs, list):
+        raise ScenarioError("blockages must be a list")
     blockages: list[Blockage] = []
-    if "blockages" in doc:
-        blk_docs = doc["blockages"]
-        if not isinstance(blk_docs, list):
-            raise ScenarioError("blockages must be a list")
-        for i, b in enumerate(blk_docs):
-            path = f"blockages[{i}]"
-            blk = _section(b, path, Blockage, applied)
-            half = region.y_len / 2.0
-            if blk.y_min < -half or blk.y_max > half:
-                raise ScenarioError(f"{path}: y extent must lie within [-{half}, {half}]")
-            if not blk.height < region.height:
-                raise ScenarioError(f"{path}: height must be strictly below the waveguide height")
-            blockages.append(blk)
-    else:
-        applied.append("blockages")
+    for i, b in enumerate(blk_docs):
+        path = f"blockages[{i}]"
+        blk = _section(b, path, Blockage)
+        half = region.y_len / 2.0
+        if blk.y_min < -half or blk.y_max > half:
+            raise ScenarioError(f"{path}: y extent must lie within [-{half}, {half}]")
+        if not blk.height < region.height:
+            raise ScenarioError(f"{path}: height must be strictly below the waveguide height")
+        blockages.append(blk)
 
     grid = GridSpec.from_region(region, nx, ny)
 
     ch = doc["channel"]
-    channel = _section(ch, "channel", ChannelSpec, applied, legacy=frozenset({"n_clusters"}))
-    if "n_clusters" in ch and _integer(ch, "n_clusters", "channel") < 1:
-        raise ScenarioError("channel.n_clusters must be at least 1")
-    solver = _section(doc.get("solver", {}), "solver", SolverDefaults, applied)
+    channel = _section(ch, "channel", ChannelSpec, legacy=frozenset({"n_clusters", "n_eff"}))
+    for key, read in (("n_clusters", _integer), ("n_eff", _number)):
+        if key in ch and read(ch, key, "channel") < 1:
+            raise ScenarioError(f"channel.{key} must be at least 1")
+    solver = _section(doc.get("solver", {}), "solver", SolverDefaults)
 
     return Scenario(
         region=region,
@@ -334,7 +320,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         grid=grid,
         channel=channel,
         solver=solver,
-        applied_defaults=tuple(applied),
     )
 
 

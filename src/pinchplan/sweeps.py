@@ -211,13 +211,8 @@ def power_sweep(
     return table, minmax_res
 
 
-def baseline_stats(scenario: Scenario, n_random: int = N_RANDOM_DRAWS) -> dict:
-    """Fixed-array and random-activation reference numbers at scenario defaults."""
-    return _baseline(scenario, n_random)[0]
-
-
 def _baseline(scenario: Scenario, n_random: int) -> tuple[dict, np.ndarray, np.ndarray]:
-    """`baseline_stats`, plus the fixed array's SNR field and valid-cell mask for its map."""
+    """Fixed-array and random-activation reference numbers, and the fixed array's SNR field and valid mask."""
     draws = _draws(scenario, n_random)
     gm = scenario.gain_map()
     _require_valid(gm)

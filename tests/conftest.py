@@ -215,7 +215,6 @@ def encode_max_cover(instance: MaxCoverInstance, threshold: float):
         tx_power_w=1.0,
         noise_power_w=1.0,
         nlos_power=0.0,
-        n_eff=1.0,
     )
     return gain_map, params
 
@@ -271,6 +270,11 @@ def distance_sq(wg, tap, u, v, layout, taps, grid) -> float:
     return float(dx * dx + dy * dy + layout.height**2)
 
 
+# the guide's effective refractive index: it sets the LoS phase of each draw,
+# which the average SNR does not depend on
+GUIDE_INDEX = 1.4
+
+
 def sample_instantaneous_snr(selected, layout, taps, grid, vis, params, seed, n_samples=1):
     """Draw instantaneous post-beamforming SNR fields, shape (n_samples, nx, ny).
 
@@ -293,7 +297,7 @@ def sample_instantaneous_snr(selected, layout, taps, grid, vis, params, seed, n_
     dist = np.sqrt(dx * dx + dy * dy + layout.height**2).reshape(layout.count, n_grid)
     los_mask = vis.los[np.arange(layout.count), sel].reshape(layout.count, n_grid)
 
-    guide_wavelength = params.wavelength / params.n_eff
+    guide_wavelength = params.wavelength / GUIDE_INDEX
     phase = (
         -2.0 * np.pi / params.wavelength * dist
         + 2.0 * np.pi / guide_wavelength * x_sel[:, None]

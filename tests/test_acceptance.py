@@ -6,6 +6,7 @@ with `pytest -s tests/test_acceptance.py` to watch the lines go by.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -193,7 +194,7 @@ def test_criterion_6_sweep_trends_hold():
 
     cov = {m: [] for m in ("optimized", "random_mean", "fixed")}
     for nlos_db in (-70.0, -60.0, -50.0):
-        tab = threshold_sweep(scn.with_nlos_db(nlos_db), [18.0], exact=True)
+        tab = threshold_sweep(replace(scn, channel=replace(scn.channel, nlos_db=nlos_db)), [18.0], exact=True)
         for m in cov:
             cov[m].append(tab.columns[m][0])
     nlos_monotone = all(np.all(np.diff(vals) >= -1e-12) for vals in cov.values())

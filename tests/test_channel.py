@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -58,8 +59,8 @@ def test_params_validation():
     for bad in (-1e-6, math.inf, math.nan):
         with pytest.raises(ValueError):
             ChannelParams(freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=bad)
-    with pytest.raises(ValueError):
-        ChannelParams(freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=1e-6, n_eff=0.9)
+    with pytest.raises(TypeError):  # the average SNR has no phase term, so no guide index
+        ChannelParams(freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=1e-6, n_eff=1.4)
     with pytest.raises(TypeError):  # the scatter is one draw; there are no clusters to count
         ChannelParams.from_db(1e9, 40.0, -70.0, -60.0, n_clusters=4)
 
@@ -181,7 +182,7 @@ def test_avg_snr_power_shift_exact_db():
     p = scn.params
     sel = [0] * gm.n_waveguides
     base = avg_snr(sel, gm, p)
-    boosted = avg_snr(sel, gm, p.with_power_w(10.0 * p.tx_power_w))
+    boosted = avg_snr(sel, gm, dataclasses.replace(p, tx_power_w=10.0 * p.tx_power_w))
     shift_db = 10.0 * np.log10(boosted / base)
     assert np.all(np.abs(shift_db - 10.0) < 1e-9)
 
@@ -196,21 +197,6 @@ def test_avg_snr_additive_over_waveguides():
     parts = sum(p.snr_scale * gm.gains[n, sel[n]] for n in range(3))
     assert np.allclose(total, parts, rtol=1e-12)
     assert np.all(total[gm.valid] > 0)
-
-
-def test_avg_snr_ignores_guide_index():
-    rng = np.random.default_rng(8)
-    scn = random_scenario(rng, k_max=1)
-    vis = scn.visibility()
-    p = scn.params
-    import dataclasses
-
-    p2 = dataclasses.replace(p, n_eff=2.0)
-    gm1 = precompute_gain_map(scn.layout, scn.taps, scn.grid, vis, p)
-    gm2 = precompute_gain_map(scn.layout, scn.taps, scn.grid, vis, p2)
-    assert np.array_equal(gm1.gains, gm2.gains)
-    sel = [0] * scn.layout.count
-    assert np.array_equal(avg_snr(sel, gm1, p), avg_snr(sel, gm2, p2))
 
 
 def test_dominant_term_below_candidate():
@@ -233,8 +219,6 @@ def test_sampler_degenerate_los_only():
     rng = np.random.default_rng(9)
     scn = random_scenario(rng, k_max=0)
     vis = scn.visibility()
-    import dataclasses
-
     p = dataclasses.replace(scn.params, nlos_power=0.0)
     sel = np.zeros(scn.layout.count, dtype=int)
     gm = precompute_gain_map(scn.layout, scn.taps, scn.grid, vis, p)
@@ -301,8 +285,6 @@ def test_fixed_array_elements_share_visibility_on_bundled():
     # all but a handful of shadow-boundary cells
     scn = load_bundled("table1").with_grid_scale(0.25)
     p = scn.params
-    import dataclasses
-
     # with no NLoS power a gain is positive exactly where the LoS ray is present
     los = fixed_array_gain_map(
         scn.region, scn.blockages, scn.grid, dataclasses.replace(p, nlos_power=0.0), scn.layout.count

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinchplan import linear_to_db
+from pinchplan import linear_to_db, load_bundled
 from pinchplan.cli import main
 from conftest import WALL, scenario_dict
 
@@ -23,6 +23,32 @@ def run(tmp_path, *argv):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+@pytest.fixture
+def gain_map_builds(monkeypatch):
+    """The scenarios whose gain map was built while the test ran."""
+    from pinchplan.scenario import Scenario
+
+    original, calls = Scenario.gain_map, []
+
+    def counting(self, vis=None):
+        calls.append(self)
+        return original(self, vis)
+
+    monkeypatch.setattr(Scenario, "gain_map", counting)
+    return calls
+
+
+def refused_at_parse_time(tmp_path, capsys, command, *flags):
+    """Run `command` on small table1; assert argparse exits 2 before --out is made; return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, "--config", "table1", *SMALL, *flags)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    return err
 
 
 def test_gainmap_outputs(tmp_path, capsys):
@@ -193,10 +219,30 @@ def test_map_formats_and_worst(tmp_path):
 
 
 def test_activation_parsing_errors(tmp_path):
-    for bad in ("2,6", "a,b,c,d", "0,1,1,1", "11,1,1,1"):
+    # a wrong count or an index past the taps needs the scenario; see below for the parse-time refusals
+    for bad in ("2,6", "11,1,1,1"):
         code, _ = run(tmp_path / bad.replace(",", "_"), "map", "--config", "table1", *SMALL,
                       "--activation", bad)
         assert code == 2, bad
+
+
+def test_n_eff_changes_no_product(tmp_path):
+    # table1 at quarter grid without the legacy key (as bundled), then with it at 1.4 and 2.0
+    doc = load_bundled("table1").to_dict()
+    products = []
+    for n_eff in (None, 1.4, 2.0):
+        if n_eff is not None:
+            doc["channel"]["n_eff"] = n_eff
+        path = tmp_path / f"{n_eff}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        files = {}
+        for command in ("coverage", "minmax"):
+            code, out = run(tmp_path / str(n_eff) / command, command, "--config", str(path), "--grid-scale", "0.25")
+            assert code == 0
+            files.update({f"{command}/{p.name}": p.read_bytes() for p in out.iterdir()})
+        products.append(files)
+    assert len(products[0]) == 4
+    assert products[0] == products[1] == products[2]  # the summaries' digests included
 
 
 def test_config_resolution_errors(tmp_path):
@@ -227,9 +273,9 @@ def test_budget_refusal_exit_code(tmp_path):
     assert code == 3
 
 
-def test_bad_gammas_exit_code(tmp_path):
-    code, _ = run(tmp_path, "sweep-threshold", "--config", "table1", *SMALL, "--gammas", "abc")
-    assert code == 2
+def test_bad_gammas_exit_code(tmp_path, capsys):
+    err = refused_at_parse_time(tmp_path, capsys, "sweep-threshold", "--gammas", "abc")
+    assert "argument --gammas: expected a number, got 'abc'" in err
 
 
 def test_seed_override_changes_digest(tmp_path):
@@ -274,18 +320,11 @@ def test_solver_flags_out_of_range_exit_2_at_parse_time(tmp_path, capsys, argv, 
     assert not (tmp_path / "out").exists()
 
 
-def test_map_refuses_a_bad_activation_before_building_the_gain_map(tmp_path, capsys, monkeypatch):
-    def no_gain_map(self, vis=None):
-        raise AssertionError("gain map built before --activation was parsed")
-
-    monkeypatch.setattr("pinchplan.scenario.Scenario.gain_map", no_gain_map)
-    for bad in ("x,y", "1,,2", "0,1,1,1"):
-        code, out = run(tmp_path / bad.replace(",", "_"), "map", "--config", "table1", *SMALL,
-                        "--activation", bad)
-        err = capsys.readouterr().err
-        assert code == 2, bad
-        assert "invalid input" in err and "Traceback" not in err
-        assert not any(out.iterdir())
+def test_map_refuses_a_bad_activation_before_building_the_gain_map(tmp_path, capsys, gain_map_builds):
+    for bad in ("x,y", "a,b", "1,,2", "0,1,1,1"):
+        err = refused_at_parse_time(tmp_path / bad.replace(",", "_"), capsys, "map", "--activation", bad)
+        assert "argument --activation: expected" in err, bad
+    assert gain_map_builds == []
 
 
 def test_version_flag():
@@ -351,17 +390,18 @@ def test_db_overflow_in_scenario_exits_2(tmp_path, capsys, section, key, value):
     "argv",
     [
         ["coverage", "--gamma-db", "4000"],
-        ["sweep-power", "--powers", "30,4000"],
+        ["sweep-threshold", "--gammas", "18,4000"],
         ["sweep-power", "--powers", "30,inf"],
         ["sweep-threshold", "--gammas", "12,nan"],
+        ["sweep-power", "--powers", "30,nan"],
+        ["sweep-power", "--powers", ",,"],
     ],
 )
-def test_db_overflow_and_non_finite_lists_exit_2(tmp_path, capsys, argv):
-    code, out = run(tmp_path, argv[0], "--config", "table1", *SMALL, *argv[1:])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "invalid input" in err and "Traceback" not in err
-    assert not (out / "coverage_summary.json").exists()
+def test_db_overflow_and_non_finite_lists_exit_2(tmp_path, capsys, gain_map_builds, argv):
+    # a threshold's linear value must be finite; a power's is checked against the scenario (below)
+    err = refused_at_parse_time(tmp_path, capsys, *argv)
+    assert f"argument {argv[1]}:" in err
+    assert gain_map_builds == []
 
 
 @pytest.mark.parametrize(
@@ -479,12 +519,15 @@ def test_linear_to_db_refuses_non_positive_values():
 
 
 def test_sweep_power_refuses_an_overflowing_power(tmp_path, capsys):
+    # an overflowing power in watts, then one whose SNR overflows only at this scenario's noise
     path = _write_scenario(tmp_path, "channel", "noise_dbm", -100.0)
-    code, out = run(tmp_path, "sweep-power", "--config", str(path), "--powers", "30,3060")
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "invalid input" in err and "overflows" in err and "Traceback" not in err
-    assert not (out / "power_sweep_summary.json").exists()
+    for i, flags in enumerate((["--config", "table1", *SMALL, "--powers", "30,4000"],
+                               ["--config", str(path), "--powers", "30,3060"])):
+        code, out = run(tmp_path / str(i), "sweep-power", *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "invalid input" in err and "overflows" in err and "Traceback" not in err
+        assert not (out / "power_sweep_summary.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -519,12 +562,10 @@ def test_every_subcommand_names_its_files_with_the_summary_last(tmp_path, capsys
 
 @pytest.mark.parametrize("draws", ["0", "-1"])
 @pytest.mark.parametrize("command", ["baseline", "sweep-threshold", "sweep-power"])
-def test_draws_below_one_exit_2_before_writing(tmp_path, capsys, command, draws):
-    code, out = run(tmp_path, command, "--config", "table1", *SMALL, "--draws", draws)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "invalid input" in err and "draws" in err and "Traceback" not in err
-    assert not out.exists() or not any(out.iterdir())
+def test_draws_below_one_exit_2_before_writing(tmp_path, capsys, gain_map_builds, command, draws):
+    err = refused_at_parse_time(tmp_path, capsys, command, "--draws", draws)
+    assert f"argument --draws: expected an integer of at least 1, got '{draws}'" in err
+    assert gain_map_builds == []
 
 
 def test_baseline_builds_one_fixed_array_map(tmp_path, monkeypatch):

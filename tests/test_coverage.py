@@ -35,7 +35,7 @@ def synthetic_map(gains, valid=None):
 
 
 UNIT_PARAMS = ChannelParams(
-    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0, n_eff=1.0
+    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0
 )
 
 

@@ -71,7 +71,7 @@ def test_pgm_structure(tmp_path):
     assert rows[1] == [0, 255]
 
 
-def test_pgm_explicit_window_and_flat_field(tmp_path):
+def test_pgm_flat_field(tmp_path):
     grid = small_grid()
     field = np.full((2, 2), 100.0)
     valid = np.ones((2, 2), dtype=bool)
@@ -79,10 +79,6 @@ def test_pgm_explicit_window_and_flat_field(tmp_path):
     export_map(field, valid, grid, path, fmt="pgm")
     rows = path.read_text().splitlines()[4:]
     assert all(t == "255" for row in rows for t in row.split())
-
-    export_map(field, valid, grid, path, fmt="pgm", db_window=(0.0, 40.0))
-    rows = [[int(t) for t in line.split()] for line in path.read_text().splitlines()[4:]]
-    assert rows[0] == [128, 128]
 
 
 def test_export_validation(tmp_path):
@@ -95,8 +91,6 @@ def test_export_validation(tmp_path):
         export_map(np.ones((3, 2)), valid, grid, tmp_path / "x")
     with pytest.raises(ValueError, match="window"):
         export_map(field, np.zeros((2, 2), dtype=bool), grid, tmp_path / "x.pgm", fmt="pgm")
-    with pytest.raises(ValueError, match="window"):
-        export_map(field, valid, grid, tmp_path / "x.pgm", fmt="pgm", db_window=(5.0, 1.0))
     with pytest.raises(ValueError, match="header"):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n")

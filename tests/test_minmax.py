@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from conftest import (
 )
 
 UNIT_PARAMS = ChannelParams(
-    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0, n_eff=1.0
+    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0
 )
 
 
@@ -54,7 +55,7 @@ def test_worst_grid_power_scaling():
     p = scn.params
     sel = [0] * gm.n_waveguides
     base = worst_grid_snr(sel, gm, p)
-    scaled = worst_grid_snr(sel, gm, p.with_power_w(3.0 * p.tx_power_w))
+    scaled = worst_grid_snr(sel, gm, dataclasses.replace(p, tx_power_w=3.0 * p.tx_power_w))
     assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
 
@@ -127,7 +128,7 @@ def test_deficit_feasibility_non_finite_field_stays_well_formed():
 
 def test_bisection_refuses_non_finite_bound():
     infinite_power = ChannelParams(
-        freq_hz=1e9, tx_power_w=np.inf, noise_power_w=1.0, nlos_power=0.0, n_eff=1.0
+        freq_hz=1e9, tx_power_w=np.inf, noise_power_w=1.0, nlos_power=0.0
     )
     with pytest.raises(ValueError, match="not finite"):
         bisection_maxmin(synthetic_map(np.ones((2, 2, 2, 1))), infinite_power)
@@ -280,7 +281,7 @@ def test_exact_maxmin_power_equivariance():
     gm = scn.gain_map()
     p = scn.params
     res = exact_maxmin(gm, p)
-    boosted = exact_maxmin(gm, p.with_power_w(7.0 * p.tx_power_w))
+    boosted = exact_maxmin(gm, dataclasses.replace(p, tx_power_w=7.0 * p.tx_power_w))
     assert boosted.activation == res.activation
     assert boosted.t_star == pytest.approx(7.0 * res.t_star, rel=1e-12)
 

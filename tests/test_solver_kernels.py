@@ -41,7 +41,7 @@ from conftest import (
 )
 
 UNIT_PARAMS = ChannelParams(
-    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0, n_eff=1.0
+    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0
 )
 
 

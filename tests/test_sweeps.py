@@ -9,7 +9,6 @@ from pinchplan import (
     RunSummary,
     SweepTable,
     avg_snr,
-    baseline_stats,
     db_to_linear,
     derived_seeds,
     linear_to_db,
@@ -20,6 +19,7 @@ from pinchplan import (
 )
 from pinchplan import coverage
 from pinchplan.mapio import export_map
+from pinchplan.sweeps import _baseline
 from conftest import brute_best_coverage, envelope_quantile, random_scenario, read_map_csv
 
 THRESHOLDS = [12.0, 15.0, 18.0, 21.0, 24.0, 27.0, 30.0]
@@ -173,7 +173,7 @@ def test_exported_db_matches_linear():
 
 def test_baseline_stats_contents():
     scn = small_table1()
-    stats = baseline_stats(scn, n_random=10)
+    stats = _baseline(scn, n_random=10)[0]
     assert stats["n_random"] == 10
     assert stats["threshold_db"] == scn.solver.threshold_db
     assert 0.0 <= stats["fixed_coverage"] <= 1.0
@@ -181,16 +181,16 @@ def test_baseline_stats_contents():
     assert stats["random_coverage_std"] >= 0.0
     assert stats["random_worst_db_std"] >= 0.0
     assert np.isfinite(stats["fixed_worst_db"])
-    assert stats == baseline_stats(scn, n_random=10)
+    assert stats == _baseline(scn, n_random=10)[0]
     reseeded = replace(scn, solver=replace(scn.solver, seed=99))
-    assert stats != baseline_stats(reseeded, n_random=10)
+    assert stats != _baseline(reseeded, n_random=10)[0]
 
 
 @pytest.mark.parametrize("n_random", [0, -1])
 def test_random_draws_below_one_are_refused(n_random):
     scn = small_table1()
     with pytest.raises(ValueError, match="draws"):
-        baseline_stats(scn, n_random=n_random)
+        _baseline(scn, n_random=n_random)[0]
     with pytest.raises(ValueError, match="draws"):
         threshold_sweep(scn, [18.0], n_random=n_random)
     with pytest.raises(ValueError, match="draws"):

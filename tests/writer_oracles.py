@@ -60,11 +60,9 @@ def write_csv(db, valid, grid, path):
                 fh.write(f"{xs[u]:.9g},{ys[v]:.9g},{db[u, v]:.9g},{int(valid[u, v])}\n")
 
 
-def write_pgm(db, valid, grid, path, db_window):
-    if db_window is None:
-        vals = db[valid]
-        db_window = (float(vals.min()), float(vals.max()))
-    lo, hi = db_window
+def write_pgm(db, valid, grid, path):
+    vals = db[valid]
+    lo, hi = float(vals.min()), float(vals.max())
     span = hi - lo
     if span > 0:
         scaled = np.clip(np.rint((db - lo) / span * 255.0), 0, 255)
