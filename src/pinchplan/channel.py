@@ -14,6 +14,8 @@ are linear here; dB conversions live at the IO boundary.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,19 +162,54 @@ def precompute_gain_map(
     return GainMap(gains=gains.reshape(shape), valid=vis.valid.copy())
 
 
-def _candidate_matrix(gain_map: GainMap, params: ChannelParams) -> np.ndarray:
+def _scaled_valid_gains(gain_map: GainMap, params: ChannelParams) -> np.ndarray:
     """Scaled gains of every (waveguide, tap) on the valid cells, shape (N, M, V).
 
     Bit-equal to scaling the boolean-masked tensor, but C-contiguous: a
     boolean mask over the two trailing axes puts the cell axis outermost, so
     every (waveguide, tap) row a solver reads would step over N*M values per
-    cell. Solvers build this per call and keep no copy.
+    cell.
     """
     n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
     cells = np.flatnonzero(gain_map.valid)
     mat = np.take(gain_map.gains.reshape(n_wg, n_tap, -1), cells, axis=2)
     mat *= params.snr_scale
     return mat
+
+
+# The open `_shared_matrix` scopes of this thread or task, innermost first:
+# (gain map, snr_scale, read-only matrix) tuples.
+_SCOPES: ContextVar[tuple] = ContextVar("_SCOPES", default=())
+
+
+def _candidate_matrix(gain_map: GainMap, params: ChannelParams) -> np.ndarray:
+    """The `_scaled_valid_gains` matrix a solver reads: shared inside a scope, else a new copy.
+
+    Inside a `_shared_matrix` scope for this map and `snr_scale` it is the
+    scope's read-only array; elsewhere it is built per call, and solvers keep
+    no copy past their return.
+    """
+    for held, scale, mat in _SCOPES.get():
+        if held is gain_map and scale == params.snr_scale:
+            return mat
+    return _scaled_valid_gains(gain_map, params)
+
+
+@contextmanager
+def _shared_matrix(gain_map: GainMap, params: ChannelParams):
+    """Scope in which `_candidate_matrix` returns one read-only matrix for this map and scale.
+
+    A solve that runs a solver many times on one map opens it, so the matrix
+    is built once. The matrix is held in `_SCOPES`, never on the map, and
+    dropped on exit, also when the body raises.
+    """
+    mat = _scaled_valid_gains(gain_map, params)
+    mat.flags.writeable = False
+    token = _SCOPES.set(((gain_map, params.snr_scale, mat), *_SCOPES.get()))
+    try:
+        yield
+    finally:
+        _SCOPES.reset(token)
 
 
 def _selection_array(selected, gain_map: GainMap) -> np.ndarray:

@@ -270,12 +270,21 @@ def _cmd_map(scn, args, out):
 
 
 def _run(args) -> None:
-    """Run one subcommand: its products, then its summary, then one stderr note naming every file."""
+    """Run one subcommand: its products, then its summary, then one stderr note naming every file.
+
+    When planning raises, an --out directory this run created is removed if it is still empty.
+    """
     t0 = time.perf_counter()
     scn = _resolve_scenario(args)
     out = Path(args.out)
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    written, method, objective, activation = args.func(scn, args, out)
+    try:
+        written, method, objective, activation = args.func(scn, args, out)
+    except BaseException:
+        if created and not any(out.iterdir()):
+            out.rmdir()
+        raise
     summary = RunSummary(
         digest=scn.digest(),
         method=method,

@@ -6,8 +6,9 @@ driving the deficit to zero. A coordinate-descent heuristic does that cheaply
 (and soundly: it reports feasible only with a zero-deficit certificate,
 never the other way around); bisection over t then brackets the best
 achievable worst-grid SNR. A branch-and-bound search certifies the true
-optimum: it is the exact solver, and it gives bisection a ceiling above
-which no probe can succeed.
+optimum: it is the exact solver, and it gives bisection its first start,
+which meets every probe at or below the optimum, and a ceiling above which
+no probe can succeed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array, avg_snr
+from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array, _shared_matrix, avg_snr
 from .coverage import Activation, BudgetError, DEFAULT_MAX_SWEEPS, _field, _pick_tap, _require_valid, _starts
 
 DEFAULT_EPS_T = 1e-3  # linear-SNR bracket width at which bisection stops
@@ -258,42 +259,46 @@ def bisection_maxmin(
     until its width is at most eps_t (linear SNR), so the iteration count is
     bounded by ceil(log2(t_max / eps_t)). Each feasibility check runs
     DEFAULT_FEAS_RESTARTS deficit descents, the first from the last feasible
-    activation (at first the centred one). The branch-and-bound optimum,
-    when it fits its node budget, is certified first; a probe above it by
-    more than CEILING_MARGIN cannot succeed, so it runs a single descent,
-    and the bracket and plan are those of the full restarts.
+    activation. The branch-and-bound optimum, when it fits its node budget,
+    is certified first and is that first start: a probe at or below it
+    succeeds on that start with no descent, and a probe above it by more than
+    CEILING_MARGIN cannot succeed, so it runs a single descent. The plan is
+    then the certified one. Without a certificate the first start is the
+    centred activation and every probe runs all its restarts. The search and
+    every probe read one shared candidate matrix (`_shared_matrix`).
     """
     if not eps_t > 0:
         raise ValueError("eps_t must be positive")
     _require_valid(gain_map)
 
-    # any activation meets target 0, so the centred selection starts certified
-    best = Activation.centered(gain_map.n_waveguides, gain_map.n_taps)
     t_lo, t_hi = 0.0, maxmin_upper_bound(gain_map, params)
     if not math.isfinite(t_hi):
         raise ValueError("SNR upper bound is not finite; check the channel parameters")
-    certified = nodes = None
-    try:
-        cert = _bnb_maxmin(gain_map, params)
-        certified, nodes = cert.value, cert.nodes
-    except BudgetError:
-        pass  # no ceiling: every probe runs all restarts
-    ceiling = math.inf if certified is None else certified * (1 + CEILING_MARGIN)
-    iters = 0
-    while t_hi - t_lo > eps_t:
-        t_mid = 0.5 * (t_lo + t_hi)
-        if not t_lo < t_mid < t_hi:
-            break  # adjacent floats: at large SNR they lie more than eps_t apart
-        starts = DEFAULT_FEAS_RESTARTS if t_mid <= ceiling else 1
-        ok, found = deficit_feasibility(
-            t_mid, gain_map, params, best, max_sweeps, starts, seed + iters
-        )
-        iters += 1
-        if ok:
-            best = found
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
+    with _shared_matrix(gain_map, params):
+        # any activation meets target 0, so the centred selection starts certified
+        best = Activation.centered(gain_map.n_waveguides, gain_map.n_taps)
+        certified = nodes = None
+        try:
+            cert = _bnb_maxmin(gain_map, params)
+            best, certified, nodes = cert.activation, cert.value, cert.nodes
+        except BudgetError:
+            pass  # no ceiling: every probe runs all restarts from the centred start
+        ceiling = math.inf if certified is None else certified * (1 + CEILING_MARGIN)
+        iters = 0
+        while t_hi - t_lo > eps_t:
+            t_mid = 0.5 * (t_lo + t_hi)
+            if not t_lo < t_mid < t_hi:
+                break  # adjacent floats: at large SNR they lie more than eps_t apart
+            starts = DEFAULT_FEAS_RESTARTS if t_mid <= ceiling else 1
+            ok, found = deficit_feasibility(
+                t_mid, gain_map, params, best, max_sweeps, starts, seed + iters
+            )
+            iters += 1
+            if ok:
+                best = found
+                t_lo = t_mid
+            else:
+                t_hi = t_mid
 
     return _maxmin_result(
         best, gain_map, params, iters, iters, exact=False, certified=certified, nodes=nodes

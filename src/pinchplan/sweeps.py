@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import avg_snr, db_to_linear, linear_to_db
+from .channel import _shared_matrix, avg_snr, db_to_linear, linear_to_db
 from .coverage import Activation, _covered, _exact_coverages, _require_valid, coordinate_ascent
 from .minmax import MinMaxResult, bisection_maxmin, exact_maxmin, worst_grid_snr
 from .scenario import Scenario, random_activation
@@ -85,9 +85,10 @@ def threshold_sweep(
 ) -> SweepTable:
     """Coverage fraction of each method at each threshold (dB, ascending).
 
-    The optimized activation is re-solved at every threshold; random draws
-    are shared across thresholds (the activations do not depend on the
-    threshold), as is the fixed-array field.
+    The optimized activation is re-solved at every threshold, every solve
+    reading one candidate matrix; random draws are shared across thresholds
+    (the activations do not depend on the threshold), as is the fixed-array
+    field.
     """
     thresholds_db = [float(t) for t in thresholds_db]
     if not thresholds_db:
@@ -107,10 +108,11 @@ def threshold_sweep(
         results = _exact_coverages(gm, params, thresholds)
     else:
         start = Activation.centered(gm.n_waveguides, gm.n_taps)
-        results = [
-            coordinate_ascent(start, gm, params, thr, max_sweeps=scenario.solver.max_sweeps)
-            for thr in thresholds
-        ]
+        with _shared_matrix(gm, params):
+            results = [
+                coordinate_ascent(start, gm, params, thr, max_sweeps=scenario.solver.max_sweeps)
+                for thr in thresholds
+            ]
     table.columns["optimized"] = [res.coverage_fraction for res in results]
     table.columns["optimized_activation"] = [
         "|".join(str(i) for i in res.activation.one_based()) for res in results

@@ -129,14 +129,53 @@ def test_minmax_bisection_and_exact(tmp_path):
 
 
 def test_sweep_power_plans_like_minmax_on_full_table1(tmp_path):
-    # both bisect at the scenario seed (1 for table1); at seed 0 bisection ends
-    # 0.02 dB short of the optimum
+    # both bisect at the scenario seed (1 for table1), from the certified optimum
     acts = {}
     for cmd, name in (("minmax", "minmax_summary.json"), ("sweep-power", "power_sweep_summary.json")):
         code, out = run(tmp_path / cmd, cmd, "--config", "table1")
         assert code == 0
         acts[cmd] = read_json(out / name)["activation"]
     assert acts["sweep-power"] == acts["minmax"]
+
+
+def test_minmax_plans_the_certified_optimum_on_full_table1(tmp_path):
+    # at seed 0 bisection from the centred plan ended 0.02 dB short (20.7620 dB);
+    # it now starts from the certificate and plans the optimum
+    docs = {}
+    for name, extra in (("b", []), ("e", ["--exact"])):
+        code, out = run(tmp_path / name, "minmax", "--config", "table1", "--seed", "0", *extra)
+        assert code == 0
+        docs[name] = read_json(out / "minmax_summary.json")
+    bisect, exact = docs["b"], docs["e"]
+    assert bisect["activation"] == exact["activation"] == [5, 1, 10, 4]
+    assert bisect["objective"]["worst_grid_db"] == exact["objective"]["worst_grid_db"]
+    assert round(bisect["objective"]["worst_grid_db"], 4) == 20.7836
+    assert bisect["objective"]["certified_db"] == bisect["objective"]["worst_grid_db"]
+    assert bisect["objective"]["bisection_iters"] > 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["sweep-threshold", "--gammas", "30,20"],
+        ["map", "--activation", "2,6"],
+        ["map", "--activation", "11,1,1,1"],
+        ["sweep-power", "--powers", "30,4000"],
+    ],
+)
+def test_refusal_while_planning_leaves_no_out(tmp_path, capsys, flags):
+    # --out is created before planning; a refusal removes it while it is empty
+    code, out = run(tmp_path, *flags, "--config", "table1", *SMALL)
+    err = capsys.readouterr().err
+    assert code == 2 and "invalid input" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_failed_run_keeps_an_out_it_did_not_create(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(tmp_path, "map", "--activation", "2,6", "--config", "table1", *SMALL)[0] == 2
+    assert out.is_dir()
 
 
 def test_minmax_summaries_carry_the_certified_optimum(tmp_path):

@@ -374,8 +374,10 @@ def test_bnb_node_budget_refusal(monkeypatch):
 
 @pytest.mark.parametrize("budget", [minmax.BNB_NODE_BUDGET, 1])
 def test_bisection_plans_match_the_all_restarts_loop(monkeypatch, budget):
-    # the ceiling cuts probes above the optimum to one descent; with the
-    # budget exhausted there is no ceiling. Either way the plan is unchanged.
+    # with a certificate bisection starts from it and plans the optimum, and
+    # the ceiling cuts probes above it to one descent; with the budget
+    # exhausted there is no ceiling and the plan is the all-restarts loop's.
+    # Either way the probe count is the loop's.
     monkeypatch.setattr(minmax, "BNB_NODE_BUDGET", budget)
     probes = []
     feasibility = minmax.deficit_feasibility
@@ -393,14 +395,17 @@ def test_bisection_plans_match_the_all_restarts_loop(monkeypatch, budget):
         probes.clear()
         res = bisection_maxmin(gm, p, eps_t=1e-3, seed=5)
         act, iters = all_restarts_bisection(gm, p, 1e-3, 5, feasibility)
-        assert (res.activation, res.bisection_iters, res.feasibility_evals) == (act, iters, iters)
-        assert res.t_star == worst_grid_snr(act.as_array(), gm, p)
+        assert (res.bisection_iters, res.feasibility_evals) == (iters, iters)
         assert len(probes) == iters
         if budget == 1:
+            assert res.activation == act
+            assert res.t_star == worst_grid_snr(act.as_array(), gm, p)
             assert res.certified is None and res.bnb_nodes is None
             assert {r for _, r in probes} == {16}
         else:
-            assert res.certified == exact_maxmin(gm, p).certified
+            exact = exact_maxmin(gm, p)
+            assert res.activation == exact.activation
+            assert res.t_star == res.certified == exact.certified
             ceiling = res.certified * (1 + minmax.CEILING_MARGIN)
             assert all(r == (1 if t > ceiling else 16) for t, r in probes)
             single += sum(r == 1 for _, r in probes)

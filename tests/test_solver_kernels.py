@@ -1,4 +1,4 @@
-"""The shared candidate matrix, the exhaustive scores, the blocked tap scans and pinned plans.
+"""The candidate matrix and its shared scope, the exhaustive scores, the blocked tap scans and pinned plans.
 
 The plan pins were measured on the bundled table1 scenario at grid scale
 0.25 before the solvers moved onto the contiguous matrix; the move keeps
@@ -6,6 +6,8 @@ every elementwise operation in the same order, so the plans, counts and
 the worst-grid SNR stay bit-identical.
 """
 
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -22,10 +24,11 @@ from pinchplan import (
     exact_enumerate,
     exact_maxmin,
     load_bundled,
+    threshold_sweep,
     worst_grid_snr,
 )
 from pinchplan.channel import _candidate_matrix, db_to_linear
-from pinchplan import coverage
+from pinchplan import channel, coverage, minmax
 from pinchplan.coverage import _activation_at, _best_tap, _first_min, _score_activations, _tap_blocks
 from pinchplan.minmax import _deficit_descent
 from conftest import (
@@ -68,6 +71,82 @@ def test_candidate_matrix_random_masks():
         mat = _candidate_matrix(gm, p)
         assert mat.flags.c_contiguous
         assert np.array_equal(mat, p.snr_scale * gm.gains[:, :, gm.valid])
+
+
+@pytest.fixture
+def matrix_builds(monkeypatch):
+    """Weak references to every scaled valid-gain matrix built while the test runs."""
+    build, refs = channel._scaled_valid_gains, []
+
+    def counting(gain_map, params):
+        mat = build(gain_map, params)
+        refs.append(weakref.ref(mat))
+        return mat
+
+    monkeypatch.setattr(channel, "_scaled_valid_gains", counting)
+    return refs
+
+
+def assert_no_matrix_left(refs, gm):
+    """No matrix of `refs` is alive, none is held for `gm`, and `gm` holds only its fields."""
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert channel._SCOPES.get() == ()
+    assert set(vars(gm)) == {"gains", "valid"}
+
+
+@pytest.mark.parametrize("budget", [minmax.BNB_NODE_BUDGET, 1])
+def test_bisection_builds_one_matrix_and_keeps_none(monkeypatch, matrix_builds, budget):
+    # the search and every probe read one read-only matrix, dropped on return
+    monkeypatch.setattr(minmax, "BNB_NODE_BUDGET", budget)
+    feasibility, seen = minmax.deficit_feasibility, []
+
+    def probe(target, gm, p, *args):
+        mat = _candidate_matrix(gm, p)
+        seen.append(mat)
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0, 0] = 0.0
+        return feasibility(target, gm, p, *args)
+
+    monkeypatch.setattr(minmax, "deficit_feasibility", probe)
+    scn = random_scenario(np.random.default_rng(72), waveguides=3, taps=4, nx=12, ny=6, k_max=2)
+    gm, p = scn.gain_map(), scn.params
+    res = bisection_maxmin(gm, p)
+    assert len(matrix_builds) == 1 and len(seen) == res.bisection_iters > 0
+    assert all(mat is seen[0] for mat in seen)
+    assert np.array_equal(seen[0], p.snr_scale * gm.gains[:, :, gm.valid])
+    del seen[:]
+    assert_no_matrix_left(matrix_builds, gm)
+    # outside the scope each call builds its own writable copy
+    assert _candidate_matrix(gm, p).flags.writeable and len(matrix_builds) == 2
+
+
+def test_bisection_drops_the_matrix_when_a_probe_raises(monkeypatch, matrix_builds):
+    feasibility, calls = minmax.deficit_feasibility, []
+
+    def failing(*args):
+        calls.append(feasibility(*args))
+        if len(calls) == 3:
+            raise RuntimeError("probe failed")
+        return calls[-1]
+
+    monkeypatch.setattr(minmax, "deficit_feasibility", failing)
+    scn = random_scenario(np.random.default_rng(73), waveguides=3, taps=4, nx=12, ny=6, k_max=2)
+    gm = scn.gain_map()
+    with pytest.raises(RuntimeError, match="probe failed"):
+        bisection_maxmin(gm, scn.params)
+    assert len(matrix_builds) == 1 and len(calls) == 3
+    assert_no_matrix_left(matrix_builds, gm)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_threshold_sweep_builds_one_matrix(matrix_builds, exact):
+    scn = load_bundled("table1").with_grid_scale(0.1)
+    table = threshold_sweep(scn, [12.0, 18.0, 24.0, 30.0], exact=exact, n_random=2)
+    assert len(table.columns["optimized"]) == 4
+    assert len(matrix_builds) == 1
+    gc.collect()
+    assert all(ref() is None for ref in matrix_builds) and channel._SCOPES.get() == ()
 
 
 def test_pinned_plans_table1_quarter(quarter_table1):
