@@ -6,6 +6,12 @@ embeds maximum coverage (so it is NP-hard in general); the workhorse is a
 coordinate ascent with a closed-form single-waveguide update, backed by an
 exhaustive enumerator for small instances and an LP-file emitter for
 external MILP solvers.
+
+The enumerator walks every activation over cache-sized blocks of valid
+cells. At one threshold it compares each partial sum with exact last-tap
+thresholds (`_last_tap_thresholds`) instead of adding the last tap, which
+gives the same counts bit for bit; at several thresholds it adds the last
+tap once and compares the field with each.
 """
 
 from __future__ import annotations
@@ -46,6 +52,16 @@ _LP_MEMO_CAP = 1 << 17
 # ascent took 14.6 against 11.1 ms and 16 deficit descents 266 against 227 ms
 # (2-core machine, 2 MB of L2 per core).
 _BLOCK_VALUES = 1 << 15
+# Valid cells per block of the exhaustive coverage walk (`_coverage_counts`).
+# A block's rows of the last two waveguides, its field or table and its hits
+# stay in a 2 MB L2 cache. On full table1 (2 cores, in-process A/B against a
+# walk over all cells at once) 6144 cells beat 4096 and 8192 with three
+# thresholds, where 8192 was no faster than no blocks at all.
+_WALK_CELLS = 6144
+# Cells per chunk of a block's threshold table build, which bounds its
+# temporaries (some twenty (taps, chunk) arrays).
+_TABLE_CHUNK = 2048
+_MAGNITUDE_BITS = np.int64((1 << 63) - 1)  # every bit of a float64 but the sign
 
 
 class BudgetError(RuntimeError):
@@ -189,7 +205,7 @@ def _best_tap(resid_v: np.ndarray, gains_v: np.ndarray, threshold: float, buf=No
 
 
 def _field(gains_v: np.ndarray, sel, out: np.ndarray) -> np.ndarray:
-    """Valid-cell field of `sel`, summed in waveguide order like `_score_activations`."""
+    """Valid-cell field of `sel`, summed in waveguide order from zero like `_coverage_counts`."""
     np.copyto(out, gains_v[0, sel[0]])  # 0 + g is g, the first partial-sum row
     for n in range(1, len(sel)):
         np.add(out, gains_v[n, sel[n]], out=out)
@@ -290,48 +306,164 @@ def _coverage_result(act, gain_map, params, threshold, sweeps_used, method) -> C
     )
 
 
-def _score_activations(
-    gain_map: GainMap, params: ChannelParams, score: Callable[[np.ndarray], object], shape=()
-) -> np.ndarray:
-    """score(valid-cell SNR field) of every activation, in lexicographic order.
+def _order_keys(bits: np.ndarray) -> np.ndarray:
+    """int64 keys in the order of the floats whose int64 bit patterns are `bits`.
 
-    `score` returns one value, or `shape` values (the result is then
-    (activations, *shape)). Entry i belongs to `_activation_at(i, gain_map)`,
-    so the first argmax of the scores (per column) is the lexicographically
-    smallest argmax. Row n+1 of `partial` holds the running sum of
-    waveguides 0..n from zero; a new prefix recomputes only the rows from
-    its first changed tap on. The field handed to `score` is one reused
-    buffer. Refuses with BudgetError, before anything is allocated, when
-    there are more than ENUM_BUDGET activations.
+    The non-NaN floats get consecutive keys from -inf to +inf, with -0.0
+    just below +0.0. The map is its own inverse: keys in, bit patterns out.
     """
-    n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
+    return bits ^ ((bits >> 63) & _MAGNITUDE_BITS)
+
+
+def _last_tap_thresholds(lo: np.ndarray, hi: np.ndarray, gains_last: np.ndarray, threshold: float) -> np.ndarray:
+    """h[m, c] with fl(p + gains_last[m, c]) >= threshold exactly when p >= h[m, c].
+
+    This holds for every partial sum p of cell c that is NaN or lies in
+    [lo[c], hi[c]] (non-NaN bounds). Write pass(p) for fl(p + g) >= t, with
+    g = gains_last[m, c] and t = threshold, and order the non-NaN floats
+    by `_order_keys`; the float below x is the one whose key is one less.
+    Rounded addition is monotone in each operand, so pass is an up-set: if
+    pass(p) and p <= q, then fl(p + g) is not NaN, so g is not NaN and p is
+    not -inf; for finite g, fl(q + g) >= fl(p + g); for g = +inf, q > -inf
+    and fl(q + g) = inf >= t; g = -inf never passes. A NaN p never passes
+    and compares false with every entry. The entries:
+
+    - -inf when pass(lo): every p in the range passes, and p >= -inf;
+    - NaN when not pass(hi): no p in the range passes, and nothing compares
+      >= NaN, not even a partial sum of +inf;
+    - else the least float h that passes, so that p >= h exactly when
+      pass(p). A candidate h is accepted only when pass(h) and the float
+      below h fails. That makes it least: every float below h in key order
+      is at most the float below h, so it fails too; -0.0 and +0.0 pass
+      alike, so the least float is also the least value. The candidates
+      are the first of h0 - 1, h0 and h0 + 1 (in keys) that passes, for
+      h0 = fl(fl(t - g) - gap / 2) with gap = t - nextafter(t, -inf): a sum
+      rounds to t or above from half that gap below t. Entries left open
+      (none on the bundled scenario at 12 to 40 dB) are bisected over the keys
+      of (lo, hi], keeping pass(hi) and not pass(lo), down to adjacent
+      keys: then the key of hi is the least that passes.
+    """
+
+    def passes(p, g=gains_last):
+        return p + g >= threshold
+
+    def floats(keys):
+        return _order_keys(keys).view(np.float64)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        always, reach = passes(lo), passes(hi)
+        # where rounding to nearest turns a sum into t: half the gap below t
+        h0 = (threshold - gains_last) - 0.5 * (threshold - np.nextafter(threshold, -np.inf))
+        keys = _order_keys(h0.view(np.int64))
+        h = [floats(k) for k in (keys - 2, keys - 1, keys, keys + 1)]
+        ok = [passes(x) for x in h]
+        # the first of h[1..3] that passes, accepted when the float below it fails
+        cand = np.where(ok[1], h[1], np.where(ok[2], h[2], h[3]))
+        exact = np.where(ok[1], ~ok[0], ok[2] | ok[3])
+        table = np.where(always, -np.inf, np.where(reach & exact, cand, np.nan))
+        (rest,) = (reach & ~always & ~exact).ravel().nonzero()
+        if len(rest):
+            taps, cells = np.divmod(rest, len(lo))
+            g = gains_last[taps, cells]
+            key_lo, key_hi = (_order_keys(x[cells].view(np.int64)) for x in (lo, hi))
+            while True:
+                # floor((key_lo + key_hi) / 2) without overflow; above key_lo while they are 2 apart
+                mid = (key_lo >> 1) + (key_hi >> 1) + (key_lo & key_hi & 1)
+                step = mid > key_lo
+                if not step.any():
+                    break
+                ok_mid = passes(floats(mid), g)
+                key_hi = np.where(step & ok_mid, mid, key_hi)
+                key_lo = np.where(step & ~ok_mid, mid, key_lo)
+            table[taps, cells] = floats(key_hi)
+    return table
+
+
+def _partial_range(block: np.ndarray):
+    """(lo, hi): per cell, bounds of every partial sum of the waveguides before the last.
+
+    The float sums, in waveguide order from zero, of each waveguide's least
+    and greatest non-NaN tap; rounding is monotone, so no partial sum of the
+    walk leaves [lo, hi]. A NaN bound (a waveguide with only NaN taps, or
+    -inf plus +inf) is widened to -inf or +inf.
+    """
+    lo, hi = np.zeros(block.shape[2]), np.zeros(block.shape[2])
+    with np.errstate(invalid="ignore"):
+        for n in range(block.shape[0] - 1):
+            lo += np.fmin.reduce(block[n], axis=0)  # fmin/fmax skip NaN
+            hi += np.fmax.reduce(block[n], axis=0)
+    lo[np.isnan(lo)], hi[np.isnan(hi)] = -np.inf, np.inf
+    return lo, hi
+
+
+def _coverage_counts(gains_v: np.ndarray, thr_eff: list[float]) -> np.ndarray:
+    """Covered counts of every activation at each of `thr_eff`: (activations, K), lexicographic order.
+
+    Row i belongs to `_activation_at(i, ...)`, so the first argmax of a
+    column is the lexicographically smallest argmax. The walk runs once per
+    block of _WALK_CELLS valid cells and adds that block's counts. Row n+1
+    of `partial` holds the running sum of waveguides 0..n from zero; a new
+    prefix recomputes only the rows from its first changed tap on. The
+    last waveguide's taps are scored together at each prefix. With one
+    threshold a cell of tap m counts when its partial sum p >= h[m]
+    (`_last_tap_thresholds`), the same bits as fl(p + g) >= t without the
+    add. With K > 1 thresholds one add per tap serves K compares, and K
+    tables would cost more than they save, so the field is formed.
+    Refuses with BudgetError, before anything is allocated, when there are
+    more than ENUM_BUDGET activations.
+    """
+    n_wg, n_tap, n_cells = gains_v.shape
     total = n_tap**n_wg
     if total > ENUM_BUDGET:
         raise BudgetError(
             f"exhaustive search needs {total} activations "
             f"({n_tap}^{n_wg}), over the budget of {ENUM_BUDGET}"
         )
-    gains_v = _candidate_matrix(gain_map, params)
-    n_cells = gains_v.shape[2]
     last = n_wg - 1
-    partial = np.zeros((n_wg, n_cells))
-    field = np.empty(n_cells)
-    scores = np.empty((total, *shape))
-    i = 0
-    for head in product(range(n_tap), repeat=last):
-        # lexicographic order: the last nonzero tap of the prefix moved, later ones reset
-        first = max((n for n, m in enumerate(head) if m), default=0)
-        for n in range(first, last):
-            np.add(partial[n], gains_v[n, head[n]], out=partial[n + 1])
-        for m in range(n_tap):
-            np.add(partial[last], gains_v[last, m], out=field)
-            scores[i] = score(field)
-            i += 1
-    return scores
+    n_thr = len(thr_eff)
+    counts = np.zeros((total, n_thr), dtype=np.int64)
+    tally = np.empty((n_thr, n_tap), dtype=np.uint16)  # hits per tap of a block (< 2**16 cells)
+    thresholds = np.reshape(thr_eff, (-1, 1, 1))
+    for start in range(0, n_cells, _WALK_CELLS):
+        block = gains_v[:, :, start : start + _WALK_CELLS]
+        width = block.shape[2]
+        partial = np.zeros((n_wg, width))
+        # hit rows padded with False to whole words; each uint64 word holds 8
+        # hits as bytes 0 or 1, so a sum of at most 255 words counts 8 cells
+        # per byte without a carry, in an eighth of the additions
+        hits = np.zeros((n_thr, n_tap, -(-width // 8) * 8), dtype=bool)
+        words = hits.view(np.uint64)
+        runs = np.arange(0, words.shape[2], 255)
+        lanes = np.empty((n_thr, n_tap, len(runs)), dtype=np.uint64)
+        if n_thr == 1:
+            lo, hi = _partial_range(block)
+            table = np.empty((n_tap, width))
+            for c in range(0, width, _TABLE_CHUNK):
+                cols = slice(c, c + _TABLE_CHUNK)
+                table[:, cols] = _last_tap_thresholds(lo[cols], hi[cols], block[last, :, cols], thr_eff[0])
+        else:
+            field = np.empty((n_tap, width))
+        i = 0
+        for head in product(range(n_tap), repeat=last):
+            # lexicographic order: the last nonzero tap of the prefix moved, later ones reset
+            first = max((n for n, m in enumerate(head) if m), default=0)
+            for n in range(first, last):
+                np.add(partial[n], block[n, head[n]], out=partial[n + 1])
+            if n_thr == 1:
+                np.greater_equal(partial[last], table, out=hits[0, :, :width])
+            else:
+                np.copyto(field, block[last])  # then adding in place is faster than one add into it
+                np.add(field, partial[last], out=field)
+                np.greater_equal(field, thresholds, out=hits[:, :, :width])
+            np.add.reduceat(words, runs, axis=2, out=lanes)
+            lanes.view(np.uint8).sum(axis=2, dtype=np.uint16, out=tally)
+            counts[i : i + n_tap] += tally.T
+            i += n_tap
+    return counts
 
 
 def _activation_at(index: int, gain_map: GainMap) -> Activation:
-    """Activation of entry `index` of the `_score_activations` order."""
+    """Activation of row `index` of the `_coverage_counts` order."""
     shape = (gain_map.n_taps,) * gain_map.n_waveguides
     return Activation(selected=np.unravel_index(index, shape))
 
@@ -347,15 +479,10 @@ def _exact_coverages(gain_map: GainMap, params: ChannelParams, thresholds) -> li
         _check_threshold(threshold)
     _require_valid(gain_map)
     thr_eff = [threshold * (1.0 - COVERAGE_SLACK) for threshold in thresholds]
-    hit = np.empty(int(np.count_nonzero(gain_map.valid)), dtype=bool)
-
-    def counts(field):
-        return [np.count_nonzero(np.greater_equal(field, thr, out=hit)) for thr in thr_eff]
-
-    scores = _score_activations(gain_map, params, counts, (len(thr_eff),))
+    counts = _coverage_counts(_candidate_matrix(gain_map, params), thr_eff)
     return [
         _coverage_result(_activation_at(i, gain_map), gain_map, params, threshold, 0, "exact")
-        for i, threshold in zip(np.argmax(scores, axis=0).tolist(), thresholds)
+        for i, threshold in zip(np.argmax(counts, axis=0).tolist(), thresholds)
     ]
 
 

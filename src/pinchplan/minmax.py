@@ -149,7 +149,7 @@ def _reach(gains: np.ndarray) -> np.ndarray:
 @dataclass
 class _Certificate:
     activation: Activation
-    value: float  # its worst cell, bit-equal to its `_score_activations` score
+    value: float  # its worst cell, summed in waveguide order like `coverage._field`
     nodes: int  # search-tree nodes bounded
     leaves: int  # activations scored on every valid cell
 
@@ -167,7 +167,8 @@ def _bnb_maxmin(gain_map: GainMap, params: ChannelParams) -> _Certificate:
     every valid cell. A node is pruned only when its bound, raised by the
     rounding slack of the envelope sum, lies below the incumbent; an equal
     leaf score keeps the lexicographically smaller activation, so the result
-    is the first argmax of the `_score_activations` scores. Refuses with
+    is the first argmax, in lexicographic order, of every activation's
+    worst cell summed in waveguide order (`coverage._field`). Refuses with
     BudgetError once more than BNB_NODE_BUDGET nodes have been bounded.
     """
     gains_v = _candidate_matrix(gain_map, params)
@@ -262,7 +263,8 @@ def bisection_maxmin(
     activation. The branch-and-bound optimum, when it fits its node budget,
     is certified first and is that first start: a probe at or below it
     succeeds on that start with no descent, and a probe above it by more than
-    CEILING_MARGIN cannot succeed, so it runs a single descent. The plan is
+    CEILING_MARGIN cannot succeed, so it runs a single descent of one sweep
+    (it still makes its one `deficit_feasibility` call). The plan is
     then the certified one. Without a certificate the first start is the
     centred activation and every probe runs all its restarts. The search and
     every probe read one shared candidate matrix (`_shared_matrix`).
@@ -289,9 +291,11 @@ def bisection_maxmin(
             t_mid = 0.5 * (t_lo + t_hi)
             if not t_lo < t_mid < t_hi:
                 break  # adjacent floats: at large SNR they lie more than eps_t apart
-            starts = DEFAULT_FEAS_RESTARTS if t_mid <= ceiling else 1
+            # a probe above the ceiling cannot succeed: one start of one sweep
+            below = t_mid <= ceiling
             ok, found = deficit_feasibility(
-                t_mid, gain_map, params, best, max_sweeps, starts, seed + iters
+                t_mid, gain_map, params, best,
+                max_sweeps if below else 1, DEFAULT_FEAS_RESTARTS if below else 1, seed + iters,
             )
             iters += 1
             if ok:

@@ -18,6 +18,7 @@ from pinchplan import (
     maxmin_upper_bound,
     scenario_from_dict,
 )
+from pinchplan.channel import _candidate_matrix
 from pinchplan.coverage import _check_threshold, _require_valid
 from pinchplan.geometry import SLAB_TOL
 
@@ -228,6 +229,38 @@ def all_activation_fields(gain_map, params):
     n, m = gain_map.n_waveguides, gain_map.n_taps
     for sel in product(range(m), repeat=n):
         yield sel, avg_snr(np.array(sel), gain_map, params)
+
+
+def score_activations(gain_map, params, score, shape=()):
+    """score(valid-cell SNR field) of every activation, in lexicographic order.
+
+    The field-walk reference for `coverage._coverage_counts`: it forms each
+    field by adding the last tap to the running partial sum, in the same
+    waveguide order from zero. `score` returns one value, or `shape` values
+    (the result is then (activations, *shape)). Entry i belongs to
+    `coverage._activation_at(i, gain_map)`. Row n+1 of `partial` holds the
+    running sum of waveguides 0..n; a new prefix recomputes only the rows
+    from its first changed tap on. The field handed to `score` is one reused
+    buffer.
+    """
+    n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
+    gains_v = _candidate_matrix(gain_map, params)
+    n_cells = gains_v.shape[2]
+    last = n_wg - 1
+    partial = np.zeros((n_wg, n_cells))
+    field = np.empty(n_cells)
+    scores = np.empty((n_tap**n_wg, *shape))
+    i = 0
+    for head in product(range(n_tap), repeat=last):
+        # lexicographic order: the last nonzero tap of the prefix moved, later ones reset
+        first = max((n for n, m in enumerate(head) if m), default=0)
+        for n in range(first, last):
+            np.add(partial[n], gains_v[n, head[n]], out=partial[n + 1])
+        for m in range(n_tap):
+            np.add(partial[last], gains_v[last, m], out=field)
+            scores[i] = score(field)
+            i += 1
+    return scores
 
 
 def brute_best_coverage(gain_map, params, threshold):

@@ -16,12 +16,13 @@ from pinchplan import (
     worst_grid_snr,
 )
 from pinchplan import minmax
-from pinchplan.coverage import _activation_at, _score_activations
+from pinchplan.coverage import _activation_at
 from conftest import (
     all_restarts_bisection,
     brute_best_worst,
     exhaustive_feasibility,
     random_scenario,
+    score_activations,
     total_deficit,
 )
 
@@ -301,8 +302,8 @@ def test_plans_never_beat_their_certificate():
 
 
 def _first_argmax(gm, p):
-    """(worst cell, activation) of the first argmax of the exhaustive scores."""
-    worst = _score_activations(gm, p, np.min)
+    """(worst cell, activation) of the first argmax of the field-walk scores."""
+    worst = score_activations(gm, p, np.min)
     i = int(np.argmax(worst))
     return worst[i], _activation_at(i, gm)
 
@@ -375,7 +376,7 @@ def test_bnb_node_budget_refusal(monkeypatch):
 @pytest.mark.parametrize("budget", [minmax.BNB_NODE_BUDGET, 1])
 def test_bisection_plans_match_the_all_restarts_loop(monkeypatch, budget):
     # with a certificate bisection starts from it and plans the optimum, and
-    # the ceiling cuts probes above it to one descent; with the budget
+    # the ceiling cuts probes above it to one descent of one sweep; with the budget
     # exhausted there is no ceiling and the plan is the all-restarts loop's.
     # Either way the probe count is the loop's.
     monkeypatch.setattr(minmax, "BNB_NODE_BUDGET", budget)
@@ -383,7 +384,7 @@ def test_bisection_plans_match_the_all_restarts_loop(monkeypatch, budget):
     feasibility = minmax.deficit_feasibility
 
     def recording(target, gm, p, initial, max_sweeps, restarts, seed):
-        probes.append((target, restarts))
+        probes.append((target, max_sweeps, restarts))
         return feasibility(target, gm, p, initial, max_sweeps, restarts, seed)
 
     monkeypatch.setattr(minmax, "deficit_feasibility", recording)
@@ -401,12 +402,14 @@ def test_bisection_plans_match_the_all_restarts_loop(monkeypatch, budget):
             assert res.activation == act
             assert res.t_star == worst_grid_snr(act.as_array(), gm, p)
             assert res.certified is None and res.bnb_nodes is None
-            assert {r for _, r in probes} == {16}
+            assert {(s, r) for _, s, r in probes} == {(minmax.DEFAULT_MAX_SWEEPS, 16)}
         else:
             exact = exact_maxmin(gm, p)
             assert res.activation == exact.activation
             assert res.t_star == res.certified == exact.certified
             ceiling = res.certified * (1 + minmax.CEILING_MARGIN)
-            assert all(r == (1 if t > ceiling else 16) for t, r in probes)
-            single += sum(r == 1 for _, r in probes)
+            assert all(
+                (s, r) == ((1, 1) if t > ceiling else (minmax.DEFAULT_MAX_SWEEPS, 16)) for t, s, r in probes
+            )
+            single += sum(r == 1 for _, _, r in probes)
     assert budget == 1 or single > 0

@@ -1,4 +1,4 @@
-"""The candidate matrix and its shared scope, the exhaustive scores, the blocked tap scans and pinned plans.
+"""The candidate matrix and its shared scope, the exhaustive walk, the blocked tap scans and pinned plans.
 
 The plan pins were measured on the bundled table1 scenario at grid scale
 0.25 before the solvers moved onto the contiguous matrix; the move keeps
@@ -29,7 +29,14 @@ from pinchplan import (
 )
 from pinchplan.channel import _candidate_matrix, db_to_linear
 from pinchplan import channel, coverage, minmax
-from pinchplan.coverage import _activation_at, _best_tap, _first_min, _score_activations, _tap_blocks
+from pinchplan.coverage import (
+    _activation_at,
+    _best_tap,
+    _coverage_counts,
+    _first_min,
+    _last_tap_thresholds,
+    _tap_blocks,
+)
 from pinchplan.minmax import _deficit_descent
 from conftest import (
     all_activation_fields,
@@ -41,6 +48,7 @@ from conftest import (
     loop_best_tap,
     loop_deficit_descent,
     random_scenario,
+    score_activations,
 )
 
 UNIT_PARAMS = ChannelParams(
@@ -186,6 +194,15 @@ def test_pinned_maxmin_plans_table1_full():
     assert res.bisection_iters == res.feasibility_evals == 21
 
 
+def test_pinned_exact_coverage_table1_full():
+    # the full grid walks several cell blocks
+    scn = load_bundled("table1")
+    gm = scn.gain_map()
+    assert np.count_nonzero(gm.valid) > 5 * coverage._WALK_CELLS
+    res = exact_enumerate(gm, scn.params, db_to_linear(24.0))
+    assert (res.activation.selected, res.covered_count) == ((3, 8, 6, 2), 34162)
+
+
 def test_exact_feasibility_pinned_table1_quarter(quarter_table1):
     # bisection whose probes read every activation's worst cell brackets the optimum
     scn, gm = quarter_table1
@@ -203,7 +220,7 @@ def test_score_activations_order_and_values(n_wg):
     valid[1, 0] = False
     gm, p = GainMap(gains=rng.uniform(0.5, 2.0, (n_wg, 3, 3, 2)), valid=valid), UNIT_PARAMS
     seen = []
-    scores = _score_activations(gm, p, lambda field: seen.append(field.copy()) or field.min())
+    scores = score_activations(gm, p, lambda field: seen.append(field.copy()) or field.min())
     want = list(all_activation_fields(gm, p))
     assert len(scores) == len(seen) == len(want) == 3**n_wg
     for i, (sel, field) in enumerate(want):
@@ -265,6 +282,112 @@ def kernel_map(draw, n_wg):
 def blocks_of(taps_per_block, n_cells):
     """Patch the block size so `_tap_blocks` cuts `taps_per_block` taps per block."""
     return mock.patch.object(coverage, "_BLOCK_VALUES", taps_per_block * n_cells)
+
+
+def passes(p, g, t):
+    """fl(p + g) >= t, the field compare the last-tap thresholds replace."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.float64(p) + np.float64(g) >= t)
+
+
+def check_last_tap_threshold(lo, hi, g, t, probes=()):
+    """h of (lo, hi, g, t) gives the add's verdict on each probe, and is the least such float."""
+    h = _last_tap_thresholds(np.array([lo]), np.array([hi]), np.array([[g]]), t)[0, 0]
+    with np.errstate(over="ignore"):  # nextafter of +-max
+        below, above = np.nextafter(h, -np.inf), np.nextafter(h, np.inf)
+    if np.isnan(h):
+        assert not passes(hi, g, t)
+    elif h == -np.inf:
+        assert passes(lo, g, t)
+    else:  # the least float that passes: h does, the float below it does not
+        assert lo < h <= hi
+        assert passes(h, g, t) and not passes(below, g, t)
+    for p in [lo, hi, h, below, above, *probes]:
+        if lo <= p <= hi:
+            assert passes(p, g, t) == (p >= h), (p, h)
+    assert not np.nan >= h and not passes(np.nan, g, t)
+    return h
+
+
+def ulps_from(x, n):
+    """The float n steps of nextafter from x (n < 0 steps down)."""
+    with np.errstate(over="ignore"):
+        for _ in range(abs(n)):
+            x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+    return float(x)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+THRESHOLDS = st.sampled_from([1.0, 3.0, 1e-300, 1e300, np.inf]) | st.floats(1e-300, 1e300)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_last_tap_thresholds_are_exact_and_least(data):
+    t = data.draw(THRESHOLDS)
+    # g at or above t, within a few ulps of t, anywhere, or not finite
+    g = data.draw(
+        st.floats(t, np.inf)
+        | st.integers(-4, 4).map(lambda n: ulps_from(t, n))
+        | st.floats(allow_nan=False)
+        | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = t - g
+    # a range around fl(t - g), where entries are contested, or anywhere
+    if np.isfinite(centre) and data.draw(st.booleans()):
+        spread = st.floats(0.0, 1e300) | st.integers(0, 4).map(lambda n: ulps_from(0.0, n))
+        lo, hi = centre - data.draw(spread), centre + data.draw(spread)
+    else:
+        lo, hi = sorted(data.draw(st.lists(st.floats(allow_nan=False), min_size=2, max_size=2)))
+    probes = data.draw(st.lists(st.floats(lo, hi) if np.isfinite(lo) and np.isfinite(hi) else FINITE, max_size=8))
+    check_last_tap_threshold(lo, hi, g, t, probes)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, g, t, want",
+    [
+        # t = inf makes h0 NaN, so the entry is bisected, to a float below max
+        (-np.inf, np.inf, 1e300, np.inf, None),
+        # fl(t - g) is 1.0 and h0 falls into the finer binade below it: h is
+        # two floats above h0, outside the candidates, and is bisected
+        (0.0, 2.0, 0.5383963798772445, 1.5383963798772446, 1.0000000000000002),
+        (-np.inf, np.inf, np.inf, 1.0, -np.finfo(float).max),  # every p but -inf passes
+        (-1.0, 3.0, 2.0, 2.0, -(2.0**-53)),  # g == t: -2**-53 + 2 rounds to 2
+        (0.0, np.inf, np.nan, 1.0, np.nan),  # a NaN gain never passes
+        (0.5, 3.0, 1.0, 1.0, -np.inf),  # decided over the range: always
+        (0.0, 0.5, 0.25, 1.0, np.nan),  # decided over the range: never
+        (np.inf, np.inf, 0.0, 1.0, -np.inf),  # +inf partial sums pass
+    ],
+)
+def test_last_tap_threshold_edges(lo, hi, g, t, want):
+    h = check_last_tap_threshold(lo, hi, g, t)
+    assert same_float(h, want) if want is not None else h < np.finfo(float).max
+
+
+# thresholds of the walk test: near the small-integer sums, anywhere, or inf
+WALK_THRESHOLDS = st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0, 6.0, np.inf]) | st.floats(0.1, 12.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_coverage_counts_match_the_field_walk(data):
+    gains, _ = data.draw(kernel_map(data.draw(st.integers(1, 4))))
+    thresholds = data.draw(st.lists(WALK_THRESHOLDS, min_size=1, max_size=3))
+    n_cells = gains.shape[2]
+    gm = GainMap(gains=gains[..., None], valid=np.ones((n_cells, 1), dtype=bool))
+    cells = data.draw(st.integers(1, n_cells))  # cells per walk block: one block or several
+    chunk = data.draw(st.integers(1, 3))  # cells per chunk of the table build
+    with (
+        mock.patch.object(coverage, "_WALK_CELLS", cells),
+        mock.patch.object(coverage, "_TABLE_CHUNK", chunk),
+        np.errstate(invalid="ignore"),
+    ):
+        got = _coverage_counts(gains, thresholds)
+        want = score_activations(
+            gm, UNIT_PARAMS, lambda field: [np.count_nonzero(field >= t) for t in thresholds], (len(thresholds),)
+        )
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def same_float(a, b):

@@ -199,13 +199,13 @@ def test_random_draws_below_one_are_refused(n_random):
 
 def test_exact_threshold_sweep_walks_the_activations_once(monkeypatch):
     walks = []
-    score_activations = coverage._score_activations
+    coverage_counts = coverage._coverage_counts
 
     def counting(*args):
         walks.append(args)
-        return score_activations(*args)
+        return coverage_counts(*args)
 
-    monkeypatch.setattr(coverage, "_score_activations", counting)
+    monkeypatch.setattr(coverage, "_coverage_counts", counting)
     rng = np.random.default_rng(80)
     for _ in range(4):
         scn = random_scenario(rng, waveguides=3, taps=3, k_max=2)
@@ -214,7 +214,9 @@ def test_exact_threshold_sweep_walks_the_activations_once(monkeypatch):
         thresholds_db = sorted({linear_to_db(envelope_quantile(gm, p, q)) for q in quantiles})
         walks.clear()
         tab = threshold_sweep(scn, thresholds_db, exact=True)
-        assert len(walks) == 1
+        assert len(walks) == 1 and walks[0][1] == [
+            db_to_linear(thr_db) * (1.0 - coverage.COVERAGE_SLACK) for thr_db in thresholds_db
+        ]
         n_valid = int(np.count_nonzero(gm.valid))
         for thr_db, frac, cell in zip(
             thresholds_db, tab.columns["optimized"], tab.columns["optimized_activation"]
