@@ -212,14 +212,13 @@ def _shared_matrix(gain_map: GainMap, params: ChannelParams):
         _SCOPES.reset(token)
 
 
-def _selection_array(selected, gain_map: GainMap) -> np.ndarray:
+def _selection_array(selected, n_waveguides: int, n_taps: int) -> np.ndarray:
+    """`selected` as an int array, refused unless it picks one of `n_taps` taps per waveguide."""
     sel = np.asarray(selected, dtype=int)
-    if sel.shape != (gain_map.n_waveguides,):
-        raise ValueError(
-            f"selection must pick one tap per waveguide ({gain_map.n_waveguides} entries)"
-        )
-    if np.any(sel < 0) or np.any(sel >= gain_map.n_taps):
-        raise ValueError(f"tap indices must lie in [0, {gain_map.n_taps})")
+    if sel.shape != (n_waveguides,):
+        raise ValueError(f"selection must pick one tap per waveguide ({n_waveguides} entries)")
+    if np.any(sel < 0) or np.any(sel >= n_taps):
+        raise ValueError(f"tap indices must lie in [0, {n_taps})")
     return sel
 
 
@@ -230,7 +229,7 @@ def avg_snr(selected, gain_map: GainMap, params: ChannelParams) -> np.ndarray:
     sum `_candidate_matrix` rows, so a plan's worst cell is bit-equal to the
     score a solver gave it.
     """
-    sel = _selection_array(selected, gain_map)
+    sel = _selection_array(selected, gain_map.n_waveguides, gain_map.n_taps)
     field = params.snr_scale * gain_map.gains[0, sel[0]]
     for n in range(1, len(sel)):
         field += params.snr_scale * gain_map.gains[n, sel[n]]

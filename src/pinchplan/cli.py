@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import avg_snr, db_to_linear, linear_to_db
+from .channel import _selection_array, avg_snr, db_to_linear, linear_to_db
 from .coverage import Activation, BudgetError, _require_valid, coordinate_ascent, emit_milp, exact_enumerate
-from .geometry import GeometryError
+from .geometry import CandidateGrid, GeometryError
 from .mapio import MAP_FORMATS, export_map
 from .minmax import bisection_maxmin, exact_maxmin
 from .scenario import Scenario, ScenarioError, load_bundled, load_scenario
@@ -260,9 +260,13 @@ def _cmd_sweep_power(scn, args, out):
 
 def _cmd_map(scn, args, out):
     act = args.activation
-    gm = scn.gain_map()
+    sel = _selection_array(act.selected, scn.layout.count, scn.taps.count)
+    # visibility and gains are per tap point, so a map of the chosen taps alone
+    # gives the field of the full tensor bit for bit
+    chosen = CandidateGrid(x_taps=scn.taps.x_taps[np.arange(len(sel)), sel][:, None])
+    gm = replace(scn, taps=chosen).gain_map()
     _require_valid(gm)
-    field = avg_snr(act.as_array(), gm, scn.params)
+    field = avg_snr(np.zeros_like(sel), gm, scn.params)
     worst_db = linear_to_db(float(field[gm.valid].min()))  # before the map is written
     path = out / f"map.{args.format}"
     export_map(field, gm.valid, scn.grid, path, fmt=args.format)

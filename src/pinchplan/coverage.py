@@ -12,6 +12,11 @@ cells. At one threshold it compares each partial sum with exact last-tap
 thresholds (`_last_tap_thresholds`) instead of adding the last tap, which
 gives the same counts bit for bit; at several thresholds it adds the last
 tap once and compares the field with each.
+
+The LP emitter writes each block of linking rows as one string join. A
+row's fixed text is split once into fragments around its per-cell texts
+(cell indices and coefficients), and each distinct coefficient bit
+pattern is formatted once and looked up in a hash table (`_TextMemo`).
 """
 
 from __future__ import annotations
@@ -36,15 +41,20 @@ TENSOR_BYTES_BUDGET = 1 << 30
 DEFAULT_MAX_SWEEPS = 50
 
 # Valid cells per block of LP linking rows: the coefficient block is
-# (N*M, _LP_CHUNK) floats, so no full (N*M, V) copy is made.
+# (N*M, _LP_CHUNK) floats and the row block an (_LP_CHUNK, 2*N*M + 9) object
+# array of text pieces, joined into one write, so no full (N*M, V) copy of
+# either is made.
 _LP_CHUNK = 256
 # Distinct coefficient texts the LP writer keeps. Gains over a regular grid
 # and tap lattice repeat (1.7% of a 6x16-tap stress scenario's coefficients
-# are distinct, 2.9% of full table1's), so each text is formatted once. Past
-# this many entries the writer drops them and formats the rest of the file
-# inline, which bounds memory and the extra work on inputs whose coefficients
-# rarely repeat. At the cap the memo takes about 12 MB on a 6x16-tap
-# scenario, nearly all of it the texts themselves.
+# are distinct, 2.9% of full table1's), so each text is formatted once. When
+# a block's new texts would take the table past this many, the writer drops
+# it and formats the rest of the file inline, which bounds memory and the
+# extra work on inputs whose coefficients rarely repeat. The table may hold
+# the smaller of this cap and the file's coefficient count, in the least
+# power of two of slots at least twice that: 2**18 slots of 17 bytes (4.5 MB)
+# on full table1 and stress, 2**18 on quarter table1 (111k coefficients).
+# The texts themselves take about 67 bytes each (4.8 MB for stress's 71,480).
 _LP_MEMO_CAP = 1 << 17
 # Floats per (taps, cells) block of a tap scan (`_tap_blocks`): 256 KB, well
 # inside a 2 MB L2 cache. At a full grid a block is one tap. One block of all
@@ -273,7 +283,7 @@ def coordinate_ascent(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     _require_valid(gain_map)
-    _selection_array(initial.selected, gain_map)
+    _selection_array(initial.selected, gain_map.n_waveguides, gain_map.n_taps)
 
     gains_v = _candidate_matrix(gain_map, params)
     thr_eff = threshold * (1.0 - COVERAGE_SLACK)
@@ -486,13 +496,6 @@ def _exact_coverages(gain_map: GainMap, params: ChannelParams, thresholds) -> li
     ]
 
 
-def _one_based_cells(cells: np.ndarray, ny: int):
-    """1-based (u, v) of flat cell indices, converted _LP_CHUNK cells at a time."""
-    for start in range(0, len(cells), _LP_CHUNK):
-        u, v = np.divmod(cells[start : start + _LP_CHUNK], ny)
-        yield from zip((u + 1).tolist(), (v + 1).tolist())
-
-
 def _lp_terms(parts: list[str], per_line: int = 6) -> list[str]:
     lines = []
     for i in range(0, len(parts), per_line):
@@ -500,37 +503,109 @@ def _lp_terms(parts: list[str], per_line: int = 6) -> list[str]:
     return lines
 
 
-class _TextMemo:
-    """'%.17g' texts keyed on float64 bits: sorted uint64 keys and their texts, in step."""
+# Fibonacci hashing: 2**64 / golden ratio (odd); a key's home slot is the top
+# bits of its bit pattern times this, modulo 2**64.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
-    def __init__(self) -> None:
-        self.keys = np.empty(0, np.uint64)
-        self.texts = np.empty(0, object)
+
+class _TextMemo:
+    """'%.17g' texts keyed on float64 bit patterns: an open-addressing table with linear probing.
+
+    `keys`, `used` and `texts` are the slots, in step; a slot's key counts
+    only where `used` is set, so every bit pattern is a legal key. The table
+    takes at most `cap` = min(n_keys, _LP_MEMO_CAP) texts and has a power of
+    two of slots, at least 2 * cap, so it stays at most half full: probes
+    are short and always reach a free slot. `full` is set once a block's
+    new texts would not fit; they are then returned but not stored. `len()`
+    counts the stored texts.
+    """
+
+    def __init__(self, n_keys: int) -> None:
+        self.cap = min(n_keys, _LP_MEMO_CAP)
+        bits = max(3, (2 * self.cap - 1).bit_length())
+        self.keys = np.zeros(1 << bits, np.uint64)
+        self.used = np.zeros(1 << bits, bool)
+        self.texts = np.empty(1 << bits, object)
+        self.shift = np.uint64(64 - bits)
+        self.size = 0
+        self.full = False
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return self.size
+
+    def probe(self, keys: np.ndarray, slots: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, found): per key its slot when stored, else the first free slot of its probe run.
+
+        A run starts at the key's home slot, or at `slots` when given, and
+        steps to the next slot (wrapping past the last) while the slot holds
+        another key.
+        """
+        if slots is None:
+            slots = keys * _HASH_MULTIPLIER
+            slots >>= self.shift
+            slots = slots.view(np.intp)  # below 2**63
+        used = self.used[slots]
+        found = self.keys[slots] == keys
+        found &= used
+        (todo,) = (used ^ found).nonzero()  # slots that hold another key
+        while len(todo):
+            at = (slots[todo] + 1) & (len(self.used) - 1)
+            slots[todo] = at
+            used = self.used[at]
+            hit = self.keys[at] == keys[todo]
+            hit &= used
+            found[todo[hit]] = True
+            todo = todo[used ^ hit]
+        return slots, found
+
+    def insert(self, keys: np.ndarray, texts: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Store distinct keys that are not in the table, each from the free slot its probe reached.
+
+        Keys that reached the same free slot take it in turn: per round the
+        first of them, and the rest probe on past it. Returns their slots.
+        """
+        pending = np.arange(len(keys))
+        while len(pending):
+            slots[pending], _ = self.probe(keys[pending], slots[pending])
+            taken, first = np.unique(slots[pending], return_index=True)
+            won = pending[first]
+            self.used[taken] = True
+            self.keys[taken] = keys[won]
+            self.texts[taken] = texts[won]
+            pending = np.delete(pending, first)
+        self.size += len(keys)
+        return slots
+
+
+def _texts(values: np.ndarray) -> np.ndarray:
+    """'%.17g' texts of the float64 `values`, as a flat object array."""
+    out = np.empty(values.size, object)
+    out[:] = ["%.17g" % x for x in values.ravel().tolist()]
+    return out
 
 
 def _coef_texts(block: np.ndarray, memo: _TextMemo) -> np.ndarray:
     """'%.17g' texts of `block.T` (an object array), formatting only bit patterns not in `memo`.
 
     Keying on the float64 bits keeps every pattern's own text (0.0 and -0.0
-    differ). The texts formatted here are merged into `memo` at their sorted
-    positions.
+    differ). The distinct new patterns are formatted once and stored, unless
+    they would take `memo` past its cap: then it is marked full.
     """
-    keys, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
-    pos = np.searchsorted(memo.keys, keys)
-    hit = pos < len(memo)
-    hit[hit] = memo.keys[pos[hit]] == keys[hit]
-    texts = np.empty(len(keys), object)
-    texts[hit] = memo.texts[pos[hit]]
-    miss = ~hit
-    if miss.any():
-        new = keys[miss]
-        texts[miss] = ["%.17g" % x for x in new.view(np.float64).tolist()]
-        memo.keys = np.insert(memo.keys, pos[miss], new)
-        memo.texts = np.insert(memo.texts, pos[miss], texts[miss])
-    return texts[inverse].reshape(block.shape).T
+    keys = block.view(np.uint64).ravel()
+    slots, found = memo.probe(keys)
+    if found.all():
+        return memo.texts[slots].reshape(block.shape).T
+    miss = ~found
+    new, first, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
+    texts = _texts(new.view(np.float64))
+    if len(memo) + len(new) > memo.cap:
+        memo.full = True
+        out = np.empty(len(keys), object)
+        out[found] = memo.texts[slots[found]]
+        out[miss] = texts[inverse]
+        return out.reshape(block.shape).T
+    slots[miss] = memo.insert(new, texts, slots[miss][first])[inverse]
+    return memo.texts[slots].reshape(block.shape).T
 
 
 def emit_milp(
@@ -549,6 +624,11 @@ def emit_milp(
     reproduces them bit-exactly. UTF-8, LF line endings. Refuses a threshold
     that is not positive or a map without valid cells (ValueError) before
     a file is opened.
+
+    The linking rows are written _LP_CHUNK cells at a time, each block as
+    one join of a reused object array: its even columns hold a row's fixed
+    fragments, its odd ones that block's cell indices and coefficient texts
+    (`_coef_texts`, or '%.17g' inline once the memo is dropped).
     """
     _check_threshold(threshold)
     _require_valid(gain_map)
@@ -560,46 +640,44 @@ def emit_milp(
     n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
     rho = params.snr_scale
     cells = np.flatnonzero(gain_map.valid)
-    ny = gain_map.valid.shape[1]
+    us, vs = np.divmod(cells, gain_map.valid.shape[1])
+    index_texts = np.array([str(i + 1) for i in range(max(gain_map.valid.shape))], dtype=object)
     gains_flat = gain_map.gains.reshape(n_wg * n_tap, -1)
 
     w = out.write
     w("\\ tap-activation coverage MILP\n")
     w("Maximize\n")
-    cell_vars = [f"c_{u}_{v}" for u, v in _one_based_cells(cells, ny)]
+    cell_vars = ("c_" + index_texts[us] + "_" + index_texts[vs]).tolist()
     obj = [cell_vars[0]] + [f"+ {name}" for name in cell_vars[1:]]
     for line in _lp_terms(["covered:"] + obj, per_line=8):
         w(f" {line}\n")
     w("Subject To\n")
 
-    def row_template(coef: str) -> str:
-        # One %-template per linking row, laid out by the same _lp_terms split;
-        # '%.17g' % x formats exactly like f"{x:.17g}".
-        parts = ["snr_%d_%d:"]
-        parts += [f"+ {coef} a_{n + 1}_{m + 1}" for n in range(n_wg) for m in range(n_tap)]
-        parts.append(f"- {threshold:.17g} c_%d_%d")
-        parts.append(">= 0")
-        return "".join(f" {line}\n" for line in _lp_terms(parts, per_line=4))
-
-    cached_row, inline_row = row_template("%s"), row_template("%.17g")
-    memo: _TextMemo | None = _TextMemo()
+    # One linking row's text, 4 terms a line (`_lp_terms`), with a NUL where
+    # each per-cell text goes: u, v, the N*M coefficients, u, v. Split
+    # there, its fixed fragments fill the even columns of `rows`; per block
+    # only the odd ones are filled, and each row is the join of its columns.
+    parts = ["snr_\0_\0:"]
+    parts += [f"+ \0 a_{n + 1}_{m + 1}" for n in range(n_wg) for m in range(n_tap)]
+    parts += [f"- {threshold:.17g} c_\0_\0", ">= 0"]
+    fragments = "".join(f" {line}\n" for line in _lp_terms(parts, per_line=4)).split("\0")
+    rows = np.empty((_LP_CHUNK, 2 * len(fragments) - 1), dtype=object)
+    rows[:, ::2] = fragments
+    memo: _TextMemo | None = _TextMemo(n_wg * n_tap * len(cells))
     for start in range(0, len(cells), _LP_CHUNK):
-        chunk = cells[start : start + _LP_CHUNK]
+        chunk = slice(start, start + _LP_CHUNK)
         # float64 whatever the tensor's dtype: widening is exact, so the texts are unchanged
-        block = (rho * gains_flat[:, chunk]).astype(np.float64, copy=False)
-        # one row of %-arguments per cell: u, v, its coefficients, u, v
-        args = np.empty((len(chunk), n_wg * n_tap + 4), dtype=object)
-        u, v = np.divmod(chunk, ny)
-        args[:, 0] = args[:, -2] = u + 1
-        args[:, 1] = args[:, -1] = v + 1
+        block = (rho * gains_flat[:, cells[chunk]]).astype(np.float64, copy=False)
+        part = rows[: block.shape[1]]
+        part[:, 1] = part[:, -4] = index_texts[us[chunk]]
+        part[:, 3] = part[:, -2] = index_texts[vs[chunk]]
         if memo is None:
-            row, coefs = inline_row, block.T
+            part[:, 5:-4:2] = _texts(block.T).reshape(len(part), -1)
         else:
-            row, coefs = cached_row, _coef_texts(block, memo)
-            if len(memo) > _LP_MEMO_CAP:
+            part[:, 5:-4:2] = _coef_texts(block, memo)
+            if memo.full:
                 memo = None
-        args[:, 2:-2] = coefs
-        w((row * len(chunk)) % tuple(args.ravel().tolist()))
+        w("".join(part.ravel().tolist()))
     for n in range(n_wg):
         parts = [f"pick_{n + 1}:", f"a_{n + 1}_1"]
         parts += [f"+ a_{n + 1}_{m + 1}" for m in range(1, n_tap)]

@@ -117,7 +117,7 @@ def deficit_feasibility(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     _require_valid(gain_map)
-    _selection_array(initial.selected, gain_map)
+    _selection_array(initial.selected, gain_map.n_waveguides, gain_map.n_taps)
     gains_v = _candidate_matrix(gain_map, params)
 
     best_deficit, best_sel = np.inf, None

@@ -175,11 +175,12 @@ def power_sweep(
         raise ValueError("power list must not be empty")
     draws = _draws(scenario, n_random)
 
+    # an overflowing power is refused before the gain map is built
+    per_power_params = [scenario.with_power_dbm(p).params for p in powers_dbm]
     gm = scenario.gain_map()
     params0 = scenario.params
     table = SweepTable(axis="tx_power_dbm", columns={"tx_power_dbm": powers_dbm})
 
-    per_power_params = [scenario.with_power_dbm(p).params for p in powers_dbm]
     if exact:
         minmax_res = exact_maxmin(gm, params0)
     else:

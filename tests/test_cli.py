@@ -40,6 +40,21 @@ def gain_map_builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def visibility_taps(monkeypatch):
+    """The candidate tap grids whose visibility was computed while the test ran."""
+    from pinchplan import scenario
+
+    original, calls = scenario.compute_visibility, []
+
+    def counting(layout, taps, blockages, grid):
+        calls.append(taps)
+        return original(layout, taps, blockages, grid)
+
+    monkeypatch.setattr(scenario, "compute_visibility", counting)
+    return calls
+
+
 def refused_at_parse_time(tmp_path, capsys, command, *flags):
     """Run `command` on small table1; assert argparse exits 2 before --out is made; return stderr."""
     with pytest.raises(SystemExit) as exc:
@@ -255,6 +270,25 @@ def test_map_formats_and_worst(tmp_path):
     )
     assert code == 0
     assert (out / "map.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [("2,6", "selection must pick one tap per waveguide (4 entries)"), ("11,1,1,1", "tap indices must lie in [0, 10)")],
+)
+def test_map_refuses_a_wrong_activation_before_any_visibility(tmp_path, capsys, visibility_taps, bad, message):
+    code, out = run(tmp_path, "map", "--activation", bad, "--config", "table1", *SMALL)
+    err = capsys.readouterr().err
+    assert code == 2 and f"invalid input: {message}" in err
+    assert visibility_taps == []
+    assert not out.exists()
+
+
+def test_map_computes_visibility_of_its_taps_only(tmp_path, visibility_taps):
+    code, out = run(tmp_path, "map", "--activation", "2,6,9,4", "--config", "table1", *SMALL)
+    assert code == 0 and (out / "map.csv").exists()
+    assert len(visibility_taps) == 1
+    assert visibility_taps[0].x_taps.tolist() == load_bundled("table1").taps.x_taps[range(4), [1, 5, 8, 3], None].tolist()
 
 
 def test_activation_parsing_errors(tmp_path):
@@ -557,8 +591,9 @@ def test_linear_to_db_refuses_non_positive_values():
             linear_to_db(value)
 
 
-def test_sweep_power_refuses_an_overflowing_power(tmp_path, capsys):
-    # an overflowing power in watts, then one whose SNR overflows only at this scenario's noise
+def test_sweep_power_refuses_an_overflowing_power(tmp_path, capsys, gain_map_builds):
+    # an overflowing power in watts, then one whose SNR overflows only at this
+    # scenario's noise; both before the gain map is built
     path = _write_scenario(tmp_path, "channel", "noise_dbm", -100.0)
     for i, flags in enumerate((["--config", "table1", *SMALL, "--powers", "30,4000"],
                                ["--config", str(path), "--powers", "30,3060"])):
@@ -567,6 +602,7 @@ def test_sweep_power_refuses_an_overflowing_power(tmp_path, capsys):
         assert code == 2
         assert "invalid input" in err and "overflows" in err and "Traceback" not in err
         assert not (out / "power_sweep_summary.json").exists()
+    assert gain_map_builds == []
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import writer_oracles as oracle
 from conftest import WALL, MaxCoverInstance, encode_max_cover, scenario_dict
@@ -23,9 +25,11 @@ from pinchplan.cli import _write_npz, main
 from pinchplan.mapio import _field_db
 
 
-# sha256 of `coverage --milp` on table1 at --grid-scale 0.25 and the scenario
-# threshold; the package smoke test in CI checks the installed wheel against it
+# sha256 of `coverage --milp` on table1 at --grid-scale 0.25 and at the full
+# grid, at the scenario threshold; the package smoke test in CI checks the
+# installed wheel against both
 QUARTER_LP_SHA256 = "550154d00a9c7bed60238fdb19168d8638e35d73c0dff52c7cdba784dcf57e9c"
+FULL_LP_SHA256 = "583f59162442df196440b9f2c0ec06d582b7df6adcd997f2237939f273a71148"
 
 
 def assert_same(new, ref):
@@ -138,20 +142,95 @@ def test_coverage_milp_keeps_its_pinned_bytes(tmp_path):
     assert hashlib.sha256((out / "model.lp").read_bytes()).hexdigest() == QUARTER_LP_SHA256
 
 
-def test_coef_texts_merges_new_keys_around_the_stored_ones():
-    # float64 bits order as uint64: 0.0 and the subnormal sort before every
-    # positive value, -0.0 and negative values after them all
+class HashingSink:
+    """A text stream that keeps only the sha256 of the UTF-8 bytes written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode("utf-8"))
+
+
+def test_full_grid_milp_keeps_its_pinned_bytes():
+    # the same bytes `coverage --milp` writes on full table1 (52 MB),
+    # hashed as they stream
+    scn = load_bundled("table1")
+    sink = HashingSink()
+    emit_milp(scn.gain_map(), scn.params, scn.threshold_linear, sink)
+    assert sink.sha.hexdigest() == FULL_LP_SHA256
+
+
+def texts_of(block):
+    return [["%.17g" % x for x in row] for row in block.T.tolist()]
+
+
+def test_coef_texts_merges_new_keys_around_the_stored_ones(monkeypatch):
+    # With the multiplier 1 a key's home slot is the top 5 bits of its
+    # pattern in a 32-slot table: sign and high exponent bits. So 1.0, 1.5
+    # and 0.30000000000000004 share slot 7, 0.0 and the subnormal slot 0,
+    # and -inf and the NaNs with the sign bit set slot 31, from which they
+    # wrap past the last slot onto 0, 1, ...
+    monkeypatch.setattr(coverage, "_HASH_MULTIPLIER", np.uint64(1))
+    nans = np.array([0xFFF8000000000000, 0xFFF0000000000001], np.uint64).view(np.float64)
     first = np.array([[1.0, 2.0], [0.1 + 0.2, 1.0]])
-    second = np.array([[0.0, 5e-324, 1.5], [1e300, -0.0, 2.0], [-2.5, 0.1 + 0.2, 0.0]])
-    memo = coverage._TextMemo()
-    for block, stored in ((first, 3), (second, 9), (second, 9), (first, 9)):
-        texts = coverage._coef_texts(block, memo)
-        assert texts.tolist() == [["%.17g" % x for x in row] for row in block.T.tolist()]
-        assert len(memo) == stored
-    texts = memo.texts.tolist()
-    assert np.all(np.diff(memo.keys) > 0)
-    assert texts == ["%.17g" % x for x in memo.keys.view(np.float64).tolist()]
-    assert {"0", "-0", "4.9406564584124654e-324", "0.30000000000000004"} <= set(texts)
+    second = np.array([[-np.inf, nans[0], 1.5], [nans[1], 1e300, 2.0], [-2.5, -0.0, -np.inf]])
+    third = np.array([[0.0, 5e-324, 0.1 + 0.2], [-0.0, 0.0, nans[1]]])
+    memo = coverage._TextMemo(12)
+    assert len(memo.used) == 32
+    for block, stored in ((first, 3), (second, 10), (third, 12), (second, 12), (first, 12)):
+        assert coverage._coef_texts(block, memo).tolist() == texts_of(block)
+        assert len(memo) == np.count_nonzero(memo.used) == stored
+    assert not memo.full
+    slots = memo.used.nonzero()[0]
+    keys = memo.keys[slots]
+    assert memo.texts[slots].tolist() == ["%.17g" % x for x in keys.view(np.float64).tolist()]
+    assert {"0", "-0", "4.9406564584124654e-324", "0.30000000000000004", "-inf", "nan"} <= set(memo.texts[slots])
+    # linear probing: every slot from a key's home to its own is taken
+    homes = (keys >> memo.shift).astype(int)
+    for home, slot in zip(homes, slots):
+        assert memo.used[np.arange(home, home + (slot - home) % 32 + 1) % 32].all()
+    assert np.any(slots < homes)  # wrapped past the last slot
+    assert np.count_nonzero(slots != homes) >= 5  # collided
+
+
+def test_coef_texts_keeps_no_texts_past_its_cap():
+    block = np.array([[1.0, 2.0], [3.0, 1.0]])
+    memo = coverage._TextMemo(4)
+    assert coverage._coef_texts(block, memo).tolist() == texts_of(block)
+    assert (len(memo), memo.full) == (3, False)
+    block = np.array([[4.0, 5.0], [1.0, 2.0]])  # two more texts would make 5
+    assert coverage._coef_texts(block, memo).tolist() == texts_of(block)
+    assert (len(memo), memo.full) == (3, True)
+
+
+# bit patterns: signed zeros, subnormals, the largest finite floats, signed
+# infinities, quiet and signalling NaNs with payloads, then anything
+SIGN = 1 << 63
+SPECIAL_BITS = st.sampled_from(
+    [0, SIGN, 1, SIGN | 1, (1 << 52) - 1, 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000, SIGN | 0x7FF0000000000000,
+     0x7FF8000000000000, SIGN | 0x7FF8000000000000, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF, (1 << 64) - 1]
+)
+BITS = SPECIAL_BITS | st.integers(1, (1 << 52) - 1).map(lambda m: m | SIGN * (m & 1)) | st.integers(0, (1 << 64) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_coef_texts_formats_every_bit_pattern_like_the_format_operator(data):
+    # blocks drawn from one small pool, so patterns repeat within and across blocks
+    pool = data.draw(st.lists(BITS, min_size=1, max_size=40, unique=True))
+    rows = data.draw(st.integers(1, 5))
+    memo = coverage._TextMemo(data.draw(st.integers(0, 48)))
+    seen = set()
+    for _ in range(data.draw(st.integers(1, 5))):
+        bits = data.draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=8 * rows))
+        bits = bits[: len(bits) // rows * rows]
+        block = np.array(bits, np.uint64).reshape(rows, -1).view(np.float64)
+        assert coverage._coef_texts(block, memo).tolist() == texts_of(block)
+        seen.update(bits)
+        assert len(memo) <= memo.cap
+        if not memo.full:
+            assert len(memo) == len(seen)
 
 
 def test_emit_milp_without_valid_cells_refuses_before_writing(quarter, tmp_path):
