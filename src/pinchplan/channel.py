@@ -214,12 +214,13 @@ def _shared_matrix(gain_map: GainMap, params: ChannelParams):
 
 def _selection_array(selected, n_waveguides: int, n_taps: int) -> np.ndarray:
     """`selected` as an int array, refused unless it picks one of `n_taps` taps per waveguide."""
-    sel = np.asarray(selected, dtype=int)
+    sel = np.asarray(selected)
     if sel.shape != (n_waveguides,):
         raise ValueError(f"selection must pick one tap per waveguide ({n_waveguides} entries)")
+    # before the int conversion, which overflows on an index past int64
     if np.any(sel < 0) or np.any(sel >= n_taps):
         raise ValueError(f"tap indices must lie in [0, {n_taps})")
-    return sel
+    return sel.astype(int, copy=False)
 
 
 def avg_snr(selected, gain_map: GainMap, params: ChannelParams) -> np.ndarray:

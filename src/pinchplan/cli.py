@@ -1,8 +1,10 @@
 """Batch command line: precompute gain maps, plan activations, export results.
 
-Every subcommand loads one scenario, writes its products into --out, then
-its <name>_summary.json, and last prints one note to stderr naming every
-file it wrote. File outputs are deterministic for a fixed scenario and seed. Exit codes: 0 ok, 2 validation problem, 3 budget
+Every subcommand loads one scenario and plans without writing anything.
+--out is created only after planning succeeds, so a refused run leaves none.
+Then the products are written into it, then <name>_summary.json, and last one
+note to stderr names every file written. File outputs are deterministic for
+a fixed scenario and seed. Exit codes: 0 ok, 2 validation problem, 3 budget
 refusal, 4 IO failure.
 """
 
@@ -14,6 +16,7 @@ import sys
 import time
 import zipfile
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -134,32 +137,29 @@ def _lp_file_name(text: str) -> str:
     return text
 
 
-# Each _cmd_* plans one subcommand and writes its products into `out`. It
-# returns the files it wrote, the method, the objective and the 1-based
-# activation (or None); `_run` turns the last three into the summary.
-def _cmd_gainmap(scn, args, out):
+# Each _cmd_* plans one subcommand and writes nothing. It returns its products
+# as ordered (file name, writer) pairs, the method, the objective and the
+# 1-based activation (or None); `_run` calls each writer on its path in --out
+# and turns the last three into the summary.
+def _cmd_gainmap(scn, args):
     vis = scn.visibility()
     gm = scn.gain_map(vis)
-    npz_path = out / "gainmap.npz"
-    _write_npz(
-        npz_path,
-        {
-            "gains": gm.gains,
-            "los": vis.los,
-            "valid": gm.valid,
-            "x_centers": scn.grid.x_centers(),
-            "y_centers": scn.grid.y_centers(),
-        },
-    )
+    arrays = {
+        "gains": gm.gains,
+        "los": vis.los,
+        "valid": gm.valid,
+        "x_centers": scn.grid.x_centers(),
+        "y_centers": scn.grid.y_centers(),
+    }
     objective = {
         "blocked_fraction": float(1.0 - vis.los.mean()),
         "valid_cells": int(np.count_nonzero(gm.valid)),
         "total_cells": int(gm.valid.size),
     }
-    return [npz_path], "gainmap", objective, None
+    return [("gainmap.npz", partial(_write_npz, arrays=arrays))], "gainmap", objective, None
 
 
-def _cmd_coverage(scn, args, out):
+def _cmd_coverage(scn, args):
     gm = scn.gain_map()
     thr_db = scn.solver.threshold_db if args.gamma_db is None else args.gamma_db
     thr = db_to_linear(thr_db)
@@ -175,21 +175,19 @@ def _cmd_coverage(scn, args, out):
             restarts=args.restarts,
             seed=scn.solver.seed,
         )
-    written = [out / "coverage_map.csv"]
+    products = [("coverage_map.csv", partial(export_map, res.snr_field, gm.valid, scn.grid))]
     if args.milp is not None:
-        written.append(out / args.milp)
-        emit_milp(gm, scn.params, thr, str(written[-1]))
-    export_map(res.snr_field, gm.valid, scn.grid, written[0], fmt="csv")
+        products.append((args.milp, partial(emit_milp, gm, scn.params, thr)))
     objective = {
         "threshold_db": thr_db,
         "covered_count": res.covered_count,
         "coverage_fraction": res.coverage_fraction,
         "sweeps_used": res.sweeps_used,
     }
-    return written, f"coverage/{res.method}", objective, res.activation.one_based()
+    return products, f"coverage/{res.method}", objective, res.activation.one_based()
 
 
-def _cmd_minmax(scn, args, out):
+def _cmd_minmax(scn, args):
     gm = scn.gain_map()
     eps_t = scn.solver.eps_t if args.eps_t is None else args.eps_t
     if args.exact:
@@ -202,7 +200,6 @@ def _cmd_minmax(scn, args, out):
             max_sweeps=scn.solver.max_sweeps,
             seed=scn.solver.seed,
         )
-    # dB conversions refuse a zero worst cell or optimum before any file is written
     objective = {
         "worst_grid_db": linear_to_db(res.t_star),
         "worst_grid_linear": res.t_star,
@@ -211,10 +208,9 @@ def _cmd_minmax(scn, args, out):
         "eps_t": eps_t,
         **_certificate(res),
     }
-    path = out / "minmax_map.csv"
-    export_map(res.snr_field, gm.valid, scn.grid, path, fmt="csv")
+    products = [("minmax_map.csv", partial(export_map, res.snr_field, gm.valid, scn.grid))]
     method = "minmax/" + ("exact" if res.exact else "bisection")
-    return [path], method, objective, res.activation.one_based()
+    return products, method, objective, res.activation.one_based()
 
 
 def _certificate(res) -> dict:
@@ -223,42 +219,37 @@ def _certificate(res) -> dict:
     return {"certified_db": db, "bnb_nodes": res.bnb_nodes}
 
 
-def _cmd_baseline(scn, args, out):
+def _cmd_baseline(scn, args):
     stats, fixed_field, valid = _baseline(scn, args.draws)
-    path = out / "fixed_map.csv"
-    export_map(fixed_field, valid, scn.grid, path, fmt="csv")
-    return [path], "baseline", stats, None
+    return [("fixed_map.csv", partial(export_map, fixed_field, valid, scn.grid))], "baseline", stats, None
 
 
-def _cmd_sweep_threshold(scn, args, out):
+def _cmd_sweep_threshold(scn, args):
     table = threshold_sweep(scn, args.gammas, exact=args.exact, n_random=args.draws)
-    path = out / "threshold_sweep.csv"
-    table.write_csv(path)
     objective = {
         "thresholds_db": args.gammas,
         "optimized": table.columns.get("optimized"),
         "random_mean": table.columns.get("random_mean"),
         "fixed": table.columns.get("fixed"),
     }
-    return [path], "sweep-threshold/" + ("exact" if args.exact else "coordinate_ascent"), objective, None
+    method = "sweep-threshold/" + ("exact" if args.exact else "coordinate_ascent")
+    return [("threshold_sweep.csv", table.write_csv)], method, objective, None
 
 
-def _cmd_sweep_power(scn, args, out):
+def _cmd_sweep_power(scn, args):
     table, minmax_res = power_sweep(scn, args.powers, n_random=args.draws, exact=args.exact)
     objective = {
         "powers_dbm": args.powers,
         "optimized_db": table.columns.get("optimized_db"),
         "random_mean_db": table.columns.get("random_mean_db"),
         "fixed_db": table.columns.get("fixed_db"),
-        **_certificate(minmax_res),  # before the table is written
+        **_certificate(minmax_res),
     }
-    path = out / "power_sweep.csv"
-    table.write_csv(path)
     method = "sweep-power/" + ("exact" if args.exact else "bisection")
-    return [path], method, objective, minmax_res.activation.one_based()
+    return [("power_sweep.csv", table.write_csv)], method, objective, minmax_res.activation.one_based()
 
 
-def _cmd_map(scn, args, out):
+def _cmd_map(scn, args):
     act = args.activation
     sel = _selection_array(act.selected, scn.layout.count, scn.taps.count)
     # visibility and gains are per tap point, so a map of the chosen taps alone
@@ -267,28 +258,22 @@ def _cmd_map(scn, args, out):
     gm = replace(scn, taps=chosen).gain_map()
     _require_valid(gm)
     field = avg_snr(np.zeros_like(sel), gm, scn.params)
-    worst_db = linear_to_db(float(field[gm.valid].min()))  # before the map is written
-    path = out / f"map.{args.format}"
-    export_map(field, gm.valid, scn.grid, path, fmt=args.format)
-    return [path], "map", {"worst_valid_db": worst_db, "format": args.format}, act.one_based()
+    objective = {"worst_valid_db": linear_to_db(float(field[gm.valid].min())), "format": args.format}
+    products = [(f"map.{args.format}", partial(export_map, field, gm.valid, scn.grid, fmt=args.format))]
+    return products, "map", objective, act.one_based()
 
 
 def _run(args) -> None:
-    """Run one subcommand: its products, then its summary, then one stderr note naming every file.
-
-    When planning raises, an --out directory this run created is removed if it is still empty.
-    """
+    """Plan one subcommand, then create --out, write its products and its summary, and name every file on stderr."""
     t0 = time.perf_counter()
     scn = _resolve_scenario(args)
+    products, method, objective, activation = args.func(scn, args)
     out = Path(args.out)
-    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        written, method, objective, activation = args.func(scn, args, out)
-    except BaseException:
-        if created and not any(out.iterdir()):
-            out.rmdir()
-        raise
+    written = []
+    for name, write in products:
+        written.append(str(out / name))  # a str: emit_milp takes a str path or a text stream
+        write(written[-1])
     summary = RunSummary(
         digest=scn.digest(),
         method=method,
@@ -297,11 +282,10 @@ def _run(args) -> None:
         seed=scn.solver.seed,
         wall_time_s=time.perf_counter() - t0,
     )
-    written.append(out / args.summary)
+    written.append(str(out / args.summary))
     with open(written[-1], "w", encoding="utf-8", newline="\n") as fh:
         fh.write(summary.to_json())
-    names = ", ".join(str(p) for p in written)
-    print(f"[pinchplan] {args.command}: wrote {names} in {summary.wall_time_s:.2f} s", file=sys.stderr)
+    print(f"[pinchplan] {args.command}: wrote {', '.join(written)} in {summary.wall_time_s:.2f} s", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -264,7 +264,8 @@ def bisection_maxmin(
     is certified first and is that first start: a probe at or below it
     succeeds on that start with no descent, and a probe above it by more than
     CEILING_MARGIN cannot succeed, so it runs a single descent of one sweep
-    (it still makes its one `deficit_feasibility` call). The plan is
+    (it still makes its one `deficit_feasibility` call) and the bracket's top
+    drops to that ceiling: at most one probe lies above it. The plan is
     then the certified one. Without a certificate the first start is the
     centred activation and every probe runs all its restarts. The search and
     every probe read one shared candidate matrix (`_shared_matrix`).
@@ -302,7 +303,7 @@ def bisection_maxmin(
                 best = found
                 t_lo = t_mid
             else:
-                t_hi = t_mid
+                t_hi = min(t_mid, ceiling)
 
     return _maxmin_result(
         best, gain_map, params, iters, iters, exact=False, certified=certified, nodes=nodes

@@ -333,6 +333,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ScenarioError(f"{path}: invalid JSON: arrays or objects nested too deeply") from None
     return scenario_from_dict(doc)
 
 

@@ -3,7 +3,7 @@
 Every run ends in a documented exit code (0, 2, 3 or 4) without raising,
 a run that exits 0 writes strict JSON (no NaN or Infinity), LP files
 without inf or nan coefficients and PGM pixels within 0..255, and a run
-that exits 2 or 3 leaves no product file behind.
+that exits 2 or 3 leaves no --out directory behind.
 """
 
 import json
@@ -55,11 +55,22 @@ def _check_products(out: Path, cells: int) -> None:
         assert not tokens & {"inf", "-inf", "+inf", "nan", "-nan", "+nan"}, path.name
 
 
-def _run_commands(cfg: dict, commands) -> None:
+def _scenario_text(cfg: dict, nesting: dict) -> str:
+    """`cfg` as JSON, each top-level key of `nesting` with its value inside that many arrays.
+
+    The arrays are written as text: json.dumps cannot write them past the recursion limit.
+    """
+    text = json.dumps({key: f"<{key}>" if key in nesting else value for key, value in cfg.items()})
+    for key, depth in nesting.items():
+        text = text.replace(f'"<{key}>"', "[" * depth + json.dumps(cfg[key]) + "]" * depth)
+    return text
+
+
+def _run_commands(cfg: dict, commands, nesting: dict | None = None) -> None:
     """Run each command on `cfg` and assert the contract of the module docstring."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scn.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
+        path.write_text(_scenario_text(cfg, nesting or {}), encoding="utf-8")
         for i, argv in enumerate(commands):
             out = Path(tmp) / f"out{i}"
             err = StringIO()
@@ -70,18 +81,23 @@ def _run_commands(cfg: dict, commands) -> None:
             if code == 0:
                 _check_products(out, cfg["grid"]["nx"] * cfg["grid"]["ny"])
             if code in (2, 3):
-                assert not out.exists() or not any(out.iterdir()), argv
+                assert not out.exists(), argv
+
+
+# 1-based tap indices: in range, past the 3 taps, and past int64
+TAP_INDEX = st.one_of(st.integers(1, 4), st.integers(2**63 - 2, 10**30))
 
 
 @settings(max_examples=30, deadline=None)
-@given(DB, DB, DB, st.lists(DB, min_size=1, max_size=3))
-def test_cli_exit_codes_and_finite_products(tx_power_dbm, noise_dbm, nlos_db, powers):
+@given(DB, DB, DB, st.lists(DB, min_size=1, max_size=3), st.lists(TAP_INDEX, min_size=1, max_size=3))
+def test_cli_exit_codes_and_finite_products(tx_power_dbm, noise_dbm, nlos_db, powers, activation):
     cfg = scenario_dict(
         waveguides=2, taps=3, nx=6, ny=4, blockages=WALL,
         tx_power_dbm=tx_power_dbm, noise_dbm=noise_dbm, nlos_db=nlos_db,
     )
     sweep = ["sweep-power", "--powers=" + ",".join(repr(p) for p in powers)]
-    _run_commands(cfg, (*COMMANDS, sweep))
+    render = ["map", "--activation", ",".join(str(m) for m in activation)]
+    _run_commands(cfg, (*COMMANDS, sweep, render))
 
 
 # Finite, non-finite and wrongly typed values for the geometry, channel and solver keys.
@@ -130,6 +146,16 @@ def test_cli_contract_over_mutated_geometry_and_solver(mutations):
     _run_commands(cfg, COMMANDS)
 
 
+# how many arrays a section's value is nested in: shallow, or past json.loads' recursion limit
+DEPTH = st.one_of(st.integers(1, 5), st.integers(2_000, 10_000))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.dictionaries(st.sampled_from(["region", "taps", "grid", "channel", "solver"]), DEPTH, min_size=1, max_size=2))
+def test_cli_contract_over_nested_sections(nesting):
+    _run_commands(scenario_dict(waveguides=2, taps=3, nx=6, ny=4), COMMANDS, nesting)
+
+
 # a 2x2 grid whose one blockage covers the whole 20 m x 10 m floor; the
 # property tests above never block every cell
 NO_VALID_CELL = scenario_dict(
@@ -164,7 +190,7 @@ def test_scenario_without_valid_cells(tmp_path, capsys, argv):
         _check_products(out, 4)
     else:
         assert code == 2 and "invalid input: no valid grid cells" in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 def test_bnb_node_budget_refusal_exits_3(tmp_path, capsys, monkeypatch):
@@ -177,7 +203,7 @@ def test_bnb_node_budget_refusal_exits_3(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert code == 3
         assert "budget refusal" in err and "branch-and-bound" in err and "Traceback" not in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
     out = tmp_path / "bisection"
     assert main(["minmax", "--config", "table1", "--grid-scale", "0.05", "--out", str(out)]) == 0
     doc = json.loads((out / "minmax_summary.json").read_text(encoding="utf-8"))

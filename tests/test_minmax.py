@@ -376,9 +376,9 @@ def test_bnb_node_budget_refusal(monkeypatch):
 @pytest.mark.parametrize("budget", [minmax.BNB_NODE_BUDGET, 1])
 def test_bisection_plans_match_the_all_restarts_loop(monkeypatch, budget):
     # with a certificate bisection starts from it and plans the optimum, and
-    # the ceiling cuts probes above it to one descent of one sweep; with the budget
-    # exhausted there is no ceiling and the plan is the all-restarts loop's.
-    # Either way the probe count is the loop's.
+    # the one probe above the ceiling runs one descent of one sweep and caps
+    # the bracket there; with the budget exhausted there is no ceiling, and the
+    # plan and the probe count are the all-restarts loop's.
     monkeypatch.setattr(minmax, "BNB_NODE_BUDGET", budget)
     probes = []
     feasibility = minmax.deficit_feasibility
@@ -389,17 +389,15 @@ def test_bisection_plans_match_the_all_restarts_loop(monkeypatch, budget):
 
     monkeypatch.setattr(minmax, "deficit_feasibility", recording)
     rng = np.random.default_rng(66)
-    single = 0
     for _ in range(8):
         scn = random_scenario(rng, waveguides=3, taps=4, nx=12, ny=6, k_max=2)
         gm, p = scn.gain_map(), scn.params
         probes.clear()
         res = bisection_maxmin(gm, p, eps_t=1e-3, seed=5)
-        act, iters = all_restarts_bisection(gm, p, 1e-3, 5, feasibility)
-        assert (res.bisection_iters, res.feasibility_evals) == (iters, iters)
-        assert len(probes) == iters
+        assert res.bisection_iters == res.feasibility_evals == len(probes)
         if budget == 1:
-            assert res.activation == act
+            act, iters = all_restarts_bisection(gm, p, 1e-3, 5, feasibility)
+            assert (res.activation, len(probes)) == (act, iters)
             assert res.t_star == worst_grid_snr(act.as_array(), gm, p)
             assert res.certified is None and res.bnb_nodes is None
             assert {(s, r) for _, s, r in probes} == {(minmax.DEFAULT_MAX_SWEEPS, 16)}
@@ -408,8 +406,5 @@ def test_bisection_plans_match_the_all_restarts_loop(monkeypatch, budget):
             assert res.activation == exact.activation
             assert res.t_star == res.certified == exact.certified
             ceiling = res.certified * (1 + minmax.CEILING_MARGIN)
-            assert all(
-                (s, r) == ((1, 1) if t > ceiling else (minmax.DEFAULT_MAX_SWEEPS, 16)) for t, s, r in probes
-            )
-            single += sum(r == 1 for _, _, r in probes)
-    assert budget == 1 or single > 0
+            assert [(s, r) for t, s, r in probes if t > ceiling] == [(1, 1)]
+            assert {(s, r) for t, s, r in probes if t <= ceiling} == {(minmax.DEFAULT_MAX_SWEEPS, 16)}

@@ -164,7 +164,7 @@ def test_pinned_plans_table1_quarter(quarter_table1):
     res = bisection_maxmin(gm, p, eps_t=scn.solver.eps_t, seed=scn.solver.seed)
     assert res.activation.selected == (1, 5, 9, 1)
     assert res.t_star == 122.2581707229541
-    assert res.bisection_iters == 21
+    assert res.bisection_iters == 18
     assert res.bnb_nodes == 2400
 
     assert exact_maxmin(gm, p).activation.selected == (1, 5, 9, 1)
@@ -192,7 +192,7 @@ def test_pinned_maxmin_plans_table1_full():
     res = bisection_maxmin(gm, p, eps_t=scn.solver.eps_t, seed=scn.solver.seed)
     assert res.activation.selected == (4, 0, 9, 3)
     assert res.t_star == res.certified == 119.77306000149508
-    assert res.bisection_iters == res.feasibility_evals == 21
+    assert res.bisection_iters == res.feasibility_evals == 18
 
 
 def test_pinned_exact_coverage_table1_full():
