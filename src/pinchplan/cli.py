@@ -214,7 +214,7 @@ def _cmd_minmax(scn, args):
 
 
 def _certificate(res) -> dict:
-    """The certified max-min optimum (null when not certified) and the search's node count."""
+    """The certified max-min optimum (null when the search ran out of nodes) and the search's node count."""
     db = None if res.certified is None else linear_to_db(res.certified)
     return {"certified_db": db, "bnb_nodes": res.bnb_nodes}
 

@@ -33,10 +33,11 @@ from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array
 # covered, so closed comparisons survive float roundoff.
 COVERAGE_SLACK = 1e-12
 
-# Activations an exhaustive search may score; larger instances are refused.
+# Activations an exhaustive search may score, and taps a restarted ascent may
+# score per sweep; larger instances are refused.
 ENUM_BUDGET = 1_000_000
-# Bytes the (waveguide, tap, nx, ny) float64 gain tensor may take; scenarios
-# over it are refused before anything is allocated.
+# Bytes the (waveguide, tap, nx, ny) float64 gain tensor, or the random draws'
+# fields, may take; inputs over it are refused before anything is allocated.
 TENSOR_BYTES_BUDGET = 1 << 30
 DEFAULT_MAX_SWEEPS = 50
 
@@ -47,10 +48,10 @@ DEFAULT_MAX_SWEEPS = 50
 _LP_CHUNK = 256
 # Distinct coefficient texts the LP writer keeps. Gains over a regular grid
 # and tap lattice repeat (1.7% of a 6x16-tap stress scenario's coefficients
-# are distinct, 2.9% of full table1's), so each text is formatted once. When
-# a block's new texts would take the table past this many, the writer drops
-# it and formats the rest of the file inline, which bounds memory and the
-# extra work on inputs whose coefficients rarely repeat. The table may hold
+# are distinct, 2.9% of full table1's), so each text is formatted once. A
+# block's new texts that would take the table past this many are formatted
+# but not stored, which bounds memory on inputs whose coefficients rarely
+# repeat; texts already stored are still looked up. The table may hold
 # the smaller of this cap and the file's coefficient count, in the least
 # power of two of slots at least twice that: 2**18 slots of 17 bytes (4.5 MB)
 # on full table1 and stress, 2**18 on quarter table1 (111k coefficients).
@@ -275,13 +276,18 @@ def coordinate_ascent(
     pathological floating-point tie cycles. With `restarts` > 1 additional
     runs start from seeded uniform selections and the best final count wins
     (first winner kept on ties). `on_update(wg, tap, count)` is invoked after
-    every single-waveguide update when given.
+    every single-waveguide update when given. Refuses with BudgetError, before
+    the first run, when the runs would score more than ENUM_BUDGET taps per
+    sweep (restarts * N * M).
     """
     _check_threshold(threshold)
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    taps = restarts * gain_map.n_waveguides * gain_map.n_taps
+    if taps > ENUM_BUDGET:
+        raise BudgetError(f"{restarts} ascent restarts score {taps} taps per sweep, over the budget of {ENUM_BUDGET}")
     _require_valid(gain_map)
     _selection_array(initial.selected, gain_map.n_waveguides, gain_map.n_taps)
 
@@ -496,7 +502,7 @@ def _exact_coverages(gain_map: GainMap, params: ChannelParams, thresholds) -> li
     ]
 
 
-def _lp_terms(parts: list[str], per_line: int = 6) -> list[str]:
+def _lp_terms(parts: list[str], per_line: int) -> list[str]:
     lines = []
     for i in range(0, len(parts), per_line):
         lines.append(" ".join(parts[i : i + per_line]))
@@ -515,9 +521,7 @@ class _TextMemo:
     only where `used` is set, so every bit pattern is a legal key. The table
     takes at most `cap` = min(n_keys, _LP_MEMO_CAP) texts and has a power of
     two of slots, at least 2 * cap, so it stays at most half full: probes
-    are short and always reach a free slot. `full` is set once a block's
-    new texts would not fit; they are then returned but not stored. `len()`
-    counts the stored texts.
+    are short and always reach a free slot. `len()` counts the stored texts.
     """
 
     def __init__(self, n_keys: int) -> None:
@@ -528,7 +532,6 @@ class _TextMemo:
         self.texts = np.empty(1 << bits, object)
         self.shift = np.uint64(64 - bits)
         self.size = 0
-        self.full = False
 
     def __len__(self) -> int:
         return self.size
@@ -589,7 +592,7 @@ def _coef_texts(block: np.ndarray, memo: _TextMemo) -> np.ndarray:
 
     Keying on the float64 bits keeps every pattern's own text (0.0 and -0.0
     differ). The distinct new patterns are formatted once and stored, unless
-    they would take `memo` past its cap: then it is marked full.
+    they would take `memo` past its cap: then they are returned unstored.
     """
     keys = block.view(np.uint64).ravel()
     slots, found = memo.probe(keys)
@@ -599,7 +602,6 @@ def _coef_texts(block: np.ndarray, memo: _TextMemo) -> np.ndarray:
     new, first, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
     texts = _texts(new.view(np.float64))
     if len(memo) + len(new) > memo.cap:
-        memo.full = True
         out = np.empty(len(keys), object)
         out[found] = memo.texts[slots[found]]
         out[miss] = texts[inverse]
@@ -628,7 +630,7 @@ def emit_milp(
     The linking rows are written _LP_CHUNK cells at a time, each block as
     one join of a reused object array: its even columns hold a row's fixed
     fragments, its odd ones that block's cell indices and coefficient texts
-    (`_coef_texts`, or '%.17g' inline once the memo is dropped).
+    (`_coef_texts`).
     """
     _check_threshold(threshold)
     _require_valid(gain_map)
@@ -663,7 +665,7 @@ def emit_milp(
     fragments = "".join(f" {line}\n" for line in _lp_terms(parts, per_line=4)).split("\0")
     rows = np.empty((_LP_CHUNK, 2 * len(fragments) - 1), dtype=object)
     rows[:, ::2] = fragments
-    memo: _TextMemo | None = _TextMemo(n_wg * n_tap * len(cells))
+    memo = _TextMemo(n_wg * n_tap * len(cells))
     for start in range(0, len(cells), _LP_CHUNK):
         chunk = slice(start, start + _LP_CHUNK)
         # float64 whatever the tensor's dtype: widening is exact, so the texts are unchanged
@@ -671,12 +673,7 @@ def emit_milp(
         part = rows[: block.shape[1]]
         part[:, 1] = part[:, -4] = index_texts[us[chunk]]
         part[:, 3] = part[:, -2] = index_texts[vs[chunk]]
-        if memo is None:
-            part[:, 5:-4:2] = _texts(block.T).reshape(len(part), -1)
-        else:
-            part[:, 5:-4:2] = _coef_texts(block, memo)
-            if memo.full:
-                memo = None
+        part[:, 5:-4:2] = _coef_texts(block, memo)
         w("".join(part.ravel().tolist()))
     for n in range(n_wg):
         parts = [f"pick_{n + 1}:", f"a_{n + 1}_1"]

@@ -5,10 +5,11 @@ when every valid cell reaches t, so feasibility of a target reduces to
 driving the deficit to zero. A coordinate-descent heuristic does that cheaply
 (and soundly: it reports feasible only with a zero-deficit certificate,
 never the other way around); bisection over t then brackets the best
-achievable worst-grid SNR. A branch-and-bound search certifies the true
-optimum: it is the exact solver, and it gives bisection its first start,
-which meets every probe at or below the optimum, and a ceiling above which
-no probe can succeed.
+achievable worst-grid SNR. A branch-and-bound search within a node budget
+returns its best plan and certifies it as the true optimum when it finishes:
+it is the exact solver, and it gives bisection its first start (which meets
+every probe at or below its value), its bracket top (the per-cell best-tap
+envelope) and, once certified, a ceiling above which no probe can succeed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .coverage import Activation, BudgetError, DEFAULT_MAX_SWEEPS, _field, _pick
 DEFAULT_EPS_T = 1e-3  # linear-SNR bracket width at which bisection stops
 DEFAULT_FEAS_RESTARTS = 16  # descent starts per feasibility check (first = caller's initial)
 
-# Search-tree nodes the branch-and-bound may bound; a larger search is refused.
+# Search-tree nodes the branch-and-bound may bound; a larger search stops
+# uncertified (`exact_maxmin` refuses it, bisection starts from its best plan).
 BNB_NODE_BUDGET = 2_000_000
 # A probe this far (relatively) above the certified optimum runs one descent:
 # it cannot succeed, and the margin dwarfs the descent's field rounding.
@@ -40,8 +42,8 @@ class MinMaxResult:
     feasibility_evals: int
     exact: bool
     snr_field: np.ndarray
-    certified: float | None = None  # the true optimum (linear); None when not certified
-    bnb_nodes: int | None = None  # nodes the branch-and-bound bounded; None when it did not run
+    certified: float | None  # the true optimum (linear); None when the search did not finish
+    bnb_nodes: int  # nodes the branch-and-bound bounded (both solvers run it)
 
 
 def worst_grid_snr(selected, gain_map: GainMap, params: ChannelParams) -> float:
@@ -147,15 +149,17 @@ def _reach(gains: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _Certificate:
-    activation: Activation
+class _Search:
+    activation: Activation  # the best plan found
     value: float  # its worst cell, summed in waveguide order like `coverage._field`
     nodes: int  # search-tree nodes bounded
     leaves: int  # activations scored on every valid cell
+    envelope: float  # worst cell of the per-cell best-tap sum: no plan beats it
+    certified: bool  # the search finished, so `value` is the optimum
 
 
-def _bnb_maxmin(gain_map: GainMap, params: ChannelParams) -> _Certificate:
-    """Certify the max-min optimum by depth-first branch-and-bound over waveguides.
+def _bnb_maxmin(gain_map: GainMap, params: ChannelParams) -> _Search:
+    """Search the max-min optimum by depth-first branch-and-bound over waveguides.
 
     A node fixes the taps of waveguides 0..n-1; its bound is the minimum,
     over a cell subset S, of the partial field plus each later waveguide's
@@ -168,15 +172,17 @@ def _bnb_maxmin(gain_map: GainMap, params: ChannelParams) -> _Certificate:
     rounding slack of the envelope sum, lies below the incumbent; an equal
     leaf score keeps the lexicographically smaller activation, so the result
     is the first argmax, in lexicographic order, of every activation's
-    worst cell summed in waveguide order (`coverage._field`). Refuses with
-    BudgetError once more than BNB_NODE_BUDGET nodes have been bounded.
+    worst cell summed in waveguide order (`coverage._field`). Stops, with
+    its best plan so far and `certified` false, once more than
+    BNB_NODE_BUDGET nodes have been bounded.
     """
     gains_v = _candidate_matrix(gain_map, params)
     n_wg, n_tap, n_cells = gains_v.shape
     envelope = gains_v[0].max(axis=0)
     for n in range(1, n_wg):
         envelope += gains_v[n].max(axis=0)
-    if not math.isfinite(envelope.min()):
+    top = float(envelope.min())
+    if not math.isfinite(top):
         raise ValueError("SNR upper bound is not finite; check the channel parameters")
     k = min(_BNB_CELLS, n_cells)
     in_s = np.zeros(n_cells, dtype=bool)
@@ -210,9 +216,7 @@ def _bnb_maxmin(gain_map: GainMap, params: ChannelParams) -> _Certificate:
         bounds = bounds_buf.min(axis=1)
         nodes += n_tap
         if nodes > BNB_NODE_BUDGET:
-            raise BudgetError(
-                f"branch-and-bound search needs more than {BNB_NODE_BUDGET} nodes"
-            )
+            break
         order = np.argsort(-bounds, kind="stable").tolist()  # best first; ties by tap
         if n < last:
             for m in reversed(order):
@@ -229,10 +233,10 @@ def _bnb_maxmin(gain_map: GainMap, params: ChannelParams) -> _Certificate:
             leaves += 1
             if value > best or (value == best and sel < best_sel):
                 best, best_sel = value, sel
-    return _Certificate(Activation(selected=best_sel), best, nodes, leaves)
+    return _Search(Activation(selected=best_sel), best, nodes, leaves, top, nodes <= BNB_NODE_BUDGET)
 
 
-def _maxmin_result(act, gain_map, params, iters, evals, exact, certified, nodes) -> MinMaxResult:
+def _maxmin_result(act, gain_map, params, iters, evals, exact, search: _Search) -> MinMaxResult:
     """The result of planning `act`; t_star is the valid minimum of its field."""
     field = avg_snr(act.as_array(), gain_map, params)
     return MinMaxResult(
@@ -242,8 +246,8 @@ def _maxmin_result(act, gain_map, params, iters, evals, exact, certified, nodes)
         feasibility_evals=evals,
         exact=exact,
         snr_field=field,
-        certified=certified,
-        bnb_nodes=nodes,
+        certified=search.value if search.certified else None,
+        bnb_nodes=search.nodes,
     )
 
 
@@ -256,37 +260,29 @@ def bisection_maxmin(
 ) -> MinMaxResult:
     """Bisect the worst-grid SNR target, returning the last certified activation.
 
-    The bracket starts at [0, per-cell best-tap envelope minimum] and halves
-    until its width is at most eps_t (linear SNR), so the iteration count is
-    bounded by ceil(log2(t_max / eps_t)). Each feasibility check runs
-    DEFAULT_FEAS_RESTARTS deficit descents, the first from the last feasible
-    activation. The branch-and-bound optimum, when it fits its node budget,
-    is certified first and is that first start: a probe at or below it
-    succeeds on that start with no descent, and a probe above it by more than
-    CEILING_MARGIN cannot succeed, so it runs a single descent of one sweep
-    (it still makes its one `deficit_feasibility` call) and the bracket's top
-    drops to that ceiling: at most one probe lies above it. The plan is
-    then the certified one. Without a certificate the first start is the
-    centred activation and every probe runs all its restarts. The search and
-    every probe read one shared candidate matrix (`_shared_matrix`).
+    The branch-and-bound search runs first. The bracket starts at [0, its
+    envelope] and halves until its width is at most eps_t (linear SNR), so
+    the iteration count is bounded by ceil(log2(t_max / eps_t)). Each
+    feasibility check runs DEFAULT_FEAS_RESTARTS deficit descents, the first
+    from the last feasible activation, which starts as the search's plan: a
+    probe at or below that plan's value succeeds on it with no descent, so
+    the plan returned is at least as good. When the search is certified
+    (it finished within its node budget), a probe above its optimum by more
+    than CEILING_MARGIN cannot succeed, so it runs a single descent of one
+    sweep (it still makes its one `deficit_feasibility` call) and the
+    bracket's top drops to that ceiling: at most one probe lies above it,
+    and the plan is the certified one. Otherwise every probe runs all its
+    restarts. The search and every probe read one shared candidate matrix
+    (`_shared_matrix`).
     """
     if not eps_t > 0:
         raise ValueError("eps_t must be positive")
     _require_valid(gain_map)
 
-    t_lo, t_hi = 0.0, maxmin_upper_bound(gain_map, params)
-    if not math.isfinite(t_hi):
-        raise ValueError("SNR upper bound is not finite; check the channel parameters")
     with _shared_matrix(gain_map, params):
-        # any activation meets target 0, so the centred selection starts certified
-        best = Activation.centered(gain_map.n_waveguides, gain_map.n_taps)
-        certified = nodes = None
-        try:
-            cert = _bnb_maxmin(gain_map, params)
-            best, certified, nodes = cert.activation, cert.value, cert.nodes
-        except BudgetError:
-            pass  # no ceiling: every probe runs all restarts from the centred start
-        ceiling = math.inf if certified is None else certified * (1 + CEILING_MARGIN)
+        search = _bnb_maxmin(gain_map, params)
+        best, t_lo, t_hi = search.activation, 0.0, search.envelope
+        ceiling = search.value * (1 + CEILING_MARGIN) if search.certified else math.inf
         iters = 0
         while t_hi - t_lo > eps_t:
             t_mid = 0.5 * (t_lo + t_hi)
@@ -305,19 +301,18 @@ def bisection_maxmin(
             else:
                 t_hi = min(t_mid, ceiling)
 
-    return _maxmin_result(
-        best, gain_map, params, iters, iters, exact=False, certified=certified, nodes=nodes
-    )
+    return _maxmin_result(best, gain_map, params, iters, iters, exact=False, search=search)
 
 
 def exact_maxmin(gain_map: GainMap, params: ChannelParams) -> MinMaxResult:
     """Maximize the worst-grid SNR by branch-and-bound (lexicographically smallest argmax).
 
     `feasibility_evals` counts the activations scored on every valid cell.
+    Refuses with BudgetError when the search needs more than BNB_NODE_BUDGET
+    nodes.
     """
     _require_valid(gain_map)
-    cert = _bnb_maxmin(gain_map, params)
-    return _maxmin_result(
-        cert.activation, gain_map, params, 0, cert.leaves,
-        exact=True, certified=cert.value, nodes=cert.nodes,
-    )
+    search = _bnb_maxmin(gain_map, params)
+    if not search.certified:
+        raise BudgetError(f"branch-and-bound search needs more than {BNB_NODE_BUDGET} nodes")
+    return _maxmin_result(search.activation, gain_map, params, 0, search.leaves, exact=True, search=search)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .channel import _shared_matrix, avg_snr, db_to_linear, linear_to_db
-from .coverage import Activation, _covered, _exact_coverages, _require_valid, coordinate_ascent
+from .coverage import TENSOR_BYTES_BUDGET, Activation, BudgetError, _covered, _exact_coverages, _require_valid, coordinate_ascent
 from .minmax import MinMaxResult, bisection_maxmin, exact_maxmin, worst_grid_snr
 from .scenario import Scenario, random_activation
 
@@ -129,9 +129,20 @@ def threshold_sweep(
 
 
 def _draws(scenario: Scenario, n_random: int) -> list[Activation]:
-    """The seeded random activations that every random-method column averages over."""
+    """The seeded random activations that every random-method column averages over.
+
+    Refuses with BudgetError, before any seed is drawn, when n_random grid-sized
+    float64 fields (what `_draw_fields` may keep) would exceed TENSOR_BYTES_BUDGET.
+    """
     if n_random < 1:
         raise ValueError(f"the number of random draws must be at least 1, got {n_random}")
+    nx, ny = scenario.grid.nx, scenario.grid.ny
+    size = n_random * nx * ny * 8
+    if size > TENSOR_BYTES_BUDGET:
+        raise BudgetError(
+            f"{n_random} random draws on a {nx}x{ny} grid take {size} bytes of fields, "
+            f"over the {TENSOR_BYTES_BUDGET}-byte budget"
+        )
     return [random_activation(scenario, s) for s in derived_seeds(scenario.solver.seed, n_random)]
 
 

@@ -398,10 +398,16 @@ def exhaustive_feasibility(gain_map, params):
     return feasibility
 
 
-def all_restarts_bisection(gm, p, eps_t, seed, feasibility=deficit_feasibility):
-    """Bisection without a ceiling: every probe asks `feasibility` for all 16 restarts."""
-    best = Activation.centered(gm.n_waveguides, gm.n_taps)
-    t_lo, t_hi = 0.0, maxmin_upper_bound(gm, p)
+def all_restarts_bisection(gm, p, eps_t, seed, feasibility=deficit_feasibility, start=None, t_hi=None):
+    """Bisection without a ceiling: every probe asks `feasibility` for all 16 restarts.
+
+    It starts from `start` (default the centred plan) with the bracket
+    [0, t_hi] (default `maxmin_upper_bound`).
+    """
+    best = Activation.centered(gm.n_waveguides, gm.n_taps) if start is None else start
+    t_lo = 0.0
+    if t_hi is None:
+        t_hi = maxmin_upper_bound(gm, p)
     iters = 0
     while t_hi - t_lo > eps_t:
         t_mid = 0.5 * (t_lo + t_hi)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinchplan import linear_to_db, load_bundled
+from pinchplan import coverage, linear_to_db, load_bundled, sweeps
 from pinchplan.cli import main
 from conftest import WALL, scenario_dict
 
@@ -645,6 +645,29 @@ def test_draws_below_one_exit_2_before_writing(tmp_path, capsys, gain_map_builds
     err = refused_at_parse_time(tmp_path, capsys, command, "--draws", draws)
     assert f"argument --draws: expected an integer of at least 1, got '{draws}'" in err
     assert gain_map_builds == []
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("reached past a budget refusal")
+
+
+@pytest.mark.parametrize("command", ["baseline", "sweep-threshold", "sweep-power"])
+def test_unbounded_draws_exit_3_before_any_seed_is_drawn(tmp_path, capsys, monkeypatch, gain_map_builds, command):
+    monkeypatch.setattr(sweeps, "derived_seeds", _unreachable)
+    code, out = run(tmp_path, command, "--draws", "1000000000", "--config", "table1", *SMALL)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "budget refusal" in err and "1000000000 random draws" in err and "Traceback" not in err
+    assert gain_map_builds == [] and not out.exists()
+
+
+def test_unbounded_restarts_exit_3_before_the_first_ascent(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(coverage, "_ascent_once", _unreachable)
+    code, out = run(tmp_path, "coverage", "--restarts", "1000000000", "--config", "table1", *SMALL)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "budget refusal" in err and "1000000000 ascent restarts" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_baseline_builds_one_fixed_array_map(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from pinchplan import (
     emit_milp,
     exact_enumerate,
 )
+from pinchplan import coverage
 from pinchplan.channel import _candidate_matrix
 from pinchplan.coverage import _best_tap
 from conftest import (
@@ -164,6 +165,16 @@ def test_ascent_determinism_and_restarts():
     assert a.activation == b.activation
     single = coordinate_ascent(Activation.centered(3, 3), gm, p, thr)
     assert a.covered_count >= single.covered_count
+
+
+def test_ascent_refuses_restarts_past_the_enumeration_budget(monkeypatch):
+    # each restart scores N*M taps per sweep; the refusal comes before any run
+    gm = synthetic_map(np.ones((2, 3, 2, 2)))
+    monkeypatch.setattr(coverage, "ENUM_BUDGET", 12)
+    assert coordinate_ascent(Activation.centered(2, 3), gm, UNIT_PARAMS, 1.0, restarts=2).covered_count == 4
+    monkeypatch.setattr(coverage, "_ascent_once", None)  # a run would fail
+    with pytest.raises(BudgetError, match="3 ascent restarts score 18 taps per sweep"):
+        coordinate_ascent(Activation.centered(2, 3), gm, UNIT_PARAMS, 1.0, restarts=3)
 
 
 def test_ascent_validation():

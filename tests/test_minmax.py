@@ -373,12 +373,33 @@ def test_bnb_node_budget_refusal(monkeypatch):
         exact_maxmin(gm, p)
 
 
+def test_bisection_plans_at_least_the_unfinished_search(monkeypatch):
+    # a search stopped by its node budget still hands bisection its best plan,
+    # so the plan never falls below it (a bisection from the centred plan
+    # ends 2.06 below it on one of these scenarios)
+    monkeypatch.setattr(minmax, "BNB_NODE_BUDGET", 200)
+    rng = np.random.default_rng(80)
+    unfinished = 0
+    for _ in range(32):
+        scn = random_scenario(rng, waveguides=4, taps=6, nx=12, ny=6, k_max=2)
+        gm, p = scn.gain_map(), scn.params
+        search = minmax._bnb_maxmin(gm, p)
+        if search.certified:
+            continue
+        unfinished += 1
+        res = bisection_maxmin(gm, p, eps_t=1e-3)
+        assert res.certified is None and res.bnb_nodes == search.nodes > 200
+        assert res.t_star >= search.value - 1e-3
+    assert unfinished >= 8
+
+
 @pytest.mark.parametrize("budget", [minmax.BNB_NODE_BUDGET, 1])
 def test_bisection_plans_match_the_all_restarts_loop(monkeypatch, budget):
     # with a certificate bisection starts from it and plans the optimum, and
     # the one probe above the ceiling runs one descent of one sweep and caps
     # the bracket there; with the budget exhausted there is no ceiling, and the
-    # plan and the probe count are the all-restarts loop's.
+    # plan and the probe count are those of the all-restarts loop started from
+    # the search's plan under its envelope.
     monkeypatch.setattr(minmax, "BNB_NODE_BUDGET", budget)
     probes = []
     feasibility = minmax.deficit_feasibility
@@ -396,10 +417,14 @@ def test_bisection_plans_match_the_all_restarts_loop(monkeypatch, budget):
         res = bisection_maxmin(gm, p, eps_t=1e-3, seed=5)
         assert res.bisection_iters == res.feasibility_evals == len(probes)
         if budget == 1:
-            act, iters = all_restarts_bisection(gm, p, 1e-3, 5, feasibility)
+            search = minmax._bnb_maxmin(gm, p)
+            act, iters = all_restarts_bisection(
+                gm, p, 1e-3, 5, feasibility, start=search.activation, t_hi=search.envelope
+            )
             assert (res.activation, len(probes)) == (act, iters)
             assert res.t_star == worst_grid_snr(act.as_array(), gm, p)
-            assert res.certified is None and res.bnb_nodes is None
+            assert not search.certified and res.certified is None
+            assert res.bnb_nodes == search.nodes == gm.n_taps
             assert {(s, r) for _, s, r in probes} == {(minmax.DEFAULT_MAX_SWEEPS, 16)}
         else:
             exact = exact_maxmin(gm, p)

@@ -17,7 +17,7 @@ from pinchplan import (
     scenario_from_dict,
     threshold_sweep,
 )
-from pinchplan import coverage
+from pinchplan import BudgetError, coverage, sweeps
 from pinchplan.mapio import export_map
 from pinchplan.sweeps import _baseline
 from conftest import brute_best_coverage, envelope_quantile, random_scenario, read_map_csv
@@ -126,6 +126,22 @@ def test_power_sweep_ordering_and_exact_mode():
 def test_power_sweep_validation():
     with pytest.raises(ValueError, match="empty"):
         power_sweep(small_table1(), [])
+
+
+def test_draws_refused_past_the_tensor_budget(monkeypatch):
+    # the draws' fields are each at most one float64 grid; the refusal comes
+    # before any seed is drawn
+    scn = small_table1(0.05)
+    monkeypatch.setattr(sweeps, "TENSOR_BYTES_BUDGET", 3 * scn.grid.nx * scn.grid.ny * 8)
+    assert len(threshold_sweep(scn, [18.0], n_random=3).columns["random_mean"]) == 1
+    monkeypatch.setattr(sweeps, "derived_seeds", None)  # drawing seeds would fail
+    for call in (
+        lambda: threshold_sweep(scn, [18.0], n_random=4),
+        lambda: power_sweep(scn, [40.0], n_random=4),
+        lambda: _baseline(scn, 4),
+    ):
+        with pytest.raises(BudgetError, match="4 random draws on a 20x6 grid"):
+            call()
 
 
 def test_more_waveguides_lift_worst_grid():

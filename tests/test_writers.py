@@ -115,9 +115,9 @@ def test_emit_milp_matches_oracle_on_few_and_many_repeats(make):
     assert_milp_matches(gm, params, 0.1 + 0.2)
 
 
-def test_emit_milp_switches_to_inline_formatting_past_the_memo_cap(quarter, monkeypatch):
-    # the memo is dropped after a few row blocks, so the rest of the file is
-    # written by the inline template
+def test_emit_milp_keeps_its_memo_past_the_cap(quarter, monkeypatch):
+    # the memo fills after a few row blocks; every later block still reads it,
+    # and the texts that would take it past its cap are formatted unstored
     scn, _, gm = quarter
     blocks = -(-np.count_nonzero(gm.valid) // coverage._LP_CHUNK)
     memo_sizes = []
@@ -130,8 +130,9 @@ def test_emit_milp_switches_to_inline_formatting_past_the_memo_cap(quarter, monk
     monkeypatch.setattr(coverage, "_coef_texts", counted)
     monkeypatch.setattr(coverage, "_LP_MEMO_CAP", 3000)
     assert_milp_matches(gm, scn.params, 0.1 + 0.2)
-    assert 1 < len(memo_sizes) < blocks
-    assert memo_sizes[-1] <= 3000
+    assert len(memo_sizes) == blocks
+    assert memo_sizes[0] == 0 and max(memo_sizes) <= 3000
+    assert memo_sizes.count(memo_sizes[-1]) > 1  # blocks past the cap stored nothing
 
 
 def test_coverage_milp_keeps_its_pinned_bytes(tmp_path):
@@ -181,7 +182,6 @@ def test_coef_texts_merges_new_keys_around_the_stored_ones(monkeypatch):
     for block, stored in ((first, 3), (second, 10), (third, 12), (second, 12), (first, 12)):
         assert coverage._coef_texts(block, memo).tolist() == texts_of(block)
         assert len(memo) == np.count_nonzero(memo.used) == stored
-    assert not memo.full
     slots = memo.used.nonzero()[0]
     keys = memo.keys[slots]
     assert memo.texts[slots].tolist() == ["%.17g" % x for x in keys.view(np.float64).tolist()]
@@ -198,10 +198,13 @@ def test_coef_texts_keeps_no_texts_past_its_cap():
     block = np.array([[1.0, 2.0], [3.0, 1.0]])
     memo = coverage._TextMemo(4)
     assert coverage._coef_texts(block, memo).tolist() == texts_of(block)
-    assert (len(memo), memo.full) == (3, False)
+    assert len(memo) == 3
     block = np.array([[4.0, 5.0], [1.0, 2.0]])  # two more texts would make 5
     assert coverage._coef_texts(block, memo).tolist() == texts_of(block)
-    assert (len(memo), memo.full) == (3, True)
+    assert len(memo) == 3
+    block = np.array([[4.0, 1.0], [2.0, 3.0]])  # one more text fits
+    assert coverage._coef_texts(block, memo).tolist() == texts_of(block)
+    assert len(memo) == 4
 
 
 # bit patterns: signed zeros, subnormals, the largest finite floats, signed
@@ -229,7 +232,8 @@ def test_coef_texts_formats_every_bit_pattern_like_the_format_operator(data):
         assert coverage._coef_texts(block, memo).tolist() == texts_of(block)
         seen.update(bits)
         assert len(memo) <= memo.cap
-        if not memo.full:
+        assert set(memo.keys[memo.used].tolist()) <= seen
+        if len(seen) <= memo.cap:
             assert len(memo) == len(seen)
 
 
