@@ -331,33 +331,29 @@ def _order_keys(bits: np.ndarray) -> np.ndarray:
     return bits ^ ((bits >> 63) & _MAGNITUDE_BITS)
 
 
-def _last_tap_thresholds(lo: np.ndarray, hi: np.ndarray, gains_last: np.ndarray, threshold: float) -> np.ndarray:
-    """h[m, c] with fl(p + gains_last[m, c]) >= threshold exactly when p >= h[m, c].
+def _last_tap_thresholds(gains_last: np.ndarray, threshold: float) -> np.ndarray:
+    """h[m, c] with fl(p + gains_last[m, c]) >= threshold exactly when p >= h[m, c], for every float p.
 
-    This holds for every partial sum p of cell c that is NaN or lies in
-    [lo[c], hi[c]] (non-NaN bounds). Write pass(p) for fl(p + g) >= t, with
-    g = gains_last[m, c] and t = threshold, and order the non-NaN floats
-    by `_order_keys`; the float below x is the one whose key is one less.
-    Rounded addition is monotone in each operand, so pass is an up-set: if
-    pass(p) and p <= q, then fl(p + g) is not NaN, so g is not NaN and p is
-    not -inf; for finite g, fl(q + g) >= fl(p + g); for g = +inf, q > -inf
-    and fl(q + g) = inf >= t; g = -inf never passes. A NaN p never passes
-    and compares false with every entry. The entries:
+    Write pass(p) for fl(p + g) >= t, with g = gains_last[m, c] and
+    t = threshold > -inf, and order the non-NaN floats by `_order_keys`; the
+    float below x is the one whose key is one less. Rounded addition is
+    monotone in each operand, so pass is an up-set: if pass(p) and p <= q,
+    then fl(p + g) is not NaN, so g is not NaN and p is not -inf; for finite
+    g, fl(q + g) >= fl(p + g); for g = +inf, q > -inf and fl(q + g) = inf >= t;
+    g = -inf never passes. A NaN p never passes and compares false with every
+    entry. So the entry is NaN where +inf fails, since nothing compares >= NaN,
+    and else the least float h that passes.
 
-    - -inf when pass(lo): every p in the range passes, and p >= -inf;
-    - NaN when not pass(hi): no p in the range passes, and nothing compares
-      >= NaN, not even a partial sum of +inf;
-    - else the least float h that passes, so that p >= h exactly when
-      pass(p). A candidate h is accepted only when pass(h) and the float
-      below h fails. That makes it least: every float below h in key order
-      is at most the float below h, so it fails too; -0.0 and +0.0 pass
-      alike, so the least float is also the least value. The candidates
-      are the first of h0 - 1, h0 and h0 + 1 (in keys) that passes, for
-      h0 = fl(fl(t - g) - gap / 2) with gap = t - nextafter(t, -inf): a sum
-      rounds to t or above from half that gap below t. Entries left open
-      (none on the bundled scenario at 12 to 40 dB) are bisected over the keys
-      of (lo, hi], keeping pass(hi) and not pass(lo), down to adjacent
-      keys: then the key of hi is the least that passes.
+    A candidate h is accepted only when pass(h) and the float below h fails.
+    That makes it least: every float below h in key order is at most the
+    float below h, so it fails too; -0.0 and +0.0 pass alike, so the least
+    float is also the least value. The candidates are the first of h0 - 1,
+    h0 and h0 + 1 (in keys) that passes, for h0 = fl(fl(t - g) - gap / 2)
+    with gap = t - nextafter(t, -inf): a sum rounds to t or above from half
+    that gap below t. Entries left open (none on the bundled scenario at 12
+    to 40 dB) are bisected over the keys of (-inf, +inf], keeping pass(hi)
+    and not pass(lo), down to adjacent keys: then the key of hi is the least
+    that passes. -inf fails, since fl(-inf + g) is -inf or NaN.
     """
 
     def passes(p, g=gains_last):
@@ -367,7 +363,6 @@ def _last_tap_thresholds(lo: np.ndarray, hi: np.ndarray, gains_last: np.ndarray,
         return _order_keys(keys).view(np.float64)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        always, reach = passes(lo), passes(hi)
         # where rounding to nearest turns a sum into t: half the gap below t
         h0 = (threshold - gains_last) - 0.5 * (threshold - np.nextafter(threshold, -np.inf))
         keys = _order_keys(h0.view(np.int64))
@@ -376,12 +371,11 @@ def _last_tap_thresholds(lo: np.ndarray, hi: np.ndarray, gains_last: np.ndarray,
         # the first of h[1..3] that passes, accepted when the float below it fails
         cand = np.where(ok[1], h[1], np.where(ok[2], h[2], h[3]))
         exact = np.where(ok[1], ~ok[0], ok[2] | ok[3])
-        table = np.where(always, -np.inf, np.where(reach & exact, cand, np.nan))
-        (rest,) = (reach & ~always & ~exact).ravel().nonzero()
-        if len(rest):
-            taps, cells = np.divmod(rest, len(lo))
-            g = gains_last[taps, cells]
-            key_lo, key_hi = (_order_keys(x[cells].view(np.int64)) for x in (lo, hi))
+        table = np.where(exact, cand, np.nan)
+        rest = np.nonzero(passes(np.inf) & ~exact)
+        if len(rest[0]):
+            g = gains_last[rest]
+            key_lo, key_hi = (np.full(len(g), k) for k in _order_keys(np.array([-np.inf, np.inf]).view(np.int64)))
             while True:
                 # floor((key_lo + key_hi) / 2) without overflow; above key_lo while they are 2 apart
                 mid = (key_lo >> 1) + (key_hi >> 1) + (key_lo & key_hi & 1)
@@ -391,25 +385,8 @@ def _last_tap_thresholds(lo: np.ndarray, hi: np.ndarray, gains_last: np.ndarray,
                 ok_mid = passes(floats(mid), g)
                 key_hi = np.where(step & ok_mid, mid, key_hi)
                 key_lo = np.where(step & ~ok_mid, mid, key_lo)
-            table[taps, cells] = floats(key_hi)
+            table[rest] = floats(key_hi)
     return table
-
-
-def _partial_range(block: np.ndarray):
-    """(lo, hi): per cell, bounds of every partial sum of the waveguides before the last.
-
-    The float sums, in waveguide order from zero, of each waveguide's least
-    and greatest non-NaN tap; rounding is monotone, so no partial sum of the
-    walk leaves [lo, hi]. A NaN bound (a waveguide with only NaN taps, or
-    -inf plus +inf) is widened to -inf or +inf.
-    """
-    lo, hi = np.zeros(block.shape[2]), np.zeros(block.shape[2])
-    with np.errstate(invalid="ignore"):
-        for n in range(block.shape[0] - 1):
-            lo += np.fmin.reduce(block[n], axis=0)  # fmin/fmax skip NaN
-            hi += np.fmax.reduce(block[n], axis=0)
-    lo[np.isnan(lo)], hi[np.isnan(hi)] = -np.inf, np.inf
-    return lo, hi
 
 
 def _coverage_counts(gains_v: np.ndarray, thr_eff: list[float]) -> np.ndarray:
@@ -452,11 +429,10 @@ def _coverage_counts(gains_v: np.ndarray, thr_eff: list[float]) -> np.ndarray:
         runs = np.arange(0, words.shape[2], 255)
         lanes = np.empty((n_thr, n_tap, len(runs)), dtype=np.uint64)
         if n_thr == 1:
-            lo, hi = _partial_range(block)
             table = np.empty((n_tap, width))
             for c in range(0, width, _TABLE_CHUNK):
                 cols = slice(c, c + _TABLE_CHUNK)
-                table[:, cols] = _last_tap_thresholds(lo[cols], hi[cols], block[last, :, cols], thr_eff[0])
+                table[:, cols] = _last_tap_thresholds(block[last, :, cols], thr_eff[0])
         else:
             field = np.empty((n_tap, width))
         i = 0

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .channel import _shared_matrix, avg_snr, db_to_linear, linear_to_db
-from .coverage import TENSOR_BYTES_BUDGET, Activation, BudgetError, _covered, _exact_coverages, _require_valid, coordinate_ascent
+from .coverage import _WALK_CELLS, ENUM_BUDGET, TENSOR_BYTES_BUDGET, Activation, BudgetError, _covered, _exact_coverages, _require_valid, coordinate_ascent
 from .minmax import MinMaxResult, bisection_maxmin, exact_maxmin, worst_grid_snr
 from .scenario import Scenario, random_activation
 
@@ -88,13 +88,29 @@ def threshold_sweep(
     The optimized activation is re-solved at every threshold, every solve
     reading one candidate matrix; random draws are shared across thresholds
     (the activations do not depend on the threshold), as is the fixed-array
-    field.
+    field. Refuses with BudgetError, before the gain map is built or any
+    ascent runs, when the arrays kept per threshold would exceed
+    TENSOR_BYTES_BUDGET: each result's grid-sized float64 field and, for the
+    exhaustive walk, an int64 count per activation and a bool hit per tap
+    and cell of a walk block.
     """
     thresholds_db = [float(t) for t in thresholds_db]
     if not thresholds_db:
         raise ValueError("threshold list must not be empty")
     if any(b <= a for a, b in zip(thresholds_db, thresholds_db[1:])):
         raise ValueError("threshold list must be strictly ascending")
+    nx, ny = scenario.grid.nx, scenario.grid.ny
+    n_tap, n_wg = scenario.taps.count, scenario.layout.count
+    per_threshold = 8 * nx * ny
+    if exact:  # the walk refuses more than ENUM_BUDGET activations itself
+        per_threshold += 8 * min(n_tap**n_wg, ENUM_BUDGET) + n_tap * min(nx * ny, _WALK_CELLS)
+    size = len(thresholds_db) * per_threshold
+    if size > TENSOR_BYTES_BUDGET:
+        walk = f" and {n_tap}^{n_wg} activations" if exact else ""
+        raise BudgetError(
+            f"{len(thresholds_db)} thresholds on a {nx}x{ny} grid{walk} keep {size} bytes "
+            f"of per-threshold arrays, over the {TENSOR_BYTES_BUDGET}-byte budget"
+        )
     draws = _draws(scenario, n_random)
 
     params = scenario.params

@@ -670,6 +670,19 @@ def test_unbounded_restarts_exit_3_before_the_first_ascent(tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["heuristic", "exact"])
+def test_unbounded_thresholds_exit_3_before_the_gain_map(tmp_path, capsys, monkeypatch, gain_map_builds, exact):
+    # 3,000 grid-sized float64 fields of full table1 take 3000 * 400 * 120 * 8 bytes, over 1 GiB
+    monkeypatch.setattr(coverage, "_ascent_once", _unreachable)
+    monkeypatch.setattr(coverage, "_coverage_counts", _unreachable)
+    gammas = ",".join(str(i / 100) for i in range(3000))
+    code, out = run(tmp_path, "sweep-threshold", *exact, "--gammas", gammas, "--config", "table1")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "budget refusal" in err and "3000 thresholds on a 400x120 grid" in err and "Traceback" not in err
+    assert gain_map_builds == [] and not out.exists()
+
+
 def test_baseline_builds_one_fixed_array_map(tmp_path, monkeypatch):
     from pinchplan import channel
 

@@ -291,21 +291,17 @@ def passes(p, g, t):
         return bool(np.float64(p) + np.float64(g) >= t)
 
 
-def check_last_tap_threshold(lo, hi, g, t, probes=()):
-    """h of (lo, hi, g, t) gives the add's verdict on each probe, and is the least such float."""
-    h = _last_tap_thresholds(np.array([lo]), np.array([hi]), np.array([[g]]), t)[0, 0]
+def check_last_tap_threshold(g, t, probes=()):
+    """h of (g, t) passes, the float below it fails, and p >= h gives the add's verdict on every probe."""
+    h = _last_tap_thresholds(np.array([[g]]), t)[0, 0]
     with np.errstate(over="ignore"):  # nextafter of +-max
         below, above = np.nextafter(h, -np.inf), np.nextafter(h, np.inf)
     if np.isnan(h):
-        assert not passes(hi, g, t)
-    elif h == -np.inf:
-        assert passes(lo, g, t)
+        assert not passes(np.inf, g, t)
     else:  # the least float that passes: h does, the float below it does not
-        assert lo < h <= hi
         assert passes(h, g, t) and not passes(below, g, t)
-    for p in [lo, hi, h, below, above, *probes]:
-        if lo <= p <= hi:
-            assert passes(p, g, t) == (p >= h), (p, h)
+    for p in [h, below, above, -np.inf, np.inf, 0.0, -0.0, *probes]:
+        assert passes(p, g, t) == (p >= h), (p, h)
     assert not np.nan >= h and not passes(np.nan, g, t)
     return h
 
@@ -335,7 +331,7 @@ def test_last_tap_thresholds_are_exact_and_least(data):
     )
     with np.errstate(over="ignore", invalid="ignore"):
         centre = t - g
-    # a range around fl(t - g), where entries are contested, or anywhere
+    # probes in a range around fl(t - g), where the verdict turns, or anywhere
     if np.isfinite(centre) and data.draw(st.booleans()):
         spread = st.floats(0.0, 1e300) | st.integers(0, 4).map(lambda n: ulps_from(0.0, n))
         lo, hi = centre - data.draw(spread), centre + data.draw(spread)
@@ -345,7 +341,7 @@ def test_last_tap_thresholds_are_exact_and_least(data):
         pair = data.draw(st.lists(st.floats(allow_nan=False), min_size=2, max_size=2))
         lo, hi = sorted(pair, key=lambda x: (x, math.copysign(1.0, x)))
     probes = data.draw(st.lists(st.floats(lo, hi) if np.isfinite(lo) and np.isfinite(hi) else FINITE, max_size=8))
-    check_last_tap_threshold(lo, hi, g, t, probes)
+    check_last_tap_threshold(g, t, [lo, hi, *probes])
 
 
 @pytest.mark.parametrize(
@@ -359,13 +355,14 @@ def test_last_tap_thresholds_are_exact_and_least(data):
         (-np.inf, np.inf, np.inf, 1.0, -np.finfo(float).max),  # every p but -inf passes
         (-1.0, 3.0, 2.0, 2.0, -(2.0**-53)),  # g == t: -2**-53 + 2 rounds to 2
         (0.0, np.inf, np.nan, 1.0, np.nan),  # a NaN gain never passes
-        (0.5, 3.0, 1.0, 1.0, -np.inf),  # decided over the range: always
-        (0.0, 0.5, 0.25, 1.0, np.nan),  # decided over the range: never
-        (np.inf, np.inf, 0.0, 1.0, -np.inf),  # +inf partial sums pass
+        (0.5, 3.0, 1.0, 1.0, -(2.0**-54)),  # every p in [0.5, 3] passes, and some below 0 too
+        (0.0, 0.5, 0.25, 1.0, 0.75),  # no p in [0, 0.5] passes: the least is t - g, exact
+        (np.inf, np.inf, 0.0, 1.0, 1.0),  # g = 0: the least is t, and +inf passes
     ],
 )
 def test_last_tap_threshold_edges(lo, hi, g, t, want):
-    h = check_last_tap_threshold(lo, hi, g, t)
+    # lo and hi are probes: the entry holds for partial sums anywhere, in [lo, hi] too
+    h = check_last_tap_threshold(g, t, (lo, hi))
     assert same_float(h, want) if want is not None else h < np.finfo(float).max
 
 
