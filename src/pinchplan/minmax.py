@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array, _shared_matrix, avg_snr
-from .coverage import Activation, BudgetError, DEFAULT_MAX_SWEEPS, _field, _pick_tap, _require_valid, _starts
+from .coverage import Activation, BudgetError, DEFAULT_MAX_SWEEPS, _field, _pick_tap, _require_valid, _scan_buffer, _starts
 
 DEFAULT_EPS_T = 1e-3  # linear-SNR bracket width at which bisection stops
 DEFAULT_FEAS_RESTARTS = 16  # descent starts per feasibility check (first = caller's initial)
@@ -77,7 +77,7 @@ def _deficit_descent(target: float, gains_v: np.ndarray, sel: list, max_sweeps: 
         return gaps(rows).max(axis=1)
 
     resid_v = np.empty_like(field_v)
-    buf = np.empty(gains_v.shape[1:])
+    buf = _scan_buffer(*gains_v.shape[1:])
     for _ in range(max_sweeps):
         improved = False
         for n in range(len(sel)):

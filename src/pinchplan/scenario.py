@@ -164,11 +164,10 @@ class Scenario:
 
 def _check_tensor_bytes(n_wg: int, n_tap: int, nx: int, ny: int) -> None:
     """Refuse a grid whose float64 gain tensor would exceed TENSOR_BYTES_BUDGET."""
-    size = n_wg * n_tap * nx * ny * 8
-    if size > TENSOR_BYTES_BUDGET:
+    if n_wg * n_tap * nx * ny * 8 > TENSOR_BYTES_BUDGET:
         raise BudgetError(
-            f"a {n_wg}x{n_tap}-tap gain tensor on a {nx}x{ny} grid takes {size} bytes, "
-            f"over the {TENSOR_BYTES_BUDGET}-byte budget"
+            f"a {n_wg}x{n_tap}-tap float64 gain tensor on a {nx}x{ny} grid "
+            f"exceeds the {TENSOR_BYTES_BUDGET}-byte budget"
         )
 
 

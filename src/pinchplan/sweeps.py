@@ -153,11 +153,10 @@ def _draws(scenario: Scenario, n_random: int) -> list[Activation]:
     if n_random < 1:
         raise ValueError(f"the number of random draws must be at least 1, got {n_random}")
     nx, ny = scenario.grid.nx, scenario.grid.ny
-    size = n_random * nx * ny * 8
-    if size > TENSOR_BYTES_BUDGET:
+    if n_random * nx * ny * 8 > TENSOR_BYTES_BUDGET:
         raise BudgetError(
-            f"{n_random} random draws on a {nx}x{ny} grid take {size} bytes of fields, "
-            f"over the {TENSOR_BYTES_BUDGET}-byte budget"
+            f"{n_random} random draws on a {nx}x{ny} grid exceed the "
+            f"{TENSOR_BYTES_BUDGET}-byte budget for their float64 fields"
         )
     return [random_activation(scenario, s) for s in derived_seeds(scenario.solver.seed, n_random)]
 

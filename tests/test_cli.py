@@ -683,6 +683,40 @@ def test_unbounded_thresholds_exit_3_before_the_gain_map(tmp_path, capsys, monke
     assert gain_map_builds == [] and not out.exists()
 
 
+# Python formats no int of over 4,300 digits, so a refusal names the factors
+# of the count it refuses, never their product. table1 with 10,000
+# waveguides of 3 taps on a 2x2 grid has 3^10000 activations (4,772 digits);
+# a 4,299-digit count times 4x10 taps or 20x6 cells has over 4,300; so does
+# the gain tensor of 10^2500 waveguides of 10^2500 taps.
+HUGE = "9" * 4299
+MANY_WAVEGUIDES = {"waveguides": 10_000, "taps": {"count": 3}, "grid": {"nx": 2, "ny": 2}}
+
+
+@pytest.mark.parametrize(
+    "command, changes, want",
+    [
+        (["coverage", "--exact"], MANY_WAVEGUIDES, "exhaustive search needs 3^10000 activations"),
+        (["sweep-threshold", "--exact", "--gammas", "18"], MANY_WAVEGUIDES, "needs 3^10000 activations"),
+        (["coverage", "--restarts", HUGE, *SMALL], None, f"{HUGE} ascent restarts of 4x10 taps"),
+        (["baseline", "--draws", HUGE, *SMALL], None, f"{HUGE} random draws on a 20x6 grid"),
+        (["gainmap"], {"waveguides": 10**2500, "taps": {"count": 10**2500}}, "-tap float64 gain tensor on a 400x120 grid"),
+    ],
+    ids=["coverage-exact", "sweep-threshold-exact", "coverage-restarts", "baseline-draws", "gainmap"],
+)
+def test_refusals_of_products_past_the_digit_limit_exit_3(tmp_path, capsys, command, changes, want):
+    config = "table1"
+    if changes is not None:
+        doc = load_bundled("table1").to_dict()
+        doc.update(changes)
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(tmp_path, *command, "--config", str(config))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "budget refusal" in err and want in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_baseline_builds_one_fixed_array_map(tmp_path, monkeypatch):
     from pinchplan import channel
 

@@ -466,6 +466,42 @@ def test_blocked_deficit_descent_matches_the_per_tap_loop(taps_per_block, data):
     assert sel == want_sel and same_float(got, want)
 
 
+def test_one_block_scratch_plans_like_an_all_taps_scratch():
+    # 7 taps in key blocks of 3 (taps 0-2, 3-5 and 6), so the scratch holds 3
+    # rows. The taps tied on the key (1, 2, 4, 5 and 6) span all three blocks,
+    # their tie keys take two gathers (1, 2, 4, then 5, 6), and the best tie
+    # key lies in the second: tap 5 covers 2 cells at the largest margin, tap
+    # 6 misses the target by 2 at the least worst-cell deficit.
+    cover = np.array([[1, 0], [1, 1], [1.5, 1], [2, 0], [1, 2], [3, 1], [1, 1.5]])  # threshold 1
+    deficit = np.array([[0, 0], [2, 4], [2.5, 3.5], [1, 1], [4, 2], [2, 4], [3, 3]])  # target 4
+    shapes, scan_buffer = [], coverage._scan_buffer
+
+    def one_block(n_tap, n_cells):
+        buf = scan_buffer(n_tap, n_cells)
+        shapes.append(buf.shape)
+        return buf
+
+    def all_taps(n_tap, n_cells):
+        return np.empty((n_tap, n_cells))
+
+    def plans(gains, scratch):
+        with mock.patch.object(coverage, "_scan_buffer", scratch), mock.patch.object(minmax, "_scan_buffer", scratch):
+            updates, sel, dsel = [], [3] * len(gains), [3] * len(gains)
+            sweeps = coverage._ascent_once(sel, gains, 2.0, 50, lambda *update: updates.append(update))
+            return sel, sweeps, updates, dsel, _deficit_descent(4.0, gains, dsel, 50)
+
+    rng = np.random.default_rng(5)
+    with blocks_of(3, 2):
+        assert _best_tap(np.zeros(2), cover, 1.0, one_block(7, 2)) == loop_best_tap(np.zeros(2), cover, 1.0) == (5, 2)
+        sel = [0]
+        assert _deficit_descent(4.0, deficit[None], sel, 50) == 2.0 and sel == [6]
+        # small-integer gains tie often
+        maps = [np.stack([cover, deficit, cover[::-1]])] + [rng.integers(0, 3, (3, 7, 2)).astype(float) for _ in range(20)]
+        for gains in maps:
+            assert plans(gains, one_block) == plans(gains, all_taps)
+    assert set(shapes) == {(3, 2)}
+
+
 def test_nan_first_tap_stays_and_later_nan_never_wins():
     # three taps tie at one covered cell; a NaN margin keeps its place only as the first tie
     resid = np.zeros(2)

@@ -30,6 +30,9 @@ from pinchplan.mapio import _field_db
 # installed wheel against both
 QUARTER_LP_SHA256 = "550154d00a9c7bed60238fdb19168d8638e35d73c0dff52c7cdba784dcf57e9c"
 FULL_LP_SHA256 = "583f59162442df196440b9f2c0ec06d582b7df6adcd997f2237939f273a71148"
+# sha256 of the gainmap.npz that `gainmap` writes on table1 at --grid-scale 0.25;
+# CI checks the installed wheel against it too
+QUARTER_NPZ_SHA256 = "d4d0ded5c1d9735db63b52c89be3856c11bec40eda4fcb4d3713aa5aa00f9445"
 
 
 def assert_same(new, ref):
@@ -117,8 +120,11 @@ def test_emit_milp_matches_oracle_on_few_and_many_repeats(make):
 
 def test_emit_milp_keeps_its_memo_past_the_cap(quarter, monkeypatch):
     # the memo fills after a few row blocks; every later block still reads it,
-    # and the texts that would take it past its cap are formatted unstored
+    # and the texts that would take it past its cap are formatted unstored.
+    # The bytes are the uncapped memo's.
     scn, _, gm = quarter
+    uncapped = io.StringIO()
+    emit_milp(gm, scn.params, 0.1 + 0.2, uncapped)
     blocks = -(-np.count_nonzero(gm.valid) // coverage._LP_CHUNK)
     memo_sizes = []
     coef_texts = coverage._coef_texts
@@ -129,7 +135,7 @@ def test_emit_milp_keeps_its_memo_past_the_cap(quarter, monkeypatch):
 
     monkeypatch.setattr(coverage, "_coef_texts", counted)
     monkeypatch.setattr(coverage, "_LP_MEMO_CAP", 3000)
-    assert_milp_matches(gm, scn.params, 0.1 + 0.2)
+    assert assert_milp_matches(gm, scn.params, 0.1 + 0.2) == uncapped.getvalue()
     assert len(memo_sizes) == blocks
     assert memo_sizes[0] == 0 and max(memo_sizes) <= 3000
     assert memo_sizes.count(memo_sizes[-1]) > 1  # blocks past the cap stored nothing
@@ -286,6 +292,9 @@ def test_npz_matches_oracle_and_round_trips(quarter, tmp_path):
         "x_centers": scn.grid.x_centers(),
         "y_centers": scn.grid.y_centers(),
         "strided": gm.gains[:, ::2, :, 1::3],  # made contiguous before writing
+        # over 16 MiB, so the oracle's write_array formats it in several chunks
+        "large": np.arange(2_500_000, dtype=np.float64).reshape(500, 5000),
+        "empty": np.zeros((0, 3)),
     }
     _write_npz(tmp_path / "new.npz", arrays)
     oracle.write_npz(tmp_path / "ref.npz", arrays)
@@ -295,3 +304,9 @@ def test_npz_matches_oracle_and_round_trips(quarter, tmp_path):
         for name, arr in arrays.items():
             assert npz[name].dtype == arr.dtype
             assert np.array_equal(npz[name], arr)
+
+
+def test_gainmap_keeps_its_pinned_bytes(tmp_path):
+    out = tmp_path / "out"
+    assert main(["gainmap", "--config", "table1", "--grid-scale", "0.25", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "gainmap.npz").read_bytes()).hexdigest() == QUARTER_NPZ_SHA256
