@@ -1,4 +1,4 @@
-"""Free-space channel model and the precomputed per-grid average-gain tensor.
+"""Free-space channel model and the per-grid average gains of every candidate tap.
 
 Each tap-to-grid link combines a deterministic line-of-sight ray (blocked or
 not, per the visibility tensor) with Rayleigh-faded diffuse scatter.
@@ -6,17 +6,20 @@ Under maximum-ratio transmission the per-grid average SNR has the closed form
 
     snr(u, v) = snr_scale * sum_n gains[n, m_n, u, v]
 
-with gains[n, m, u, v] = (los * los_ref_gain + nlos_power) / d^2, which is
-what `precompute_gain_map` tabulates once per scenario. All power quantities
-are linear here; dB conversions live at the IO boundary.
+with gains[n, m, u, v] = (los * los_ref_gain + nlos_power) / d^2. A
+`GainMap` holds the tap points and their visibility, decided once per
+scenario, and computes gains from them one tap row at a time: the solvers
+read one scaled (waveguide, tap, valid-cell) matrix per map, and only the
+`gainmap.npz` product builds the full (waveguide, tap, nx, ny) tensor
+(`GainMap.gains`). All power quantities are linear here; dB conversions
+live at the IO boundary.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +34,13 @@ from .geometry import (
 )
 
 C_LIGHT = 299_792_458.0  # m/s, exact
+# Floats per (taps, cells) block (`_tap_blocks`): 256 KB, well inside a 2 MB
+# L2 cache. The tap scans of `coverage._pick_tap` and the whole-grid gain rows
+# of `_scaled_valid_gains` run one block at a time. At a full grid a block is
+# one tap. One block of all taps was slower there: 3.5 to 5.8 MB leaves L2,
+# and on full table1 the ascent took 14.6 against 11.1 ms and 16 deficit
+# descents 266 against 227 ms (2-core machine, 2 MB of L2 per core).
+_BLOCK_VALUES = 1 << 15
 
 
 def _pow10(exponent: float, value: float, unit: str) -> float:
@@ -114,24 +124,72 @@ class ChannelParams:
         return self.tx_power_w / self.noise_power_w
 
 
-@dataclass(frozen=True)
 class GainMap:
-    """Per-tap-per-grid average channel gains and the footprint mask."""
+    """Average channel gains of every (waveguide, tap) on the grid, and the footprint mask.
 
-    gains: np.ndarray  # (waveguides, taps, nx, ny)
-    valid: np.ndarray  # (nx, ny) bool
+    Built from tap points (N, M, 3), their visibility `los` (N, M, nx, ny;
+    held, not copied), the grid and the channel `params`, it computes gains
+    a tap row at a time (`_tap_gains`), bit for bit the rows of the eager
+    `_point_gains` tensor. Solvers read its one scaled valid-cell matrix,
+    built on first use and kept (`_candidate_matrix`); `gains`, the full
+    unscaled tensor, is built on first access. GainMap(gains=..., valid=...)
+    holds a given tensor instead, has no own scale and slices the tensor.
+    """
+
+    def __init__(self, *, valid, gains=None, points=None, los=None, grid=None, params=None):
+        if gains is not None:
+            self.gains = gains  # shadows the cached property
+        self.valid, self.points, self.los, self.grid, self.params = valid, points, los, grid, params
+
+    @cached_property
+    def gains(self) -> np.ndarray:
+        gains = _point_gains(self.points.reshape(-1, 3), self.los.reshape(-1, *self.valid.shape), self.grid, self.params)
+        return gains.reshape(self.los.shape)
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        mat = _scaled_valid_gains(self, self.params.snr_scale)
+        mat.flags.writeable = False
+        return mat
 
     @property
     def n_waveguides(self) -> int:
-        return int(self.gains.shape[0])
+        return int(vars(self).get("gains", self.los).shape[0])
 
     @property
     def n_taps(self) -> int:
-        return int(self.gains.shape[1])
+        return int(vars(self).get("gains", self.los).shape[1])
+
+    def _tap_gains(self, n, m, out=None) -> np.ndarray:
+        """Unscaled gains of taps (n, m) on the whole grid, a (K, nx, ny) array: `out` when given, else new.
+
+        n and m index the (waveguide, tap) axes as numpy indices do: index
+        arrays pick the taps (n[k], m[k]), and an int n with a slice m a block
+        of one waveguide's taps, whose visibility is then a view.
+        """
+        shape = (-1, *self.valid.shape)
+        if "gains" not in vars(self):
+            return _point_gains(self.points[n, m].reshape(-1, 3), self.los[n, m].reshape(shape), self.grid, self.params, out)
+        rows = self.gains[n, m].reshape(shape)
+        if out is None:
+            return rows.copy()
+        out[...] = rows
+        return out
 
 
-def _point_gains(points: np.ndarray, los: np.ndarray, grid: GridSpec, params: ChannelParams) -> np.ndarray:
-    """Average gains (los * los_ref_gain + nlos_power) / d^2, shape (K, nx, ny).
+def _tap_blocks(n_tap: int, n_cells: int) -> list[slice]:
+    """Consecutive slices of range(n_tap), each of at most max(1, _BLOCK_VALUES // n_cells) taps.
+
+    A (taps, cells) block of one slice fits in _BLOCK_VALUES floats, so a
+    tap scan runs one elementwise operation per block and the block stays in
+    cache for the row reductions that follow. The first slice is the longest.
+    """
+    step = max(1, _BLOCK_VALUES // n_cells)
+    return [slice(start, min(start + step, n_tap)) for start in range(0, n_tap, step)]
+
+
+def _point_gains(points: np.ndarray, los: np.ndarray, grid: GridSpec, params: ChannelParams, out=None) -> np.ndarray:
+    """Average gains (los * los_ref_gain + nlos_power) / d^2, shape (K, nx, ny), in `out` when given.
 
     points is (K, 3) and los the matching (K, nx, ny) visibility. d^2 is built
     in the output array and divided in place, so the only other full-size
@@ -140,7 +198,7 @@ def _point_gains(points: np.ndarray, los: np.ndarray, grid: GridSpec, params: Ch
     px, py, pz = (points[:, i, None, None] for i in range(3))
     dx = grid.x_centers()[None, :, None] - px
     dy = grid.y_centers()[None, None, :] - py
-    gains = dx * dx + dy * dy
+    gains = np.add(dx * dx, dy * dy, out=out)
     gains += pz * pz
     np.divide(params.los_ref_gain + params.nlos_power, gains, out=gains, where=los)
     np.divide(params.nlos_power, gains, out=gains, where=~los)
@@ -154,62 +212,47 @@ def precompute_gain_map(
     vis: VisibilityMap,
     params: ChannelParams,
 ) -> GainMap:
-    """Tabulate average gains for every (waveguide, tap, grid) triple."""
+    """The gain map of every (waveguide, tap, grid) triple: tap points and visibility, gains on demand."""
     shape = (*taps.x_taps.shape, grid.nx, grid.ny)
     if vis.los.shape != shape:
         raise ValueError("visibility tensor shape does not match layout/taps/grid")
-    gains = _point_gains(layout.tap_points(taps), vis.los.reshape(-1, grid.nx, grid.ny), grid, params)
-    return GainMap(gains=gains.reshape(shape), valid=vis.valid.copy())
+    points = layout.tap_points(taps).reshape(*taps.x_taps.shape, 3)
+    return GainMap(valid=vis.valid.copy(), points=points, los=vis.los, grid=grid, params=params)
 
 
-def _scaled_valid_gains(gain_map: GainMap, params: ChannelParams) -> np.ndarray:
-    """Scaled gains of every (waveguide, tap) on the valid cells, shape (N, M, V).
+def _scaled_valid_gains(gain_map: GainMap, snr_scale: float) -> np.ndarray:
+    """Scaled gains of every (waveguide, tap) on the valid cells, shape (N, M, V), C-contiguous.
 
-    Bit-equal to scaling the boolean-masked tensor, but C-contiguous: a
-    boolean mask over the two trailing axes puts the cell axis outermost, so
-    every (waveguide, tap) row a solver reads would step over N*M values per
-    cell.
+    Built one `_tap_blocks` block of a waveguide's taps at a time (one tap at
+    a full grid): the block's whole-grid rows in one reused buffer, then
+    their valid cells, scaled in place. Bit-equal to scaling the masked
+    tensor, as both are elementwise, with no tensor beside the matrix.
     """
-    n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
-    cells = np.flatnonzero(gain_map.valid)
-    mat = np.take(gain_map.gains.reshape(n_wg, n_tap, -1), cells, axis=2)
-    mat *= params.snr_scale
+    valid = gain_map.valid
+    cells = np.flatnonzero(valid)
+    dtype = gain_map.gains.dtype if "gains" in vars(gain_map) else float
+    mat = np.empty((gain_map.n_waveguides, gain_map.n_taps, len(cells)), dtype)
+    blocks = _tap_blocks(mat.shape[1], valid.size)
+    buf = np.empty((blocks[0].stop, *valid.shape), dtype)
+    for n in range(mat.shape[0]):
+        for taps in blocks:
+            rows = mat[n, taps]
+            block = gain_map._tap_gains(n, taps, out=buf[: len(rows)])
+            np.take(block.reshape(len(rows), -1), cells, axis=1, out=rows)
+            rows *= snr_scale
     return mat
 
 
-# The open `_shared_matrix` scopes of this thread or task, innermost first:
-# (gain map, snr_scale, read-only matrix) tuples.
-_SCOPES: ContextVar[tuple] = ContextVar("_SCOPES", default=())
-
-
 def _candidate_matrix(gain_map: GainMap, params: ChannelParams) -> np.ndarray:
-    """The `_scaled_valid_gains` matrix a solver reads: shared inside a scope, else a new copy.
+    """The `_scaled_valid_gains` matrix a solver reads at params.snr_scale.
 
-    Inside a `_shared_matrix` scope for this map and `snr_scale` it is the
-    scope's read-only array; elsewhere it is built per call, and solvers keep
-    no copy past their return.
+    At the map's own snr_scale it is the map's read-only matrix, built on the
+    first call and kept; at any other scale, and on a map built from a
+    tensor, it is a new array that no one keeps.
     """
-    for held, scale, mat in _SCOPES.get():
-        if held is gain_map and scale == params.snr_scale:
-            return mat
-    return _scaled_valid_gains(gain_map, params)
-
-
-@contextmanager
-def _shared_matrix(gain_map: GainMap, params: ChannelParams):
-    """Scope in which `_candidate_matrix` returns one read-only matrix for this map and scale.
-
-    A solve that runs a solver many times on one map opens it, so the matrix
-    is built once. The matrix is held in `_SCOPES`, never on the map, and
-    dropped on exit, also when the body raises.
-    """
-    mat = _scaled_valid_gains(gain_map, params)
-    mat.flags.writeable = False
-    token = _SCOPES.set(((gain_map, params.snr_scale, mat), *_SCOPES.get()))
-    try:
-        yield
-    finally:
-        _SCOPES.reset(token)
+    if gain_map.params is not None and params.snr_scale == gain_map.params.snr_scale:
+        return gain_map._matrix
+    return _scaled_valid_gains(gain_map, params.snr_scale)
 
 
 def _selection_array(selected, n_waveguides: int, n_taps: int) -> np.ndarray:
@@ -231,9 +274,11 @@ def avg_snr(selected, gain_map: GainMap, params: ChannelParams) -> np.ndarray:
     score a solver gave it.
     """
     sel = _selection_array(selected, gain_map.n_waveguides, gain_map.n_taps)
-    field = params.snr_scale * gain_map.gains[0, sel[0]]
-    for n in range(1, len(sel)):
-        field += params.snr_scale * gain_map.gains[n, sel[n]]
+    rows = gain_map._tap_gains(np.arange(len(sel)), sel)
+    rows *= params.snr_scale
+    field = rows[0].copy()
+    for row in rows[1:]:
+        field += row
     return field
 
 
@@ -261,5 +306,4 @@ def fixed_array_gain_map(
     points[:, 1] = y_el
     points[:, 2] = region.height
     vis = points_visibility(points, blockages, grid)
-    gains = _point_gains(points, vis.los, grid, params)
-    return GainMap(gains=gains[:, None], valid=vis.valid)
+    return GainMap(valid=vis.valid, points=points[:, None], los=vis.los[:, None], grid=grid, params=params)

@@ -219,9 +219,9 @@ def _cmd_minmax(scn, args):
 
 
 def _certificate(res) -> dict:
-    """The certified max-min optimum (null when the search ran out of nodes) and the search's node count."""
+    """The certified max-min optimum (null when the search ran out of nodes), the envelope bound and the search's node count."""
     db = None if res.certified is None else linear_to_db(res.certified)
-    return {"certified_db": db, "bnb_nodes": res.bnb_nodes}
+    return {"certified_db": db, "upper_bound_db": linear_to_db(res.upper_bound), "bnb_nodes": res.bnb_nodes}
 
 
 def _cmd_baseline(scn, args):

@@ -27,7 +27,7 @@ from typing import Callable, IO
 
 import numpy as np
 
-from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array, avg_snr
+from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array, _tap_blocks, avg_snr
 
 # A field value this close (relatively) below the threshold still counts as
 # covered, so closed comparisons survive float roundoff.
@@ -57,12 +57,6 @@ _LP_CHUNK = 256
 # on full table1 and stress, 2**18 on quarter table1 (111k coefficients).
 # The texts themselves take about 67 bytes each (4.8 MB for stress's 71,480).
 _LP_MEMO_CAP = 1 << 17
-# Floats per (taps, cells) block of a tap scan (`_tap_blocks`): 256 KB, well
-# inside a 2 MB L2 cache. At a full grid a block is one tap. One block of all
-# taps was slower there: 3.5 to 5.8 MB leaves L2, and on full table1 the
-# ascent took 14.6 against 11.1 ms and 16 deficit descents 266 against 227 ms
-# (2-core machine, 2 MB of L2 per core).
-_BLOCK_VALUES = 1 << 15
 # Valid cells per block of the exhaustive coverage walk (`_coverage_counts`).
 # A block's rows of the last two waveguides, its field or table and its hits
 # stay in a 2 MB L2 cache. On full table1 (2 cores, in-process A/B against a
@@ -139,24 +133,14 @@ def coverage_count(selected, gain_map: GainMap, params: ChannelParams, threshold
     return int(np.count_nonzero(_covered(field, threshold) & gain_map.valid))
 
 
-def _tap_blocks(n_tap: int, n_cells: int) -> list[slice]:
-    """Consecutive slices of range(n_tap), each of at most max(1, _BLOCK_VALUES // n_cells) taps.
-
-    A (taps, cells) block of one slice fits in _BLOCK_VALUES floats, so a
-    tap scan runs one elementwise operation per block and the block stays in
-    cache for the row reductions that follow. The first slice is the longest.
-    """
-    step = max(1, _BLOCK_VALUES // n_cells)
-    return [slice(start, min(start + step, n_tap)) for start in range(0, n_tap, step)]
-
-
 def _scan_buffer(n_tap: int, n_cells: int) -> np.ndarray:
     """Scratch for the tap scans of `_pick_tap`: the rows of one full `_tap_blocks` block.
 
     At a full grid that is one tap's row, not every tap's (0.36 against
     5.8 MB for 16 taps of 45k cells).
     """
-    return np.empty((min(n_tap, max(1, _BLOCK_VALUES // n_cells)), n_cells))
+    first = _tap_blocks(n_tap, n_cells)[0]
+    return np.empty((first.stop - first.start, n_cells))
 
 
 def _first_min(keys: np.ndarray) -> int:
@@ -613,10 +597,11 @@ def emit_milp(
     that is not positive or a map without valid cells (ValueError) before
     a file is opened.
 
-    The linking rows are written _LP_CHUNK cells at a time, each block as
-    one join of a reused object array: its even columns hold a row's fixed
-    fragments, its odd ones that block's cell indices and coefficient texts
-    (`_coef_texts`).
+    The coefficients are the solver matrix (`_candidate_matrix`), so an
+    ascent and the LP of one map share it. The linking rows are written
+    _LP_CHUNK cells at a time, each block as one join of a reused object
+    array: its even columns hold a row's fixed fragments, its odd ones that
+    block's cell indices and coefficient texts (`_coef_texts`).
     """
     _check_threshold(threshold)
     _require_valid(gain_map)
@@ -626,11 +611,10 @@ def emit_milp(
         return
 
     n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
-    rho = params.snr_scale
     cells = np.flatnonzero(gain_map.valid)
     us, vs = np.divmod(cells, gain_map.valid.shape[1])
     index_texts = np.array([str(i + 1) for i in range(max(gain_map.valid.shape))], dtype=object)
-    gains_flat = gain_map.gains.reshape(n_wg * n_tap, -1)
+    coefs = _candidate_matrix(gain_map, params).reshape(n_wg * n_tap, -1)
 
     w = out.write
     w("\\ tap-activation coverage MILP\n")
@@ -654,8 +638,8 @@ def emit_milp(
     memo = _TextMemo(n_wg * n_tap * len(cells))
     for start in range(0, len(cells), _LP_CHUNK):
         chunk = slice(start, start + _LP_CHUNK)
-        # float64 whatever the tensor's dtype: widening is exact, so the texts are unchanged
-        block = (rho * gains_flat[:, cells[chunk]]).astype(np.float64, copy=False)
+        # float64 whatever the map's dtype: widening is exact, so the texts are unchanged
+        block = coefs[:, chunk].astype(np.float64)
         part = rows[: block.shape[1]]
         part[:, 1] = part[:, -4] = index_texts[us[chunk]]
         part[:, 3] = part[:, -2] = index_texts[vs[chunk]]

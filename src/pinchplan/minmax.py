@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array, _shared_matrix, avg_snr
+from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array, avg_snr
 from .coverage import Activation, BudgetError, DEFAULT_MAX_SWEEPS, _field, _pick_tap, _require_valid, _scan_buffer, _starts
 
 DEFAULT_EPS_T = 1e-3  # linear-SNR bracket width at which bisection stops
@@ -44,6 +44,7 @@ class MinMaxResult:
     snr_field: np.ndarray
     certified: float | None  # the true optimum (linear); None when the search did not finish
     bnb_nodes: int  # nodes the branch-and-bound bounded (both solvers run it)
+    upper_bound: float  # `maxmin_upper_bound` (linear): no plan's worst cell exceeds it
 
 
 def worst_grid_snr(selected, gain_map: GainMap, params: ChannelParams) -> float:
@@ -133,11 +134,20 @@ def deficit_feasibility(
 
 
 def maxmin_upper_bound(gain_map: GainMap, params: ChannelParams) -> float:
-    """Upper bound on any activation's worst-grid SNR: each cell takes its best taps."""
+    """Upper bound on any activation's worst-grid SNR: each cell takes its best taps (`_envelope`)."""
     _require_valid(gain_map)
-    best_per_wg = gain_map.gains.max(axis=1)  # (N, nx, ny)
-    envelope = params.snr_scale * best_per_wg.sum(axis=0)
-    return float(envelope[gain_map.valid].min())
+    return float(_envelope(_candidate_matrix(gain_map, params)).min())
+
+
+def _envelope(gains_v: np.ndarray) -> np.ndarray:
+    """Per valid cell, each waveguide's best tap, summed in waveguide order like `coverage._field`.
+
+    Rounded addition is monotone, so no activation's field exceeds it on any cell.
+    """
+    envelope = gains_v[0].max(axis=0)
+    for n in range(1, gains_v.shape[0]):
+        envelope += gains_v[n].max(axis=0)
+    return envelope
 
 
 def _reach(gains: np.ndarray) -> np.ndarray:
@@ -178,9 +188,7 @@ def _bnb_maxmin(gain_map: GainMap, params: ChannelParams) -> _Search:
     """
     gains_v = _candidate_matrix(gain_map, params)
     n_wg, n_tap, n_cells = gains_v.shape
-    envelope = gains_v[0].max(axis=0)
-    for n in range(1, n_wg):
-        envelope += gains_v[n].max(axis=0)
+    envelope = _envelope(gains_v)
     top = float(envelope.min())
     if not math.isfinite(top):
         raise ValueError("SNR upper bound is not finite; check the channel parameters")
@@ -248,6 +256,7 @@ def _maxmin_result(act, gain_map, params, iters, evals, exact, search: _Search) 
         snr_field=field,
         certified=search.value if search.certified else None,
         bnb_nodes=search.nodes,
+        upper_bound=search.envelope,
     )
 
 
@@ -272,34 +281,33 @@ def bisection_maxmin(
     sweep (it still makes its one `deficit_feasibility` call) and the
     bracket's top drops to that ceiling: at most one probe lies above it,
     and the plan is the certified one. Otherwise every probe runs all its
-    restarts. The search and every probe read one shared candidate matrix
-    (`_shared_matrix`).
+    restarts. The search and every probe read the map's candidate matrix
+    (`_candidate_matrix`).
     """
     if not eps_t > 0:
         raise ValueError("eps_t must be positive")
     _require_valid(gain_map)
 
-    with _shared_matrix(gain_map, params):
-        search = _bnb_maxmin(gain_map, params)
-        best, t_lo, t_hi = search.activation, 0.0, search.envelope
-        ceiling = search.value * (1 + CEILING_MARGIN) if search.certified else math.inf
-        iters = 0
-        while t_hi - t_lo > eps_t:
-            t_mid = 0.5 * (t_lo + t_hi)
-            if not t_lo < t_mid < t_hi:
-                break  # adjacent floats: at large SNR they lie more than eps_t apart
-            # a probe above the ceiling cannot succeed: one start of one sweep
-            below = t_mid <= ceiling
-            ok, found = deficit_feasibility(
-                t_mid, gain_map, params, best,
-                max_sweeps if below else 1, DEFAULT_FEAS_RESTARTS if below else 1, seed + iters,
-            )
-            iters += 1
-            if ok:
-                best = found
-                t_lo = t_mid
-            else:
-                t_hi = min(t_mid, ceiling)
+    search = _bnb_maxmin(gain_map, params)
+    best, t_lo, t_hi = search.activation, 0.0, search.envelope
+    ceiling = search.value * (1 + CEILING_MARGIN) if search.certified else math.inf
+    iters = 0
+    while t_hi - t_lo > eps_t:
+        t_mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < t_mid < t_hi:
+            break  # adjacent floats: at large SNR they lie more than eps_t apart
+        # a probe above the ceiling cannot succeed: one start of one sweep
+        below = t_mid <= ceiling
+        ok, found = deficit_feasibility(
+            t_mid, gain_map, params, best,
+            max_sweeps if below else 1, DEFAULT_FEAS_RESTARTS if below else 1, seed + iters,
+        )
+        iters += 1
+        if ok:
+            best = found
+            t_lo = t_mid
+        else:
+            t_hi = min(t_mid, ceiling)
 
     return _maxmin_result(best, gain_map, params, iters, iters, exact=False, search=search)
 

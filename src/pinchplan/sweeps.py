@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import _shared_matrix, avg_snr, db_to_linear, linear_to_db
-from .coverage import _WALK_CELLS, ENUM_BUDGET, TENSOR_BYTES_BUDGET, Activation, BudgetError, _covered, _exact_coverages, _require_valid, coordinate_ascent
-from .minmax import MinMaxResult, bisection_maxmin, exact_maxmin, worst_grid_snr
+from .channel import _candidate_matrix, avg_snr, db_to_linear, linear_to_db
+from .coverage import _WALK_CELLS, ENUM_BUDGET, TENSOR_BYTES_BUDGET, Activation, BudgetError, _covered, _exact_coverages, _field, _require_valid, coordinate_ascent
+from .minmax import MinMaxResult, bisection_maxmin, exact_maxmin
 from .scenario import Scenario, random_activation
 
 N_RANDOM_DRAWS = 20
@@ -86,7 +86,7 @@ def threshold_sweep(
     """Coverage fraction of each method at each threshold (dB, ascending).
 
     The optimized activation is re-solved at every threshold, every solve
-    reading one candidate matrix; random draws are shared across thresholds
+    reading the map's candidate matrix; random draws are shared across thresholds
     (the activations do not depend on the threshold), as is the fixed-array
     field. Refuses with BudgetError, before the gain map is built or any
     ascent runs, when the arrays kept per threshold would exceed
@@ -124,11 +124,10 @@ def threshold_sweep(
         results = _exact_coverages(gm, params, thresholds)
     else:
         start = Activation.centered(gm.n_waveguides, gm.n_taps)
-        with _shared_matrix(gm, params):
-            results = [
-                coordinate_ascent(start, gm, params, thr, max_sweeps=scenario.solver.max_sweeps)
-                for thr in thresholds
-            ]
+        results = [
+            coordinate_ascent(start, gm, params, thr, max_sweeps=scenario.solver.max_sweeps)
+            for thr in thresholds
+        ]
     table.columns["optimized"] = [res.coverage_fraction for res in results]
     table.columns["optimized_activation"] = [
         "|".join(str(i) for i in res.activation.one_based()) for res in results
@@ -162,8 +161,13 @@ def _draws(scenario: Scenario, n_random: int) -> list[Activation]:
 
 
 def _draw_fields(scenario: Scenario, gm, draws: list[Activation]) -> list[np.ndarray]:
-    """Valid-cell SNR field of each random activation, at scenario defaults."""
-    return [avg_snr(a.as_array(), gm, scenario.params)[gm.valid] for a in draws]
+    """Valid-cell SNR field of each random activation, at scenario defaults.
+
+    Summed from the candidate matrix in waveguide order (`coverage._field`),
+    so bit-equal to the valid cells of its `avg_snr` field.
+    """
+    gains_v = _candidate_matrix(gm, scenario.params)
+    return [_field(gains_v, a.selected, np.empty(gains_v.shape[2])) for a in draws]
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -184,6 +188,22 @@ def _fixed_field(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return avg_snr(fsel, fgm, scenario.params), fgm.valid
 
 
+def _worst_dbs(selected, gm, per_power_params) -> list[float]:
+    """Worst valid-cell SNR (dB) of one activation at each of the params, bit-equal to `worst_grid_snr`.
+
+    The activation's unscaled valid-cell rows are computed once, then scaled
+    by every power's snr_scale at once and added in waveguide order, as
+    `avg_snr` adds them.
+    """
+    rows = gm._tap_gains(np.arange(len(selected)), list(selected))
+    rows = np.compress(gm.valid.ravel(), rows.reshape(len(rows), -1), axis=1)
+    scales = np.array([[p.snr_scale] for p in per_power_params])
+    fields = scales * rows[0]
+    for row in rows[1:]:
+        fields += scales * row
+    return [linear_to_db(w) for w in fields.min(axis=1).tolist()]
+
+
 def power_sweep(
     scenario: Scenario,
     powers_dbm,
@@ -194,7 +214,8 @@ def power_sweep(
 
     The optimized activation is solved once at the scenario's own power and
     reused: a power change scales every average SNR by the same factor, so
-    the argmax never moves. Worst-grid dB values are recomputed per power.
+    the argmax never moves. Worst-grid dB values are recomputed per power,
+    each activation's gain rows once for every power (`_worst_dbs`).
     """
     powers_dbm = [float(p) for p in powers_dbm]
     if not powers_dbm:
@@ -217,26 +238,18 @@ def power_sweep(
             max_sweeps=scenario.solver.max_sweeps,
             seed=scenario.solver.seed,
         )
-    sel = minmax_res.activation.as_array()
-    table.columns["optimized_db"] = [
-        linear_to_db(worst_grid_snr(sel, gm, p)) for p in per_power_params
-    ]
+    table.columns["optimized_db"] = _worst_dbs(minmax_res.activation.selected, gm, per_power_params)
     table.columns["optimized_activation"] = [
         "|".join(str(i) for i in minmax_res.activation.one_based())
     ] * len(powers_dbm)
 
-    stats = [
-        _mean_std([linear_to_db(worst_grid_snr(a.as_array(), gm, p)) for a in draws])
-        for p in per_power_params
-    ]
+    per_draw = [_worst_dbs(a.selected, gm, per_power_params) for a in draws]
+    stats = [_mean_std(dbs) for dbs in zip(*per_draw)]
     table.columns["random_mean_db"], table.columns["random_std_db"] = map(list, zip(*stats))
 
     # element gains carry no transmit power, so one map serves every P
     fgm = scenario.fixed_array_map()
-    fsel = np.zeros(scenario.layout.count, dtype=int)
-    table.columns["fixed_db"] = [
-        linear_to_db(worst_grid_snr(fsel, fgm, p)) for p in per_power_params
-    ]
+    table.columns["fixed_db"] = _worst_dbs([0] * scenario.layout.count, fgm, per_power_params)
     return table, minmax_res
 
 

@@ -18,6 +18,7 @@ from pinchplan import (
     fixed_array_gain_map,
     linear_to_db,
     load_bundled,
+    points_visibility,
     precompute_gain_map,
 )
 from pinchplan.channel import _point_gains
@@ -133,6 +134,34 @@ def test_table1_gain_bytes_pinned():
     ):
         assert gm.gains.shape == shape and gm.gains.dtype == np.float64
         assert hashlib.sha256(np.ascontiguousarray(gm.gains).tobytes()).hexdigest() == want
+
+
+def test_gain_rows_and_lazy_tensor_match_the_eager_tensor():
+    # a map computes each tap row from the points and visibility it holds, and builds
+    # `gains` only when read: all bit-equal to the eager tensor, for taps and fixed array
+    rng = np.random.default_rng(13)
+    scn = random_scenario(rng, waveguides=3, taps=4, nx=9, ny=7, k_max=3)
+    while not scn.blockages:
+        scn = random_scenario(rng, waveguides=3, taps=4, nx=9, ny=7, k_max=3)
+    grid, p, n_el = scn.grid, scn.params, scn.layout.count
+    vis = scn.visibility()
+    taps_eager = _point_gains(scn.layout.tap_points(scn.taps), vis.los.reshape(-1, grid.nx, grid.ny), grid, p)
+    elements = np.zeros((n_el, 3))
+    elements[:, 0] = scn.region.x_len / 2.0
+    elements[:, 1] = (np.arange(n_el) - (n_el - 1) / 2.0) * (p.wavelength / 2.0)
+    elements[:, 2] = scn.region.height
+    fixed_eager = _point_gains(elements, points_visibility(elements, scn.blockages, grid).los, grid, p)
+    for gm, eager in (
+        (scn.gain_map(vis), taps_eager.reshape(vis.los.shape)),
+        (scn.fixed_array_map(), fixed_eager[:, None]),
+    ):
+        for sel in np.ndindex(eager.shape[1:2] * n_el):
+            want = p.snr_scale * eager[0, sel[0]]
+            for n in range(1, n_el):
+                want += p.snr_scale * eager[n, sel[n]]
+            assert np.array_equal(avg_snr(sel, gm, p), want)
+        assert "gains" not in vars(gm)
+        assert gm.gains is gm.gains and np.array_equal(gm.gains, eager)
 
 
 def test_gain_map_height_scaling():

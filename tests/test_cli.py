@@ -1,3 +1,4 @@
+import functools
 import json
 import sys
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinchplan import coverage, linear_to_db, load_bundled, sweeps
+from pinchplan import channel, coverage, linear_to_db, load_bundled, maxmin_upper_bound, sweeps
 from pinchplan.cli import main
 from conftest import WALL, scenario_dict
 
@@ -206,10 +207,16 @@ def test_minmax_summaries_carry_the_certified_optimum(tmp_path):
     assert docs["b"]["bnb_nodes"] == exact["bnb_nodes"]
     assert docs["b"]["worst_grid_db"] <= exact["certified_db"]
 
+    # the envelope bound of the map: maxmin_upper_bound, above the certified optimum
+    scn = load_bundled("table1").with_grid_scale(0.05)
+    bound_db = linear_to_db(maxmin_upper_bound(scn.gain_map(), scn.params))
+    assert docs["b"]["upper_bound_db"] == exact["upper_bound_db"] == bound_db > exact["certified_db"]
+
     code, out = run(tmp_path / "p", "sweep-power", "--config", "table1", *SMALL, "--exact")
     assert code == 0
     obj = read_json(out / "power_sweep_summary.json")["objective"]
-    assert (obj["certified_db"], obj["bnb_nodes"]) == (exact["certified_db"], exact["bnb_nodes"])
+    assert (obj["certified_db"], obj["upper_bound_db"], obj["bnb_nodes"]) == (
+        exact["certified_db"], bound_db, exact["bnb_nodes"])
 
 
 @pytest.mark.parametrize(
@@ -293,6 +300,48 @@ def test_map_computes_visibility_of_its_taps_only(tmp_path, visibility_taps):
     assert code == 0 and (out / "map.csv").exists()
     assert len(visibility_taps) == 1
     assert visibility_taps[0].x_taps.tolist() == load_bundled("table1").taps.x_taps[range(4), [1, 5, 8, 3], None].tolist()
+
+
+@pytest.fixture
+def tensor_and_matrix_builds(monkeypatch):
+    """(full gain tensors, scaled valid-cell matrices) built while the test runs, as lists of their maps."""
+    tensors, matrices = [], []
+    gains, build = channel.GainMap.gains, channel._scaled_valid_gains
+
+    def counting_gains(gm):
+        tensors.append(gm)
+        return gains.func(gm)
+
+    def counting_build(gm, snr_scale):
+        matrices.append(gm)
+        return build(gm, snr_scale)
+
+    prop = functools.cached_property(counting_gains)
+    prop.__set_name__(channel.GainMap, "gains")
+    monkeypatch.setattr(channel.GainMap, "gains", prop)
+    monkeypatch.setattr(channel, "_scaled_valid_gains", counting_build)
+    return tensors, matrices
+
+
+@pytest.mark.parametrize(
+    "argv, matrices",
+    [
+        (["coverage", "--milp", "model.lp"], 1),  # the ascent and the LP writer share one
+        (["coverage", "--exact"], 1),
+        (["minmax"], 1),
+        (["minmax", "--exact"], 1),
+        (["baseline"], 1),
+        (["sweep-threshold", "--gammas", "12,24"], 1),
+        (["sweep-power"], 1),
+        (["map", "--activation", "2,6,9,4"], 0),
+        (["gainmap"], 0),
+    ],
+)
+def test_only_gainmap_builds_the_full_gain_tensor(tmp_path, tensor_and_matrix_builds, argv, matrices):
+    tensors, built = tensor_and_matrix_builds
+    assert run(tmp_path, *argv, "--config", "table1", *SMALL)[0] == 0
+    assert len(tensors) == (argv[0] == "gainmap")
+    assert len(built) == matrices
 
 
 def test_activation_parsing_errors(tmp_path):

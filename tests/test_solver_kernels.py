@@ -1,4 +1,4 @@
-"""The candidate matrix and its shared scope, the exhaustive walk, the blocked tap scans and pinned plans.
+"""The candidate matrix a map keeps, the exhaustive walk, the blocked tap scans and pinned plans.
 
 The plan pins were measured on the bundled table1 scenario at grid scale
 0.25 before the solvers moved onto the contiguous matrix; the move keeps
@@ -63,23 +63,39 @@ def quarter_table1():
     return scn, scn.gain_map()
 
 
-def test_candidate_matrix_contiguous_and_bit_equal(quarter_table1):
-    scn, gm = quarter_table1
-    p = scn.params
-    mat = _candidate_matrix(gm, p)
+def assert_matrix_of(mat, gm, p):
+    """`mat` is C-contiguous and bit-equal to scaling the valid cells of the map's full tensor."""
     assert mat.flags.c_contiguous
     assert mat.shape == (gm.n_waveguides, gm.n_taps, int(np.count_nonzero(gm.valid)))
     assert np.array_equal(mat, p.snr_scale * gm.gains[:, :, gm.valid])
 
 
+def test_candidate_matrix_contiguous_and_bit_equal(quarter_table1):
+    scn, gm = quarter_table1
+    p = scn.params
+    mat = _candidate_matrix(gm, p)
+    assert mat is _candidate_matrix(gm, p) is gm._matrix
+    with pytest.raises(ValueError, match="read-only"):
+        mat[0, 0, 0] = 0.0
+    assert_matrix_of(mat, gm, p)
+
+
 def test_candidate_matrix_random_masks():
+    # at the map's own scale the kept matrix, at any other a new writable one; both
+    # from geometry on a geometry map (its tensor is built last) and from a tensor map
     rng = np.random.default_rng(70)
     for _ in range(5):
         scn = random_scenario(rng, k_max=2)
-        gm, p = scn.gain_map(), scn.params
-        mat = _candidate_matrix(gm, p)
-        assert mat.flags.c_contiguous
-        assert np.array_equal(mat, p.snr_scale * gm.gains[:, :, gm.valid])
+        for gm in (scn.gain_map(), scn.fixed_array_map()):
+            own, other = scn.params, scn.with_power_dbm(scn.channel.tx_power_dbm + 3.0).params
+            mats = [_candidate_matrix(gm, own), _candidate_matrix(gm, other)]
+            assert "gains" not in vars(gm)
+            assert [m.flags.writeable for m in mats] == [False, True]
+            for mat, p in zip(mats, (own, other)):
+                assert_matrix_of(mat, gm, p)
+                tensor_map = GainMap(gains=gm.gains, valid=gm.valid)
+                assert np.array_equal(_candidate_matrix(tensor_map, p), mat)
+            assert _candidate_matrix(gm, own) is mats[0]
 
 
 @pytest.fixture
@@ -87,8 +103,8 @@ def matrix_builds(monkeypatch):
     """Weak references to every scaled valid-gain matrix built while the test runs."""
     build, refs = channel._scaled_valid_gains, []
 
-    def counting(gain_map, params):
-        mat = build(gain_map, params)
+    def counting(gain_map, snr_scale):
+        mat = build(gain_map, snr_scale)
         refs.append(weakref.ref(mat))
         return mat
 
@@ -96,25 +112,14 @@ def matrix_builds(monkeypatch):
     return refs
 
 
-def assert_no_matrix_left(refs, gm):
-    """No matrix of `refs` is alive, none is held for `gm`, and `gm` holds only its fields."""
-    gc.collect()
-    assert all(ref() is None for ref in refs)
-    assert channel._SCOPES.get() == ()
-    assert set(vars(gm)) == {"gains", "valid"}
-
-
 @pytest.mark.parametrize("budget", [minmax.BNB_NODE_BUDGET, 1])
-def test_bisection_builds_one_matrix_and_keeps_none(monkeypatch, matrix_builds, budget):
-    # the search and every probe read one read-only matrix, dropped on return
+def test_bisection_reads_the_maps_one_matrix(monkeypatch, matrix_builds, budget):
+    # the search and every probe read the map's read-only matrix, built once and kept
     monkeypatch.setattr(minmax, "BNB_NODE_BUDGET", budget)
     feasibility, seen = minmax.deficit_feasibility, []
 
     def probe(target, gm, p, *args):
-        mat = _candidate_matrix(gm, p)
-        seen.append(mat)
-        with pytest.raises(ValueError, match="read-only"):
-            mat[0, 0, 0] = 0.0
+        seen.append(_candidate_matrix(gm, p))
         return feasibility(target, gm, p, *args)
 
     monkeypatch.setattr(minmax, "deficit_feasibility", probe)
@@ -122,15 +127,20 @@ def test_bisection_builds_one_matrix_and_keeps_none(monkeypatch, matrix_builds, 
     gm, p = scn.gain_map(), scn.params
     res = bisection_maxmin(gm, p)
     assert len(matrix_builds) == 1 and len(seen) == res.bisection_iters > 0
-    assert all(mat is seen[0] for mat in seen)
-    assert np.array_equal(seen[0], p.snr_scale * gm.gains[:, :, gm.valid])
-    del seen[:]
-    assert_no_matrix_left(matrix_builds, gm)
-    # outside the scope each call builds its own writable copy
-    assert _candidate_matrix(gm, p).flags.writeable and len(matrix_builds) == 2
+    assert all(mat is gm._matrix for mat in seen) and not gm._matrix.flags.writeable
+    assert_matrix_of(gm._matrix, gm, p)
+    # a second solve on the map builds nothing
+    assert bisection_maxmin(gm, p).activation == res.activation and len(matrix_builds) == 1
+    # at another scale the search and each probe build a new matrix that no one keeps
+    monkeypatch.setattr(minmax, "deficit_feasibility", feasibility)
+    other = scn.with_power_dbm(scn.channel.tx_power_dbm - 5.0).params
+    res = bisection_maxmin(gm, other)
+    assert len(matrix_builds) == 2 + res.bisection_iters
+    gc.collect()
+    assert [ref() is None for ref in matrix_builds] == [False] + [True] * (len(matrix_builds) - 1)
 
 
-def test_bisection_drops_the_matrix_when_a_probe_raises(monkeypatch, matrix_builds):
+def test_a_raising_probe_leaves_the_maps_one_matrix(monkeypatch, matrix_builds):
     feasibility, calls = minmax.deficit_feasibility, []
 
     def failing(*args):
@@ -145,7 +155,10 @@ def test_bisection_drops_the_matrix_when_a_probe_raises(monkeypatch, matrix_buil
     with pytest.raises(RuntimeError, match="probe failed"):
         bisection_maxmin(gm, scn.params)
     assert len(matrix_builds) == 1 and len(calls) == 3
-    assert_no_matrix_left(matrix_builds, gm)
+    monkeypatch.setattr(minmax, "deficit_feasibility", feasibility)
+    res = bisection_maxmin(gm, scn.params)
+    assert len(matrix_builds) == 1
+    assert res.activation == bisection_maxmin(scn.gain_map(), scn.params).activation
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -155,7 +168,7 @@ def test_threshold_sweep_builds_one_matrix(matrix_builds, exact):
     assert len(table.columns["optimized"]) == 4
     assert len(matrix_builds) == 1
     gc.collect()
-    assert all(ref() is None for ref in matrix_builds) and channel._SCOPES.get() == ()
+    assert all(ref() is None for ref in matrix_builds)
 
 
 def test_pinned_plans_table1_quarter(quarter_table1):
@@ -282,7 +295,7 @@ def kernel_map(draw, n_wg):
 
 def blocks_of(taps_per_block, n_cells):
     """Patch the block size so `_tap_blocks` cuts `taps_per_block` taps per block."""
-    return mock.patch.object(coverage, "_BLOCK_VALUES", taps_per_block * n_cells)
+    return mock.patch.object(channel, "_BLOCK_VALUES", taps_per_block * n_cells)
 
 
 def passes(p, g, t):

@@ -1,7 +1,10 @@
 """The streaming product writers against per-element reference writers."""
 
 import hashlib
+import importlib
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from pinchplan import (
     emit_milp,
     export_map,
     load_bundled,
+    load_scenario,
     scenario_from_dict,
 )
 from pinchplan.cli import _write_npz, main
@@ -33,6 +37,11 @@ FULL_LP_SHA256 = "583f59162442df196440b9f2c0ec06d582b7df6adcd997f2237939f273a711
 # sha256 of the gainmap.npz that `gainmap` writes on table1 at --grid-scale 0.25;
 # CI checks the installed wheel against it too
 QUARTER_NPZ_SHA256 = "d4d0ded5c1d9735db63b52c89be3856c11bec40eda4fcb4d3713aa5aa00f9445"
+# sha256 of the `coverage --milp` LP (at the scenario threshold) and of the
+# gainmap.npz of the full-grid 6x16-tap stress scenario that
+# perfbench/workloads.py generates at seed 7; CI checks the wheel against both
+STRESS_LP_SHA256 = "adfe3b6e0feca6f57a183ba286303139b889bb4e8917e17f4061cc02bd0c6db6"
+STRESS_NPZ_SHA256 = "93629f6e18185ace2e05235114920cad75d191272dc4c30e49168a88e9545ee2"
 
 
 def assert_same(new, ref):
@@ -166,6 +175,20 @@ def test_full_grid_milp_keeps_its_pinned_bytes():
     sink = HashingSink()
     emit_milp(scn.gain_map(), scn.params, scn.threshold_linear, sink)
     assert sink.sha.hexdigest() == FULL_LP_SHA256
+
+
+def test_stress_products_keep_their_pinned_bytes(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(Path(__file__).parents[1] / "perfbench")
+    workloads = importlib.import_module("workloads")
+    config = tmp_path / "stress.json"
+    config.write_text(json.dumps(workloads.stress_scenario_dict(7)))
+    scn = load_scenario(config)
+    sink = HashingSink()
+    emit_milp(scn.gain_map(), scn.params, scn.threshold_linear, sink)
+    assert sink.sha.hexdigest() == STRESS_LP_SHA256
+    out = tmp_path / "out"
+    assert main(["gainmap", "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "gainmap.npz").read_bytes()).hexdigest() == STRESS_NPZ_SHA256
 
 
 def texts_of(block):
