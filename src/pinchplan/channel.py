@@ -9,10 +9,10 @@ Under maximum-ratio transmission the per-grid average SNR has the closed form
 with gains[n, m, u, v] = (los * los_ref_gain + nlos_power) / d^2. A
 `GainMap` holds the tap points and their visibility, decided once per
 scenario, and computes gains from them one tap row at a time: the solvers
-read one scaled (waveguide, tap, valid-cell) matrix per map, and only the
-`gainmap.npz` product builds the full (waveguide, tap, nx, ny) tensor
-(`GainMap.gains`). All power quantities are linear here; dB conversions
-live at the IO boundary.
+read one (waveguide, tap, valid-cell) matrix per map, at its own SNR scale,
+`avg_snr` gives the whole-grid field a product needs, and only `gainmap.npz`
+builds the full (waveguide, tap, nx, ny) tensor (`GainMap.gains`). All power
+quantities are linear here; dB conversions live at the IO boundary.
 """
 
 from __future__ import annotations
@@ -130,15 +130,12 @@ class GainMap:
     Built from tap points (N, M, 3), their visibility `los` (N, M, nx, ny;
     held, not copied), the grid and the channel `params`, it computes gains
     a tap row at a time (`_tap_gains`), bit for bit the rows of the eager
-    `_point_gains` tensor. Solvers read its one scaled valid-cell matrix,
-    built on first use and kept (`_candidate_matrix`); `gains`, the full
-    unscaled tensor, is built on first access. GainMap(gains=..., valid=...)
-    holds a given tensor instead, has no own scale and slices the tensor.
+    `_point_gains` tensor. Solvers read its one matrix, scaled by
+    params.snr_scale, built on first use and kept (`_candidate_matrix`);
+    `gains`, the full unscaled tensor, is built on first access.
     """
 
-    def __init__(self, *, valid, gains=None, points=None, los=None, grid=None, params=None):
-        if gains is not None:
-            self.gains = gains  # shadows the cached property
+    def __init__(self, *, valid, points, los, grid, params):
         self.valid, self.points, self.los, self.grid, self.params = valid, points, los, grid, params
 
     @cached_property
@@ -154,11 +151,11 @@ class GainMap:
 
     @property
     def n_waveguides(self) -> int:
-        return int(vars(self).get("gains", self.los).shape[0])
+        return int(self.los.shape[0])
 
     @property
     def n_taps(self) -> int:
-        return int(vars(self).get("gains", self.los).shape[1])
+        return int(self.los.shape[1])
 
     def _tap_gains(self, n, m, out=None) -> np.ndarray:
         """Unscaled gains of taps (n, m) on the whole grid, a (K, nx, ny) array: `out` when given, else new.
@@ -167,14 +164,8 @@ class GainMap:
         arrays pick the taps (n[k], m[k]), and an int n with a slice m a block
         of one waveguide's taps, whose visibility is then a view.
         """
-        shape = (-1, *self.valid.shape)
-        if "gains" not in vars(self):
-            return _point_gains(self.points[n, m].reshape(-1, 3), self.los[n, m].reshape(shape), self.grid, self.params, out)
-        rows = self.gains[n, m].reshape(shape)
-        if out is None:
-            return rows.copy()
-        out[...] = rows
-        return out
+        los = self.los[n, m].reshape(-1, *self.valid.shape)
+        return _point_gains(self.points[n, m].reshape(-1, 3), los, self.grid, self.params, out)
 
 
 def _tap_blocks(n_tap: int, n_cells: int) -> list[slice]:
@@ -230,10 +221,9 @@ def _scaled_valid_gains(gain_map: GainMap, snr_scale: float) -> np.ndarray:
     """
     valid = gain_map.valid
     cells = np.flatnonzero(valid)
-    dtype = gain_map.gains.dtype if "gains" in vars(gain_map) else float
-    mat = np.empty((gain_map.n_waveguides, gain_map.n_taps, len(cells)), dtype)
+    mat = np.empty((gain_map.n_waveguides, gain_map.n_taps, len(cells)))
     blocks = _tap_blocks(mat.shape[1], valid.size)
-    buf = np.empty((blocks[0].stop, *valid.shape), dtype)
+    buf = np.empty((blocks[0].stop, *valid.shape))
     for n in range(mat.shape[0]):
         for taps in blocks:
             rows = mat[n, taps]
@@ -244,15 +234,15 @@ def _scaled_valid_gains(gain_map: GainMap, snr_scale: float) -> np.ndarray:
 
 
 def _candidate_matrix(gain_map: GainMap, params: ChannelParams) -> np.ndarray:
-    """The `_scaled_valid_gains` matrix a solver reads at params.snr_scale.
+    """The map's read-only `_scaled_valid_gains` matrix, built on the first call and kept.
 
-    At the map's own snr_scale it is the map's read-only matrix, built on the
-    first call and kept; at any other scale, and on a map built from a
-    tensor, it is a new array that no one keeps.
+    A solver plans at the SNR scale its map was built for: params at any
+    other snr_scale are refused (ValueError). A plan's field at another
+    power is `avg_snr` at those params.
     """
-    if gain_map.params is not None and params.snr_scale == gain_map.params.snr_scale:
-        return gain_map._matrix
-    return _scaled_valid_gains(gain_map, params.snr_scale)
+    if params.snr_scale != gain_map.params.snr_scale:
+        raise ValueError(f"the gain map is scaled for an SNR of {gain_map.params.snr_scale:g}, not {params.snr_scale:g}")
+    return gain_map._matrix
 
 
 def _selection_array(selected, n_waveguides: int, n_taps: int) -> np.ndarray:

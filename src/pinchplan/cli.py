@@ -180,7 +180,8 @@ def _cmd_coverage(scn, args):
             restarts=args.restarts,
             seed=scn.solver.seed,
         )
-    products = [("coverage_map.csv", partial(export_map, res.snr_field, gm.valid, scn.grid))]
+    field = avg_snr(res.activation.as_array(), gm, scn.params)
+    products = [("coverage_map.csv", partial(export_map, field, gm.valid, scn.grid))]
     if args.milp is not None:
         products.append((args.milp, partial(emit_milp, gm, scn.params, thr)))
     objective = {
@@ -213,7 +214,8 @@ def _cmd_minmax(scn, args):
         "eps_t": eps_t,
         **_certificate(res),
     }
-    products = [("minmax_map.csv", partial(export_map, res.snr_field, gm.valid, scn.grid))]
+    field = avg_snr(res.activation.as_array(), gm, scn.params)
+    products = [("minmax_map.csv", partial(export_map, field, gm.valid, scn.grid))]
     method = "minmax/" + ("exact" if res.exact else "bisection")
     return products, method, objective, res.activation.one_based()
 

@@ -106,7 +106,6 @@ class CoverageResult:
     activation: Activation
     covered_count: int
     coverage_fraction: float
-    snr_field: np.ndarray
     threshold: float
     sweeps_used: int
     method: str
@@ -301,18 +300,17 @@ def coordinate_ascent(
 
     _, sel, sweeps_used = best
     act = Activation(selected=tuple(sel))
-    return _coverage_result(act, gain_map, params, threshold, sweeps_used, "coordinate_ascent")
+    return _coverage_result(act, gains_v, threshold, sweeps_used, "coordinate_ascent")
 
 
-def _coverage_result(act, gain_map, params, threshold, sweeps_used, method) -> CoverageResult:
-    """The result of planning `act`, its field and count recomputed from the gain map."""
-    field = avg_snr(act.as_array(), gain_map, params)
-    covered = int(np.count_nonzero(_covered(field, threshold) & gain_map.valid))
+def _coverage_result(act, gains_v, threshold, sweeps_used, method) -> CoverageResult:
+    """The result of planning `act`, its count recomputed on the candidate matrix (`_field`, bit-equal to `avg_snr`)."""
+    field_v = _field(gains_v, act.selected, np.empty(gains_v.shape[2]))
+    covered = int(np.count_nonzero(_covered(field_v, threshold)))
     return CoverageResult(
         activation=act,
         covered_count=covered,
-        coverage_fraction=covered / int(np.count_nonzero(gain_map.valid)),
-        snr_field=field,
+        coverage_fraction=covered / len(field_v),
         threshold=threshold,
         sweeps_used=sweeps_used,
         method=method,
@@ -465,9 +463,10 @@ def _exact_coverages(gain_map: GainMap, params: ChannelParams, thresholds) -> li
         _check_threshold(threshold)
     _require_valid(gain_map)
     thr_eff = [threshold * (1.0 - COVERAGE_SLACK) for threshold in thresholds]
-    counts = _coverage_counts(_candidate_matrix(gain_map, params), thr_eff)
+    gains_v = _candidate_matrix(gain_map, params)
+    counts = _coverage_counts(gains_v, thr_eff)
     return [
-        _coverage_result(_activation_at(i, gain_map), gain_map, params, threshold, 0, "exact")
+        _coverage_result(_activation_at(i, gain_map), gains_v, threshold, 0, "exact")
         for i, threshold in zip(np.argmax(counts, axis=0).tolist(), thresholds)
     ]
 
@@ -594,8 +593,8 @@ def emit_milp(
     since the threshold itself scales the indicator). Names are 1-based.
     Coefficients carry 17 significant digits so parsing the file back
     reproduces them bit-exactly. UTF-8, LF line endings. Refuses a threshold
-    that is not positive or a map without valid cells (ValueError) before
-    a file is opened.
+    that is not positive, a map without valid cells or params at another
+    SNR scale than the map's (ValueError) before a file is opened.
 
     The coefficients are the solver matrix (`_candidate_matrix`), so an
     ascent and the LP of one map share it. The linking rows are written
@@ -605,16 +604,16 @@ def emit_milp(
     """
     _check_threshold(threshold)
     _require_valid(gain_map)
+    n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
+    coefs = _candidate_matrix(gain_map, params).reshape(n_wg * n_tap, -1)  # refused before a file opens
     if isinstance(out, str):
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             emit_milp(gain_map, params, threshold, fh)
         return
 
-    n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
     cells = np.flatnonzero(gain_map.valid)
     us, vs = np.divmod(cells, gain_map.valid.shape[1])
     index_texts = np.array([str(i + 1) for i in range(max(gain_map.valid.shape))], dtype=object)
-    coefs = _candidate_matrix(gain_map, params).reshape(n_wg * n_tap, -1)
 
     w = out.write
     w("\\ tap-activation coverage MILP\n")
@@ -638,8 +637,7 @@ def emit_milp(
     memo = _TextMemo(n_wg * n_tap * len(cells))
     for start in range(0, len(cells), _LP_CHUNK):
         chunk = slice(start, start + _LP_CHUNK)
-        # float64 whatever the map's dtype: widening is exact, so the texts are unchanged
-        block = coefs[:, chunk].astype(np.float64)
+        block = coefs[:, chunk]
         part = rows[: block.shape[1]]
         part[:, 1] = part[:, -4] = index_texts[us[chunk]]
         part[:, 3] = part[:, -2] = index_texts[vs[chunk]]

@@ -41,7 +41,6 @@ class MinMaxResult:
     bisection_iters: int
     feasibility_evals: int
     exact: bool
-    snr_field: np.ndarray
     certified: float | None  # the true optimum (linear); None when the search did not finish
     bnb_nodes: int  # nodes the branch-and-bound bounded (both solvers run it)
     upper_bound: float  # `maxmin_upper_bound` (linear): no plan's worst cell exceeds it
@@ -244,16 +243,14 @@ def _bnb_maxmin(gain_map: GainMap, params: ChannelParams) -> _Search:
     return _Search(Activation(selected=best_sel), best, nodes, leaves, top, nodes <= BNB_NODE_BUDGET)
 
 
-def _maxmin_result(act, gain_map, params, iters, evals, exact, search: _Search) -> MinMaxResult:
-    """The result of planning `act`; t_star is the valid minimum of its field."""
-    field = avg_snr(act.as_array(), gain_map, params)
+def _maxmin_result(act, gains_v, iters, evals, exact, search: _Search) -> MinMaxResult:
+    """The result of planning `act`; t_star is its worst cell on the candidate matrix (`_field`, bit-equal to `avg_snr`)."""
     return MinMaxResult(
         activation=act,
-        t_star=float(field[gain_map.valid].min()),
+        t_star=float(_field(gains_v, act.selected, np.empty(gains_v.shape[2])).min()),
         bisection_iters=iters,
         feasibility_evals=evals,
         exact=exact,
-        snr_field=field,
         certified=search.value if search.certified else None,
         bnb_nodes=search.nodes,
         upper_bound=search.envelope,
@@ -309,7 +306,7 @@ def bisection_maxmin(
         else:
             t_hi = min(t_mid, ceiling)
 
-    return _maxmin_result(best, gain_map, params, iters, iters, exact=False, search=search)
+    return _maxmin_result(best, _candidate_matrix(gain_map, params), iters, iters, exact=False, search=search)
 
 
 def exact_maxmin(gain_map: GainMap, params: ChannelParams) -> MinMaxResult:
@@ -323,4 +320,4 @@ def exact_maxmin(gain_map: GainMap, params: ChannelParams) -> MinMaxResult:
     search = _bnb_maxmin(gain_map, params)
     if not search.certified:
         raise BudgetError(f"branch-and-bound search needs more than {BNB_NODE_BUDGET} nodes")
-    return _maxmin_result(search.activation, gain_map, params, 0, search.leaves, exact=True, search=search)
+    return _maxmin_result(search.activation, _candidate_matrix(gain_map, params), 0, search.leaves, exact=True, search=search)

@@ -89,10 +89,11 @@ def threshold_sweep(
     reading the map's candidate matrix; random draws are shared across thresholds
     (the activations do not depend on the threshold), as is the fixed-array
     field. Refuses with BudgetError, before the gain map is built or any
-    ascent runs, when the arrays kept per threshold would exceed
-    TENSOR_BYTES_BUDGET: each result's grid-sized float64 field and, for the
-    exhaustive walk, an int64 count per activation and a bool hit per tap
-    and cell of a walk block.
+    ascent runs, when the per-threshold bytes would exceed
+    TENSOR_BYTES_BUDGET: 8 per grid cell, a cap on the grid-sized scoring
+    each threshold runs (its plan's field, every random draw's compare),
+    and for the exhaustive walk an int64 count per activation and a bool
+    hit per tap and cell of a walk block.
     """
     thresholds_db = [float(t) for t in thresholds_db]
     if not thresholds_db:

@@ -22,6 +22,30 @@ from pinchplan.channel import _candidate_matrix
 from pinchplan.coverage import _check_threshold, _require_valid
 from pinchplan.geometry import SLAB_TOL
 
+UNIT_PARAMS = ChannelParams(freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0)
+
+
+class TensorMap(GainMap):
+    """A `GainMap` that holds a given (N, M, nx, ny) gain tensor and slices its rows.
+
+    A test builds one from synthetic gains that no tap geometry gives. Its
+    channel defaults to unit SNR scale, so its candidate matrix is the
+    tensor's valid cells.
+    """
+
+    def __init__(self, gains, valid, params=UNIT_PARAMS):
+        self.gains, self.valid, self.params = gains, valid, params  # gains shadows the cached property
+
+    n_waveguides = property(lambda self: self.gains.shape[0])
+    n_taps = property(lambda self: self.gains.shape[1])
+
+    def _tap_gains(self, n, m, out=None):
+        rows = self.gains[n, m].reshape(-1, *self.valid.shape)
+        if out is None:
+            return np.array(rows, dtype=float)
+        out[...] = rows
+        return out
+
 
 def scenario_dict(
     *,
@@ -210,14 +234,7 @@ def encode_max_cover(instance: MaxCoverInstance, threshold: float):
     for m, s in enumerate(instance.subsets):
         for e in s:
             gains[:, m, e - 1, 0] = threshold
-    gain_map = GainMap(gains=gains, valid=np.ones((g, 1), dtype=bool))
-    params = ChannelParams(
-        freq_hz=1e9,
-        tx_power_w=1.0,
-        noise_power_w=1.0,
-        nlos_power=0.0,
-    )
-    return gain_map, params
+    return TensorMap(gains, np.ones((g, 1), dtype=bool)), UNIT_PARAMS
 
 
 def all_activation_fields(gain_map, params):

@@ -721,7 +721,8 @@ def test_unbounded_restarts_exit_3_before_the_first_ascent(tmp_path, capsys, mon
 
 @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["heuristic", "exact"])
 def test_unbounded_thresholds_exit_3_before_the_gain_map(tmp_path, capsys, monkeypatch, gain_map_builds, exact):
-    # 3,000 grid-sized float64 fields of full table1 take 3000 * 400 * 120 * 8 bytes, over 1 GiB
+    # the budget counts 8 bytes per grid cell and threshold, a cap on each threshold's
+    # grid-sized scoring: 3000 * 400 * 120 * 8 bytes on full table1, over 1 GiB
     monkeypatch.setattr(coverage, "_ascent_once", _unreachable)
     monkeypatch.setattr(coverage, "_coverage_counts", _unreachable)
     gammas = ",".join(str(i / 100) for i in range(3000))
@@ -783,6 +784,36 @@ def test_baseline_builds_one_fixed_array_map(tmp_path, monkeypatch):
     code, out = run(tmp_path, "baseline", "--config", "table1", *SMALL)
     assert code == 0 and (out / "fixed_map.csv").exists()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (["sweep-threshold"], 1),  # the fixed array's; each plan is scored on the candidate matrix
+        (["sweep-threshold", "--exact"], 1),
+        (["sweep-power"], 0),  # worst cells per power come from the plan's own gain rows
+        (["coverage"], 1),  # the exported plan's map
+        (["coverage", "--exact"], 1),
+        (["minmax"], 1),
+        (["minmax", "--exact"], 1),
+        (["baseline"], 1),
+        (["map", "--activation", "2,6,9,4"], 1),
+    ],
+    ids=["sweep-threshold", "sweep-threshold-exact", "sweep-power", "coverage", "coverage-exact",
+         "minmax", "minmax-exact", "baseline", "map"],
+)
+def test_avg_snr_runs_only_where_a_whole_grid_field_is_needed(tmp_path, monkeypatch, argv, fields):
+    original, calls = channel.avg_snr, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "pinchplan" and getattr(mod, "avg_snr", None) is original:
+            monkeypatch.setattr(mod, "avg_snr", counting)
+    assert run(tmp_path, *argv, "--config", "table1", "--grid-scale", "0.25")[0] == 0
+    assert len(calls) == fields
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,6 @@ import pytest
 from pinchplan import (
     Activation,
     BudgetError,
-    ChannelParams,
-    GainMap,
     avg_snr,
     coordinate_ascent,
     coverage_count,
@@ -19,7 +17,9 @@ from pinchplan import coverage
 from pinchplan.channel import _candidate_matrix
 from pinchplan.coverage import _best_tap
 from conftest import (
+    UNIT_PARAMS,
     MaxCoverInstance,
+    TensorMap,
     brute_best_coverage,
     brute_max_cover,
     encode_max_cover,
@@ -32,12 +32,7 @@ def synthetic_map(gains, valid=None):
     gains = np.asarray(gains, dtype=float)
     if valid is None:
         valid = np.ones(gains.shape[2:], dtype=bool)
-    return GainMap(gains=gains, valid=valid)
-
-
-UNIT_PARAMS = ChannelParams(
-    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0
-)
+    return TensorMap(gains, valid)
 
 
 def best_tap(wg, resid, gain_map, params, threshold):

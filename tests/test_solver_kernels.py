@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 from pinchplan import (
     Activation,
-    ChannelParams,
-    GainMap,
     bisection_maxmin,
     coordinate_ascent,
+    deficit_feasibility,
+    emit_milp,
     exact_enumerate,
     exact_maxmin,
     load_bundled,
+    maxmin_upper_bound,
     threshold_sweep,
     worst_grid_snr,
 )
@@ -40,6 +41,8 @@ from pinchplan.coverage import (
 )
 from pinchplan.minmax import _deficit_descent
 from conftest import (
+    UNIT_PARAMS,
+    TensorMap,
     all_activation_fields,
     all_restarts_bisection,
     brute_best_coverage,
@@ -51,11 +54,6 @@ from conftest import (
     random_scenario,
     score_activations,
 )
-
-UNIT_PARAMS = ChannelParams(
-    freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0
-)
-
 
 @pytest.fixture(scope="module")
 def quarter_table1():
@@ -81,21 +79,20 @@ def test_candidate_matrix_contiguous_and_bit_equal(quarter_table1):
 
 
 def test_candidate_matrix_random_masks():
-    # at the map's own scale the kept matrix, at any other a new writable one; both
-    # from geometry on a geometry map (its tensor is built last) and from a tensor map
+    # at the map's own scale the kept read-only matrix, built from geometry (the
+    # tensor is built last) and bit-equal to a tensor map's; any other scale is refused
     rng = np.random.default_rng(70)
     for _ in range(5):
         scn = random_scenario(rng, k_max=2)
         for gm in (scn.gain_map(), scn.fixed_array_map()):
             own, other = scn.params, scn.with_power_dbm(scn.channel.tx_power_dbm + 3.0).params
-            mats = [_candidate_matrix(gm, own), _candidate_matrix(gm, other)]
-            assert "gains" not in vars(gm)
-            assert [m.flags.writeable for m in mats] == [False, True]
-            for mat, p in zip(mats, (own, other)):
-                assert_matrix_of(mat, gm, p)
-                tensor_map = GainMap(gains=gm.gains, valid=gm.valid)
-                assert np.array_equal(_candidate_matrix(tensor_map, p), mat)
-            assert _candidate_matrix(gm, own) is mats[0]
+            mat = _candidate_matrix(gm, own)
+            with pytest.raises(ValueError, match="scaled for an SNR of"):
+                _candidate_matrix(gm, other)
+            assert "gains" not in vars(gm) and not mat.flags.writeable
+            assert_matrix_of(mat, gm, own)
+            assert np.array_equal(_candidate_matrix(TensorMap(gm.gains, gm.valid, own), own), mat)
+            assert _candidate_matrix(gm, own) is mat
 
 
 @pytest.fixture
@@ -131,13 +128,34 @@ def test_bisection_reads_the_maps_one_matrix(monkeypatch, matrix_builds, budget)
     assert_matrix_of(gm._matrix, gm, p)
     # a second solve on the map builds nothing
     assert bisection_maxmin(gm, p).activation == res.activation and len(matrix_builds) == 1
-    # at another scale the search and each probe build a new matrix that no one keeps
-    monkeypatch.setattr(minmax, "deficit_feasibility", feasibility)
+    # at another scale the search refuses before it builds a matrix
     other = scn.with_power_dbm(scn.channel.tx_power_dbm - 5.0).params
-    res = bisection_maxmin(gm, other)
-    assert len(matrix_builds) == 2 + res.bisection_iters
-    gc.collect()
-    assert [ref() is None for ref in matrix_builds] == [False] + [True] * (len(matrix_builds) - 1)
+    with pytest.raises(ValueError, match="scaled for an SNR of"):
+        bisection_maxmin(gm, other)
+    assert len(matrix_builds) == 1
+
+
+def test_solvers_refuse_params_at_another_scale(tmp_path, matrix_builds):
+    # a map plans at its own SNR scale; every solver refuses another before it
+    # builds a matrix, and the LP writer before it opens its file
+    scn = random_scenario(np.random.default_rng(74), waveguides=2, taps=3, k_max=2)
+    gm, louder = scn.gain_map(), scn.with_power_dbm(scn.channel.tx_power_dbm + 3.0).params
+    thr = db_to_linear(scn.solver.threshold_db)
+    start = Activation.centered(gm.n_waveguides, gm.n_taps)
+    path = tmp_path / "model.lp"
+    calls = [
+        lambda: coordinate_ascent(start, gm, louder, thr),
+        lambda: exact_enumerate(gm, louder, thr),
+        lambda: bisection_maxmin(gm, louder),
+        lambda: exact_maxmin(gm, louder),
+        lambda: deficit_feasibility(1.0, gm, louder, start),
+        lambda: maxmin_upper_bound(gm, louder),
+        lambda: emit_milp(gm, louder, thr, str(path)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="scaled for an SNR of"):
+            call()
+    assert matrix_builds == [] and not path.exists()
 
 
 def test_a_raising_probe_leaves_the_maps_one_matrix(monkeypatch, matrix_builds):
@@ -232,7 +250,7 @@ def test_score_activations_order_and_values(n_wg):
     rng = np.random.default_rng(71 + n_wg)
     valid = np.ones((3, 2), dtype=bool)
     valid[1, 0] = False
-    gm, p = GainMap(gains=rng.uniform(0.5, 2.0, (n_wg, 3, 3, 2)), valid=valid), UNIT_PARAMS
+    gm, p = TensorMap(rng.uniform(0.5, 2.0, (n_wg, 3, 3, 2)), valid), UNIT_PARAMS
     seen = []
     scores = score_activations(gm, p, lambda field: seen.append(field.copy()) or field.min())
     want = list(all_activation_fields(gm, p))
@@ -270,7 +288,7 @@ def test_exhaustive_search_lexicographic_ties_three_waveguides():
     rng = np.random.default_rng(73)
     base = rng.uniform(1.0, 2.0, (3, 1, 3, 2))
     gains = np.repeat(base, 3, axis=1)  # three identical taps per waveguide
-    gm = GainMap(gains=gains, valid=np.ones((3, 2), dtype=bool))
+    gm = TensorMap(gains, np.ones((3, 2), dtype=bool))
     assert exact_enumerate(gm, UNIT_PARAMS, 3.5).activation.selected == (0, 0, 0)
     assert exact_maxmin(gm, UNIT_PARAMS).activation.selected == (0, 0, 0)
 
@@ -389,7 +407,7 @@ def test_coverage_counts_match_the_field_walk(data):
     gains, _ = data.draw(kernel_map(data.draw(st.integers(1, 4))))
     thresholds = data.draw(st.lists(WALK_THRESHOLDS, min_size=1, max_size=3))
     n_cells = gains.shape[2]
-    gm = GainMap(gains=gains[..., None], valid=np.ones((n_cells, 1), dtype=bool))
+    gm = TensorMap(gains[..., None], np.ones((n_cells, 1), dtype=bool))
     cells = data.draw(st.integers(1, n_cells))  # cells per walk block: one block or several
     chunk = data.draw(st.integers(1, 3))  # cells per chunk of the table build
     with (

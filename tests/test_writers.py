@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import writer_oracles as oracle
-from conftest import WALL, MaxCoverInstance, encode_max_cover, scenario_dict
+from conftest import WALL, MaxCoverInstance, TensorMap, encode_max_cover, scenario_dict
 from pinchplan import (
-    GainMap,
     GridSpec,
     Region,
     coverage,
@@ -112,15 +111,15 @@ def _max_cover():
     return encode_max_cover(MaxCoverInstance(n_elements=300, subsets=subsets, budget=3), 0.1 + 0.2)
 
 
-def _signed_zeros_float32():
-    # 0.0 and -0.0 print differently; float32 gains print as their float64 widening
+def _signed_zeros():
+    # 0.0 and -0.0 print differently
     gm, params = _max_cover()
-    gains = gm.gains.astype(np.float32)
+    gains = gm.gains.copy()
     gains[:, ::2] *= -1.0
-    return GainMap(gains=gains, valid=gm.valid), params
+    return TensorMap(gains, gm.valid), params
 
 
-@pytest.mark.parametrize("make", [_irregular_taps, _max_cover, _signed_zeros_float32])
+@pytest.mark.parametrize("make", [_irregular_taps, _max_cover, _signed_zeros])
 def test_emit_milp_matches_oracle_on_few_and_many_repeats(make):
     gm, params = make()
     assert np.count_nonzero(gm.valid) > coverage._LP_CHUNK
@@ -268,7 +267,7 @@ def test_coef_texts_formats_every_bit_pattern_like_the_format_operator(data):
 
 def test_emit_milp_without_valid_cells_refuses_before_writing(quarter, tmp_path):
     scn, _, gm = quarter
-    empty = GainMap(gains=gm.gains, valid=np.zeros_like(gm.valid))
+    empty = TensorMap(gm.gains, np.zeros_like(gm.valid), scn.params)
     path = tmp_path / "model.lp"
     with pytest.raises(ValueError, match="no valid grid cells"):
         emit_milp(empty, scn.params, 1.0, str(path))
