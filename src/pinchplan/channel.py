@@ -9,10 +9,10 @@ Under maximum-ratio transmission the per-grid average SNR has the closed form
 with gains[n, m, u, v] = (los * los_ref_gain + nlos_power) / d^2. A
 `GainMap` holds the tap points and their visibility, decided once per
 scenario, and computes gains from them one tap row at a time: the solvers
-read one (waveguide, tap, valid-cell) matrix per map, at its own SNR scale,
-`avg_snr` gives the whole-grid field a product needs, and only `gainmap.npz`
-builds the full (waveguide, tap, nx, ny) tensor (`GainMap.gains`). All power
-quantities are linear here; dB conversions live at the IO boundary.
+read one (waveguide, tap, valid-cell) matrix per map, at its own SNR scale
+and checked where it is built, `avg_snr` gives the whole-grid field a product
+needs, and only `gainmap.npz` builds the full (waveguide, tap, nx, ny) tensor
+(`GainMap.gains`). Powers are linear here; dB lives at the IO boundary.
 """
 
 from __future__ import annotations
@@ -92,12 +92,20 @@ class ChannelParams:
     nlos_power: float
 
     def __post_init__(self) -> None:
-        if not self.freq_hz > 0:
-            raise ValueError("carrier frequency must be positive")
-        if not (self.tx_power_w > 0 and self.noise_power_w > 0):
-            raise ValueError("transmit and noise powers must be positive")
+        if not 0 < self.freq_hz < math.inf:
+            raise ValueError("carrier frequency must be positive and finite")
+        if not (0 < self.tx_power_w < math.inf and 0 < self.noise_power_w < math.inf):
+            raise ValueError("transmit and noise powers must be positive and finite")
+        if self.snr_scale == math.inf:
+            raise ValueError(f"the power ratio {self.tx_power_w:g} W / {self.noise_power_w:g} W overflows a float")
         if not (math.isfinite(self.nlos_power) and self.nlos_power >= 0):
             raise ValueError("NLoS power must be a finite non-negative gain")
+        try:
+            los_ref_gain = self.los_ref_gain
+        except OverflowError:
+            los_ref_gain = math.inf
+        if los_ref_gain == math.inf:
+            raise ValueError(f"the free-space gain at 1 m of a {self.freq_hz:g} Hz carrier overflows a float")
 
     @classmethod
     def from_db(cls, freq_hz: float, tx_power_dbm: float, noise_dbm: float, nlos_db: float) -> "ChannelParams":
@@ -131,8 +139,9 @@ class GainMap:
     held, not copied), the grid and the channel `params`, it computes gains
     a tap row at a time (`_tap_gains`), bit for bit the rows of the eager
     `_point_gains` tensor. Solvers read its one matrix, scaled by
-    params.snr_scale, built on first use and kept (`_candidate_matrix`);
-    `gains`, the full unscaled tensor, is built on first access.
+    params.snr_scale, and its per-cell best-tap sum `_envelope_v`, built on
+    first use and kept (`_candidate_matrix`); `gains`, the full unscaled
+    tensor, is built on first access.
     """
 
     def __init__(self, *, valid, points, los, grid, params):
@@ -145,8 +154,18 @@ class GainMap:
 
     @cached_property
     def _matrix(self) -> np.ndarray:
-        mat = _scaled_valid_gains(self, self.params.snr_scale)
-        mat.flags.writeable = False
+        """The read-only `_scaled_valid_gains` matrix; keeps its `_envelope` as `_envelope_v`.
+
+        Refuses (ValueError) a non-finite envelope. No field of the non-negative
+        gains exceeds it, so no count, margin or deficit a solver compares is NaN.
+        """
+        with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+            mat = _scaled_valid_gains(self, self.params.snr_scale)
+            envelope = _envelope(mat)
+        if not np.isfinite(envelope).all():
+            raise ValueError("the gain map's best-tap SNR sum is not finite on a valid cell (a NaN or overflowing gain)")
+        mat.flags.writeable = envelope.flags.writeable = False
+        self._envelope_v = envelope
         return mat
 
     @property
@@ -233,12 +252,20 @@ def _scaled_valid_gains(gain_map: GainMap, snr_scale: float) -> np.ndarray:
     return mat
 
 
+def _envelope(gains_v: np.ndarray) -> np.ndarray:
+    """Per valid cell, each waveguide's best tap summed in waveguide order (`coverage._field`): no field exceeds it."""
+    envelope = gains_v[0].max(axis=0)
+    for n in range(1, gains_v.shape[0]):
+        envelope += gains_v[n].max(axis=0)
+    return envelope
+
+
 def _candidate_matrix(gain_map: GainMap, params: ChannelParams) -> np.ndarray:
-    """The map's read-only `_scaled_valid_gains` matrix, built on the first call and kept.
+    """The map's read-only `_scaled_valid_gains` matrix, built and checked on the first call and kept.
 
     A solver plans at the SNR scale its map was built for: params at any
-    other snr_scale are refused (ValueError). A plan's field at another
-    power is `avg_snr` at those params.
+    other snr_scale are refused (ValueError), as is a non-finite map
+    (`GainMap._matrix`). A plan's field at another power is `avg_snr`.
     """
     if params.snr_scale != gain_map.params.snr_scale:
         raise ValueError(f"the gain map is scaled for an SNR of {gain_map.params.snr_scale:g}, not {params.snr_scale:g}")

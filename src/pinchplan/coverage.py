@@ -70,7 +70,9 @@ _MAGNITUDE_BITS = np.int64((1 << 63) - 1)  # every bit of a float64 but the sign
 
 
 class BudgetError(RuntimeError):
-    """An exhaustive enumeration or a gain tensor would exceed its budget."""
+    """Work over a budget, refused before it starts: activations or restarted-ascent taps
+    to score, gain-tensor, random-draw or per-threshold bytes, or branch-and-bound nodes.
+    """
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,8 @@ class CoverageResult:
 
 
 def _check_threshold(threshold: float) -> None:
-    if not threshold > 0:
-        raise ValueError("SNR threshold must be positive")
+    if not 0 < threshold < np.inf:
+        raise ValueError("SNR threshold must be positive and finite")
 
 
 def _require_valid(gain_map: GainMap) -> None:
@@ -142,44 +144,31 @@ def _scan_buffer(n_tap: int, n_cells: int) -> np.ndarray:
     return np.empty((first.stop - first.start, n_cells))
 
 
-def _first_min(keys: np.ndarray) -> int:
-    """Where a scan that keeps the first key and takes each strictly smaller one ends.
-
-    That is 0 when keys[0] is NaN (nothing compares below it), else the first
-    minimum of the non-NaN keys (a NaN key never wins). argmin settles
-    every array without a NaN; it lands on a NaN only when there is one.
-    """
-    m = int(keys.argmin())
-    if np.isnan(keys[m]):
-        return 0 if np.isnan(keys[0]) else int(np.nanargmin(keys))
-    return m
-
-
 def _pick_tap(resid_v: np.ndarray, gains_v: np.ndarray, key: Callable, tie_key: Callable, buf: np.ndarray):
     """(tap, key) of the single-waveguide update both coordinate loops share.
 
     Picks the tap m whose field row resid_v + gains_v[m] has the smallest
     key(row); among the taps tied there, the smallest tie_key(row), then the
-    smallest index. Both minima follow `_first_min`. `key` and `tie_key`
-    map a (taps, cells) block of field rows to one value per row and may
-    overwrite the rows. Keys are taken for every tap, block by block
-    (`_tap_blocks`), each block's rows formed in `buf`; tie keys only for
-    the tied taps, each block of them gathered into `buf`. So `buf` holds
-    one block (`_scan_buffer`), never more rows than the first block's.
+    smallest index. `key` and `tie_key` map a (taps, cells) block of field
+    rows to one number per row (`GainMap._matrix`) and may overwrite the
+    rows. Keys are taken for every tap, block by block (`_tap_blocks`), each
+    block's rows formed in `buf`; tie keys only for the tied taps, each
+    block of them gathered into `buf`. So `buf` holds one block
+    (`_scan_buffer`), never more rows than the first block's.
     """
     n_tap, n_cells = gains_v.shape
     keys = np.concatenate([
         key(np.add(resid_v, gains_v[taps], out=buf[: taps.stop - taps.start]))
         for taps in _tap_blocks(n_tap, n_cells)
     ])
-    m = _first_min(keys)
-    tied = (keys == keys[m]).nonzero()[0]  # empty when keys[m] is NaN
+    m = int(keys.argmin())
+    tied = (keys == keys[m]).nonzero()[0]
     if len(tied) > 1:
         ties = []
         for rows in _tap_blocks(len(tied), n_cells):
             block = np.take(gains_v, tied[rows], axis=0, out=buf[: rows.stop - rows.start])
             ties.append(tie_key(np.add(resid_v, block, out=block)))
-        m = int(tied[_first_min(np.concatenate(ties))])
+        m = int(tied[np.concatenate(ties).argmin()])
     return m, keys[m]
 
 
@@ -188,9 +177,8 @@ def _best_tap(resid_v: np.ndarray, gains_v: np.ndarray, threshold: float, buf=No
 
     The `_pick_tap` of the coverage ascent: key -count, tie key -margin,
     where the margin is sum(max(field - threshold, 0)). So ties go to the
-    larger margin, then to the smaller tap; a NaN margin never wins, but the
-    first tied tap stays when its own margin is NaN. `buf` is the scan's
-    scratch (`_scan_buffer`), allocated here when not given.
+    larger margin, then to the smaller tap. `buf` is the scan's scratch
+    (`_scan_buffer`), allocated here when not given.
     """
     thr_eff = threshold * (1.0 - COVERAGE_SLACK)
 
@@ -592,9 +580,9 @@ def emit_milp(
     sum_nm snr_scale*gain * a_n_m - threshold * c_u_v >= 0 (no big-M needed
     since the threshold itself scales the indicator). Names are 1-based.
     Coefficients carry 17 significant digits so parsing the file back
-    reproduces them bit-exactly. UTF-8, LF line endings. Refuses a threshold
-    that is not positive, a map without valid cells or params at another
-    SNR scale than the map's (ValueError) before a file is opened.
+    reproduces them bit-exactly. UTF-8, LF line endings. Refuses (ValueError),
+    before a file is opened, a threshold that is not positive and finite, a
+    map without valid cells and what `_candidate_matrix` refuses.
 
     The coefficients are the solver matrix (`_candidate_matrix`), so an
     ascent and the LP of one map share it. The linking rows are written

@@ -1,15 +1,14 @@
-"""Worst-grid (max-min) activation planning via bisection on the SNR target.
+"""Worst-grid (max-min) activation planning: bisection on the SNR target, and an exact search.
 
 For a target t the total deficit sum_cells max(t - snr, 0) is zero exactly
-when every valid cell reaches t, so feasibility of a target reduces to
-driving the deficit to zero. A coordinate-descent heuristic does that cheaply
-(and soundly: it reports feasible only with a zero-deficit certificate,
-never the other way around); bisection over t then brackets the best
-achievable worst-grid SNR. A branch-and-bound search within a node budget
-returns its best plan and certifies it as the true optimum when it finishes:
-it is the exact solver, and it gives bisection its first start (which meets
-every probe at or below its value), its bracket top (the per-cell best-tap
-envelope) and, once certified, a ceiling above which no probe can succeed.
+when every valid cell reaches t. A coordinate descent on the deficit tests
+a target soundly: it reports feasible only with a zero-deficit plan.
+Bisection over t brackets the best worst-grid SNR with such tests. A
+branch-and-bound search within a node budget returns its best plan, and
+certifies it as the optimum when it finishes. It is the exact solver, and
+it gives bisection its first start (which meets every probe at or below
+its value), its bracket top (the worst cell of `GainMap._envelope_v`) and,
+once certified, a ceiling above which no probe can succeed.
 """
 
 from __future__ import annotations
@@ -58,8 +57,7 @@ def _deficit_descent(target: float, gains_v: np.ndarray, sel: list, max_sweeps: 
 
     Each single-waveguide update is the `_pick_tap` with key the updated
     total deficit and tie key the worst single-cell deficit, so the deficit
-    never increases. A NaN deficit never wins, and tap 0 stays when its own
-    deficit is NaN. Stops on a zero deficit, a sweep with no strict deficit
+    never increases. Stops on a zero deficit, a sweep with no strict deficit
     decrease, or `max_sweeps` sweeps.
     """
     field_v = _field(gains_v, sel, np.empty(gains_v.shape[2]))
@@ -109,11 +107,11 @@ def deficit_feasibility(
     seeded uniform selections. Returns (True, activation) as soon as one
     reaches a zero deficit, which certifies the target outright, so a True
     verdict is always sound no matter how the starts were chosen; otherwise
-    (False, activation) with the lowest-deficit end state (the first start's
-    when no deficit compares below it, e.g. NaN), which may be conservative.
+    (False, activation) with the first lowest-deficit end state, which may be
+    conservative.
     """
-    if target < 0:
-        raise ValueError("SNR target must be non-negative")
+    if not 0 <= target < math.inf:
+        raise ValueError("SNR target must be non-negative and finite")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     if restarts < 1:
@@ -122,31 +120,21 @@ def deficit_feasibility(
     _selection_array(initial.selected, gain_map.n_waveguides, gain_map.n_taps)
     gains_v = _candidate_matrix(gain_map, params)
 
-    best_deficit, best_sel = np.inf, None
-    for start, sel in enumerate(_starts(initial.selected, gain_map.n_taps, restarts, seed)):
+    ends = []
+    for sel in _starts(initial.selected, gain_map.n_taps, restarts, seed):
         deficit = _deficit_descent(target, gains_v, sel, max_sweeps)
         if deficit == 0.0:
             return True, Activation(selected=tuple(sel))
-        if start == 0 or deficit < best_deficit:
-            best_deficit, best_sel = deficit, tuple(sel)
-    return False, Activation(selected=best_sel)
+        ends.append((deficit, tuple(sel)))
+    # min keeps the first of equal deficits, also of deficit sums that overflow to inf
+    return False, Activation(selected=min(ends, key=lambda end: end[0])[1])
 
 
 def maxmin_upper_bound(gain_map: GainMap, params: ChannelParams) -> float:
-    """Upper bound on any activation's worst-grid SNR: each cell takes its best taps (`_envelope`)."""
+    """Upper bound on any activation's worst-grid SNR: each cell takes its best taps (`GainMap._envelope_v`)."""
     _require_valid(gain_map)
-    return float(_envelope(_candidate_matrix(gain_map, params)).min())
-
-
-def _envelope(gains_v: np.ndarray) -> np.ndarray:
-    """Per valid cell, each waveguide's best tap, summed in waveguide order like `coverage._field`.
-
-    Rounded addition is monotone, so no activation's field exceeds it on any cell.
-    """
-    envelope = gains_v[0].max(axis=0)
-    for n in range(1, gains_v.shape[0]):
-        envelope += gains_v[n].max(axis=0)
-    return envelope
+    _candidate_matrix(gain_map, params)  # builds and checks the envelope
+    return float(gain_map._envelope_v.min())
 
 
 def _reach(gains: np.ndarray) -> np.ndarray:
@@ -163,7 +151,6 @@ class _Search:
     value: float  # its worst cell, summed in waveguide order like `coverage._field`
     nodes: int  # search-tree nodes bounded
     leaves: int  # activations scored on every valid cell
-    envelope: float  # worst cell of the per-cell best-tap sum: no plan beats it
     certified: bool  # the search finished, so `value` is the optimum
 
 
@@ -187,13 +174,9 @@ def _bnb_maxmin(gain_map: GainMap, params: ChannelParams) -> _Search:
     """
     gains_v = _candidate_matrix(gain_map, params)
     n_wg, n_tap, n_cells = gains_v.shape
-    envelope = _envelope(gains_v)
-    top = float(envelope.min())
-    if not math.isfinite(top):
-        raise ValueError("SNR upper bound is not finite; check the channel parameters")
     k = min(_BNB_CELLS, n_cells)
     in_s = np.zeros(n_cells, dtype=bool)
-    in_s[np.argpartition(envelope, k - 1)[:k]] = True
+    in_s[np.argpartition(gain_map._envelope_v, k - 1)[:k]] = True
     best_sel = Activation.centered(n_wg, n_tap).selected
     field = _field(gains_v, best_sel, np.empty(n_cells))
     best = float(field.min())
@@ -240,11 +223,12 @@ def _bnb_maxmin(gain_map: GainMap, params: ChannelParams) -> _Search:
             leaves += 1
             if value > best or (value == best and sel < best_sel):
                 best, best_sel = value, sel
-    return _Search(Activation(selected=best_sel), best, nodes, leaves, top, nodes <= BNB_NODE_BUDGET)
+    return _Search(Activation(selected=best_sel), best, nodes, leaves, nodes <= BNB_NODE_BUDGET)
 
 
-def _maxmin_result(act, gains_v, iters, evals, exact, search: _Search) -> MinMaxResult:
-    """The result of planning `act`; t_star is its worst cell on the candidate matrix (`_field`, bit-equal to `avg_snr`)."""
+def _maxmin_result(act, gain_map, iters, evals, exact, search: _Search) -> MinMaxResult:
+    """The result of planning `act`; t_star is its worst cell on the map's matrix (`_field`, bit-equal to `avg_snr`)."""
+    gains_v = gain_map._matrix
     return MinMaxResult(
         activation=act,
         t_star=float(_field(gains_v, act.selected, np.empty(gains_v.shape[2])).min()),
@@ -253,7 +237,7 @@ def _maxmin_result(act, gains_v, iters, evals, exact, search: _Search) -> MinMax
         exact=exact,
         certified=search.value if search.certified else None,
         bnb_nodes=search.nodes,
-        upper_bound=search.envelope,
+        upper_bound=float(gain_map._envelope_v.min()),
     )
 
 
@@ -266,8 +250,8 @@ def bisection_maxmin(
 ) -> MinMaxResult:
     """Bisect the worst-grid SNR target, returning the last certified activation.
 
-    The branch-and-bound search runs first. The bracket starts at [0, its
-    envelope] and halves until its width is at most eps_t (linear SNR), so
+    The branch-and-bound search runs first. The bracket starts at [0,
+    `maxmin_upper_bound`] and halves until its width is at most eps_t (linear SNR), so
     the iteration count is bounded by ceil(log2(t_max / eps_t)). Each
     feasibility check runs DEFAULT_FEAS_RESTARTS deficit descents, the first
     from the last feasible activation, which starts as the search's plan: a
@@ -286,7 +270,7 @@ def bisection_maxmin(
     _require_valid(gain_map)
 
     search = _bnb_maxmin(gain_map, params)
-    best, t_lo, t_hi = search.activation, 0.0, search.envelope
+    best, t_lo, t_hi = search.activation, 0.0, maxmin_upper_bound(gain_map, params)
     ceiling = search.value * (1 + CEILING_MARGIN) if search.certified else math.inf
     iters = 0
     while t_hi - t_lo > eps_t:
@@ -306,7 +290,7 @@ def bisection_maxmin(
         else:
             t_hi = min(t_mid, ceiling)
 
-    return _maxmin_result(best, _candidate_matrix(gain_map, params), iters, iters, exact=False, search=search)
+    return _maxmin_result(best, gain_map, iters, iters, exact=False, search=search)
 
 
 def exact_maxmin(gain_map: GainMap, params: ChannelParams) -> MinMaxResult:
@@ -320,4 +304,4 @@ def exact_maxmin(gain_map: GainMap, params: ChannelParams) -> MinMaxResult:
     search = _bnb_maxmin(gain_map, params)
     if not search.certified:
         raise BudgetError(f"branch-and-bound search needs more than {BNB_NODE_BUDGET} nodes")
-    return _maxmin_result(search.activation, _candidate_matrix(gain_map, params), 0, search.leaves, exact=True, search=search)
+    return _maxmin_result(search.activation, gain_map, 0, search.leaves, exact=True, search=search)

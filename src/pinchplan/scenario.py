@@ -182,9 +182,7 @@ def _check_channel(channel: ChannelSpec, layout: WaveguideLayout) -> None:
     except ArithmeticError:  # height**2 overflows or underflows to 0
         peak = math.inf
     if not math.isfinite(peak):
-        raise ScenarioError(
-            "channel: the transmit-to-noise power ratio is so large that the average SNR overflows a float"
-        )
+        raise ScenarioError("channel: the average SNR at the mounting height overflows a float")
 
 
 def _check_keys(section: dict, path: str, required: set[str], optional: set[str] = frozenset()):

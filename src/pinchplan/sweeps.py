@@ -192,17 +192,19 @@ def _fixed_field(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 def _worst_dbs(selected, gm, per_power_params) -> list[float]:
     """Worst valid-cell SNR (dB) of one activation at each of the params, bit-equal to `worst_grid_snr`.
 
-    The activation's unscaled valid-cell rows are computed once, then scaled
-    by every power's snr_scale at once and added in waveguide order, as
-    `avg_snr` adds them.
+    The activation's unscaled valid-cell rows are computed once. Each power
+    then scales them and adds them in waveguide order, as `avg_snr` does,
+    so one valid-cell field is held at a time, whatever the power count.
     """
     rows = gm._tap_gains(np.arange(len(selected)), list(selected))
     rows = np.compress(gm.valid.ravel(), rows.reshape(len(rows), -1), axis=1)
-    scales = np.array([[p.snr_scale] for p in per_power_params])
-    fields = scales * rows[0]
-    for row in rows[1:]:
-        fields += scales * row
-    return [linear_to_db(w) for w in fields.min(axis=1).tolist()]
+    worst = []
+    for p in per_power_params:
+        field = rows[0] * p.snr_scale
+        for row in rows[1:]:
+            field += row * p.snr_scale
+        worst.append(linear_to_db(float(field.min())))
+    return worst
 
 
 def power_sweep(

@@ -18,7 +18,7 @@ from pinchplan import (
     maxmin_upper_bound,
     scenario_from_dict,
 )
-from pinchplan.channel import _candidate_matrix
+from pinchplan.channel import _scaled_valid_gains
 from pinchplan.coverage import _check_threshold, _require_valid
 from pinchplan.geometry import SLAB_TOL
 
@@ -258,10 +258,11 @@ def score_activations(gain_map, params, score, shape=()):
     `coverage._activation_at(i, gain_map)`. Row n+1 of `partial` holds the
     running sum of waveguides 0..n; a new prefix recomputes only the rows
     from its first changed tap on. The field handed to `score` is one reused
-    buffer.
+    buffer. It scales the map's gains itself, unchecked, so it also scores
+    maps with NaN or inf gains, which the planners refuse.
     """
     n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
-    gains_v = _candidate_matrix(gain_map, params)
+    gains_v = _scaled_valid_gains(gain_map, params.snr_scale)
     n_cells = gains_v.shape[2]
     last = n_wg - 1
     partial = np.zeros((n_wg, n_cells))
@@ -415,16 +416,14 @@ def exhaustive_feasibility(gain_map, params):
     return feasibility
 
 
-def all_restarts_bisection(gm, p, eps_t, seed, feasibility=deficit_feasibility, start=None, t_hi=None):
+def all_restarts_bisection(gm, p, eps_t, seed, feasibility=deficit_feasibility, start=None):
     """Bisection without a ceiling: every probe asks `feasibility` for all 16 restarts.
 
     It starts from `start` (default the centred plan) with the bracket
-    [0, t_hi] (default `maxmin_upper_bound`).
+    [0, `maxmin_upper_bound`].
     """
     best = Activation.centered(gm.n_waveguides, gm.n_taps) if start is None else start
-    t_lo = 0.0
-    if t_hi is None:
-        t_hi = maxmin_upper_bound(gm, p)
+    t_lo, t_hi = 0.0, maxmin_upper_bound(gm, p)
     iters = 0
     while t_hi - t_lo > eps_t:
         t_mid = 0.5 * (t_lo + t_hi)

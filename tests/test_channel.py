@@ -60,6 +60,18 @@ def test_params_validation():
     for bad in (-1e-6, math.inf, math.nan):
         with pytest.raises(ValueError):
             ChannelParams(freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=bad)
+    # non-finite inputs, and derived constants that overflow, are refused with their cause
+    for kwargs, message in (
+        ({"freq_hz": math.inf}, "carrier frequency must be positive and finite"),
+        ({"tx_power_w": math.inf}, "powers must be positive and finite"),
+        ({"tx_power_w": math.inf, "noise_power_w": math.inf}, "powers must be positive and finite"),
+        ({"noise_power_w": math.nan}, "powers must be positive and finite"),
+        ({"tx_power_w": 1e300, "noise_power_w": 1e-300}, "power ratio .* overflows"),
+        ({"freq_hz": 1e-300}, "free-space gain .* overflows"),  # the wavelength overflows
+        ({"freq_hz": 1e-190}, "free-space gain .* overflows"),  # its square does
+    ):
+        with pytest.raises(ValueError, match=message):
+            ChannelParams(**{"freq_hz": 1e9, "tx_power_w": 1.0, "noise_power_w": 1.0, "nlos_power": 0.0, **kwargs})
     with pytest.raises(TypeError):  # the average SNR has no phase term, so no guide index
         ChannelParams(freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=1e-6, n_eff=1.4)
     with pytest.raises(TypeError):  # the scatter is one draw; there are no clusters to count

@@ -501,6 +501,7 @@ def _write_scenario(tmp_path, section, key, value):
         ("channel", "nlos_db", 4000.0),
         ("channel", "noise_dbm", 4000),
         ("solver", "threshold_db", 4000),
+        ("channel", "freq_hz", 1e-300),  # the free-space gain overflows, not the power ratio
     ],
 )
 def test_db_overflow_in_scenario_exits_2(tmp_path, capsys, section, key, value):
@@ -509,7 +510,18 @@ def test_db_overflow_in_scenario_exits_2(tmp_path, capsys, section, key, value):
     err = capsys.readouterr().err
     assert code == 2
     assert "invalid input" in err and "overflows" in err and "Traceback" not in err
+    assert OVERFLOW_CAUSES[key] in err
     assert not out.exists()
+
+
+# the cause each refusal above names
+OVERFLOW_CAUSES = {
+    "tx_power_dbm": "4000 dBm is too large",
+    "noise_dbm": "4000 dBm is too large",
+    "nlos_db": "4000 dB is too large",
+    "threshold_db": "4000 dB is too large",
+    "freq_hz": "the free-space gain at 1 m of a 1e-300 Hz carrier overflows",
+}
 
 
 @pytest.mark.parametrize(

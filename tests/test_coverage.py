@@ -63,8 +63,9 @@ def test_coverage_count_threshold_extremes():
     field = avg_snr(sel, gm, scn.params)
     assert coverage_count(sel, gm, scn.params, 1e-30) == n_valid
     assert coverage_count(sel, gm, scn.params, float(field.max()) * 2.0) == 0
-    with pytest.raises(ValueError):
-        coverage_count(sel, gm, scn.params, 0.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            coverage_count(sel, gm, scn.params, bad)
 
 
 def test_coverage_count_closed_threshold():
@@ -182,6 +183,8 @@ def test_ascent_validation():
         coordinate_ascent(Activation(selected=(0,)), gm, UNIT_PARAMS, 1.0)
     with pytest.raises(ValueError):
         coordinate_ascent(Activation(selected=(0, 2)), gm, UNIT_PARAMS, 1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        coordinate_ascent(Activation.centered(2, 2), gm, UNIT_PARAMS, np.inf)
     empty = synthetic_map(np.ones((2, 2, 2, 2)), valid=np.zeros((2, 2), dtype=bool))
     with pytest.raises(ValueError):
         coordinate_ascent(Activation.centered(2, 2), empty, UNIT_PARAMS, 1.0)

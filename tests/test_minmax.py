@@ -113,23 +113,28 @@ def test_deficit_feasibility_validation():
 
 
 def test_deficit_feasibility_non_finite_field_stays_well_formed():
-    # NaN deficits never compare below anything; the first start is reported
-    gm = synthetic_map(np.full((2, 3, 2, 1), np.nan))
+    # a map whose gains hold NaN or inf is refused, and so is a NaN or infinite target
     init = Activation(selected=(2, 0))
-    ok, act = deficit_feasibility(1.0, gm, UNIT_PARAMS, init, restarts=4)
-    assert not ok
-    assert len(act.selected) == 2 and all(0 <= m < 3 for m in act.selected)
-    ok, act = deficit_feasibility(np.inf, synthetic_map(np.ones((2, 3, 2, 1))), UNIT_PARAMS, init)
-    assert not ok and len(act.selected) == 2
+    ones = synthetic_map(np.ones((2, 3, 2, 1)))
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            deficit_feasibility(1.0, synthetic_map(np.full((2, 3, 2, 1), value)), UNIT_PARAMS, init)
+    for target in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            deficit_feasibility(target, ones, UNIT_PARAMS, init)
+    # a finite target whose deficit sum overflows: every start ends at inf, and the first is reported
+    with np.errstate(over="ignore"):
+        ok, act = deficit_feasibility(1e308, ones, UNIT_PARAMS, init, restarts=4)
+    assert not ok and act.selected == (0, 0)
 
 
 def test_bisection_refuses_non_finite_bound():
-    infinite_power = ChannelParams(
-        freq_hz=1e9, tx_power_w=np.inf, noise_power_w=1.0, nlos_power=0.0
-    )
-    gm = TensorMap(np.ones((2, 2, 2, 1)), np.ones((2, 1), dtype=bool), infinite_power)
+    # infinite powers are refused where the params are built, an overflowing
+    # envelope (1e308 + 1e308) where the map's matrix is
+    with pytest.raises(ValueError, match="positive and finite"):
+        ChannelParams(freq_hz=1e9, tx_power_w=np.inf, noise_power_w=np.inf, nlos_power=0.0)
     with pytest.raises(ValueError, match="not finite"):
-        bisection_maxmin(gm, infinite_power)
+        bisection_maxmin(synthetic_map(np.full((2, 2, 2, 1), 1e308)), UNIT_PARAMS)
 
 
 def test_bisection_ends_when_the_bracket_reaches_adjacent_floats():
@@ -415,9 +420,7 @@ def test_bisection_plans_match_the_all_restarts_loop(monkeypatch, budget):
         assert res.bisection_iters == res.feasibility_evals == len(probes)
         if budget == 1:
             search = minmax._bnb_maxmin(gm, p)
-            act, iters = all_restarts_bisection(
-                gm, p, 1e-3, 5, feasibility, start=search.activation, t_hi=search.envelope
-            )
+            act, iters = all_restarts_bisection(gm, p, 1e-3, 5, feasibility, start=search.activation)
             assert (res.activation, len(probes)) == (act, iters)
             assert res.t_star == worst_grid_snr(act.as_array(), gm, p)
             assert not search.certified and res.certified is None

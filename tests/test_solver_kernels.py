@@ -18,6 +18,9 @@ from hypothesis import strategies as st
 
 from pinchplan import (
     Activation,
+    GainMap,
+    GridSpec,
+    avg_snr,
     bisection_maxmin,
     coordinate_ascent,
     deficit_feasibility,
@@ -35,7 +38,6 @@ from pinchplan.coverage import (
     _activation_at,
     _best_tap,
     _coverage_counts,
-    _first_min,
     _last_tap_thresholds,
     _tap_blocks,
 )
@@ -156,6 +158,33 @@ def test_solvers_refuse_params_at_another_scale(tmp_path, matrix_builds):
         with pytest.raises(ValueError, match="scaled for an SNR of"):
             call()
     assert matrix_builds == [] and not path.exists()
+
+
+def test_planners_refuse_a_map_with_a_nan_gain(tmp_path):
+    # tap (0, 0) lies on the floor under the centre of cell (0, 0), its link
+    # blocked and the NLoS gain 0: d^2 = 0 gives that cell a gain of 0/0
+    points = np.array([[[0.5, 0.0, 0.0], [1.5, 0.0, 5.0]], [[0.5, 0.0, 5.0], [1.5, 0.0, 5.0]]])
+    los = np.ones((2, 2, 2, 1), dtype=bool)
+    los[0, 0, 0, 0] = False
+    grid = GridSpec(nx=2, ny=1, cell_x=1.0, cell_y=1.0)
+    gm = GainMap(valid=np.ones((2, 1), dtype=bool), points=points, los=los, grid=grid, params=UNIT_PARAMS)
+    start, path = Activation(selected=(0, 0)), tmp_path / "model.lp"
+    calls = [
+        lambda: coordinate_ascent(start, gm, UNIT_PARAMS, 1.0),
+        lambda: exact_enumerate(gm, UNIT_PARAMS, 1.0),
+        lambda: deficit_feasibility(1.0, gm, UNIT_PARAMS, start),
+        lambda: bisection_maxmin(gm, UNIT_PARAMS),
+        lambda: exact_maxmin(gm, UNIT_PARAMS),
+        lambda: maxmin_upper_bound(gm, UNIT_PARAMS),
+        lambda: emit_milp(gm, UNIT_PARAMS, 1.0, str(path)),
+    ]
+    with np.errstate(invalid="ignore"):  # the 0/0 itself
+        for call in calls:
+            with pytest.raises(ValueError, match="not finite"):
+                call()
+        field = avg_snr([0, 0], gm, UNIT_PARAMS)  # an evaluator still returns the field
+    assert np.isnan(field[0, 0]) and np.isfinite(field[1, 0])
+    assert not path.exists()
 
 
 def test_a_raising_probe_leaves_the_maps_one_matrix(monkeypatch, matrix_builds):
@@ -294,18 +323,17 @@ def test_exhaustive_search_lexicographic_ties_three_waveguides():
 
 
 # Entry strategies of the kernel test maps: floats; small integers, which tie
-# counts, margins, deficit sums and worst cells; small integers with NaN and inf.
-KERNEL_VALUES = [
-    st.floats(0.0, 3.0),
-    st.sampled_from([0.0, 1.0, 2.0, 3.0]),
-    st.sampled_from([0.0, 1.0, 2.0, np.nan, np.inf]),
-]
+# counts, margins, deficit sums and worst cells. The tap scans run on the
+# finite matrices a map lets through (`GainMap._matrix`); the exhaustive
+# walk's thresholds are exact for any floats, so its maps may also hold NaN and inf.
+FINITE_VALUES = [st.floats(0.0, 3.0), st.sampled_from([0.0, 1.0, 2.0, 3.0])]
+KERNEL_VALUES = FINITE_VALUES + [st.sampled_from([0.0, 1.0, 2.0, np.nan, np.inf])]
 
 
 @st.composite
-def kernel_map(draw, n_wg):
-    """(gains, values): gains (n_wg, taps, cells) drawn from `values`, one of KERNEL_VALUES."""
-    values = draw(st.sampled_from(KERNEL_VALUES))
+def kernel_map(draw, n_wg, strategies=FINITE_VALUES):
+    """(gains, values): gains (n_wg, taps, cells) drawn from `values`, one of `strategies`."""
+    values = draw(st.sampled_from(strategies))
     n_tap, n_cells = draw(st.integers(1, 7)), draw(st.integers(1, 9))
     flat = draw(st.lists(values, min_size=n_wg * n_tap * n_cells, max_size=n_wg * n_tap * n_cells))
     return np.array(flat).reshape(n_wg, n_tap, n_cells), values
@@ -375,6 +403,10 @@ def test_last_tap_thresholds_are_exact_and_least(data):
     check_last_tap_threshold(g, t, [lo, hi, *probes])
 
 
+def same_float(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
 @pytest.mark.parametrize(
     "lo, hi, g, t, want",
     [
@@ -404,7 +436,7 @@ WALK_THRESHOLDS = st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0, 6.0, np.inf]) | st.f
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_coverage_counts_match_the_field_walk(data):
-    gains, _ = data.draw(kernel_map(data.draw(st.integers(1, 4))))
+    gains, _ = data.draw(kernel_map(data.draw(st.integers(1, 4)), KERNEL_VALUES))
     thresholds = data.draw(st.lists(WALK_THRESHOLDS, min_size=1, max_size=3))
     n_cells = gains.shape[2]
     gm = TensorMap(gains[..., None], np.ones((n_cells, 1), dtype=bool))
@@ -422,47 +454,6 @@ def test_coverage_counts_match_the_field_walk(data):
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
-def same_float(a, b):
-    return a == b or (np.isnan(a) and np.isnan(b))
-
-
-def scan_first_min(keys):
-    """The definition of `_first_min`: keep the first key, then take each strictly smaller one."""
-    best = 0
-    for i in range(1, len(keys)):
-        if keys[i] < keys[best]:
-            best = i
-    return best
-
-
-FIRST_MIN_KEYS = st.sampled_from([np.nan, -np.inf, np.inf, -1.0, 0.0, -0.0, 2.0]) | st.floats()
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(FIRST_MIN_KEYS, min_size=1, max_size=8).map(lambda keys: np.array(keys))
-    | st.lists(st.integers(-3, 3), min_size=1, max_size=8).map(lambda keys: np.array(keys, dtype=np.int32))
-)
-def test_first_min_follows_its_definition(keys):
-    assert _first_min(keys) == scan_first_min(keys)
-
-
-@pytest.mark.parametrize(
-    "keys, want",
-    [
-        ([np.nan, -1.0, -2.0], 0),  # NaN first: nothing compares below it
-        ([1.0, np.nan, 0.0, np.nan, 0.0], 2),  # a later NaN never wins
-        ([np.nan, np.nan, np.nan], 0),  # all NaN
-        ([np.inf, 3.0, -np.inf, -np.inf], 2),  # -inf is the minimum, its first occurrence wins
-        ([np.inf, np.nan, np.inf], 0),  # inf ties keep the first
-        (np.array([-5, -7, -7, 2], dtype=np.int32), 1),  # integer keys (the coverage counts)
-    ],
-)
-def test_first_min_pinned_cases(keys, want):
-    keys = np.asarray(keys)
-    assert _first_min(keys) == scan_first_min(keys) == want
-
-
 def test_tap_blocks_cover_the_taps_in_order():
     assert _tap_blocks(7, 40_000) == [slice(m, m + 1) for m in range(7)]  # a full grid: one tap each
     assert _tap_blocks(10, 2784) == [slice(0, 10)]  # a quarter grid: all taps at once
@@ -478,7 +469,7 @@ def test_blocked_best_tap_matches_the_per_tap_loop(taps_per_block, data):
     gains, values = data.draw(kernel_map(1))
     resid = np.array(data.draw(st.lists(values, min_size=gains.shape[2], max_size=gains.shape[2])))
     threshold = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]) | st.floats(0.1, 6.0))
-    with blocks_of(taps_per_block, gains.shape[2]), np.errstate(invalid="ignore"):
+    with blocks_of(taps_per_block, gains.shape[2]):
         assert _best_tap(resid, gains[0], threshold) == loop_best_tap(resid, gains[0], threshold)
 
 
@@ -491,10 +482,10 @@ def test_blocked_deficit_descent_matches_the_per_tap_loop(taps_per_block, data):
     target = data.draw(st.sampled_from([1.0, 2.0, 3.0, 4.5, 6.0]) | st.floats(0.0, 9.0))
     sel = data.draw(st.lists(st.integers(0, n_tap - 1), min_size=n_wg, max_size=n_wg))
     want_sel = list(sel)
-    with blocks_of(taps_per_block, n_cells), np.errstate(invalid="ignore"):
+    with blocks_of(taps_per_block, n_cells):
         want = loop_deficit_descent(target, gains, want_sel, 50)
         got = _deficit_descent(target, gains, sel, 50)
-    assert sel == want_sel and same_float(got, want)
+    assert sel == want_sel and got == want
 
 
 def test_one_block_scratch_plans_like_an_all_taps_scratch():
@@ -531,20 +522,3 @@ def test_one_block_scratch_plans_like_an_all_taps_scratch():
         for gains in maps:
             assert plans(gains, one_block) == plans(gains, all_taps)
     assert set(shapes) == {(3, 2)}
-
-
-def test_nan_first_tap_stays_and_later_nan_never_wins():
-    # three taps tie at one covered cell; a NaN margin keeps its place only as the first tie
-    resid = np.zeros(2)
-    gains = np.array([[np.nan, 2.0], [2.0, 0.0], [3.0, 0.0]])
-    assert _best_tap(resid, gains, 1.0) == loop_best_tap(resid, gains, 1.0) == (0, 1)
-    gains = np.array([[2.0, 0.0], [np.nan, 2.0], [3.0, 0.0]])
-    assert _best_tap(resid, gains, 1.0) == loop_best_tap(resid, gains, 1.0) == (2, 1)
-    # a NaN deficit on tap 0 keeps tap 0, even over two taps tied below it; on a later tap it never wins
-    for row, start, want in ((0, 1, 0), (1, 0, 2)):
-        gains = np.array([[[1.0, 1.0], [2.0, 2.0], [2.0, 2.0]]])
-        gains[0, row, 0] = np.nan
-        sel, want_sel = [start], [start]
-        got = _deficit_descent(3.0, gains, sel, 50)
-        assert same_float(got, loop_deficit_descent(3.0, gains, want_sel, 50))
-        assert sel == want_sel == [want]

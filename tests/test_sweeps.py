@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from pinchplan import (
     power_sweep,
     scenario_from_dict,
     threshold_sweep,
+    worst_grid_snr,
 )
 from pinchplan import BudgetError, coverage, sweeps
 from pinchplan.mapio import export_map
@@ -121,6 +123,24 @@ def test_power_sweep_ordering_and_exact_mode():
         tab.columns["optimized_db"], tab.columns["random_mean_db"], tab.columns["fixed_db"]
     ):
         assert opt > rnd > fix
+
+
+def test_power_sweep_holds_one_field_at_a_time():
+    # 2,000 powers on a quarter grid: one power's valid-cell field (24 KB) at
+    # a time, not one (powers, cells) array of them (48 MB, and a temporary)
+    scn = small_table1(0.25)
+    gm = scn.gain_map()
+    per_power = [scn.with_power_dbm(p).params for p in np.linspace(0.0, 40.0, 2000)]
+    sel = Activation.centered(gm.n_waveguides, gm.n_taps).selected
+    tracemalloc.start()
+    try:
+        worst = sweeps._worst_dbs(sel, gm, per_power)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    for i in (0, 1000, 1999):  # bit-equal to the public evaluator
+        assert worst[i] == linear_to_db(worst_grid_snr(sel, gm, per_power[i]))
 
 
 def test_power_sweep_validation():
