@@ -132,6 +132,11 @@ class ChannelParams:
         return self.tx_power_w / self.noise_power_w
 
 
+def _require_valid(gain_map: GainMap) -> None:
+    if not np.any(gain_map.valid):
+        raise ValueError("no valid grid cells")
+
+
 class GainMap:
     """Average channel gains of every (waveguide, tap) on the grid, and the footprint mask.
 
@@ -140,8 +145,9 @@ class GainMap:
     a tap row at a time (`_tap_gains`), bit for bit the rows of the eager
     `_point_gains` tensor. Solvers read its one matrix, scaled by
     params.snr_scale, and its per-cell best-tap sum `_envelope_v`, built on
-    first use and kept (`_candidate_matrix`); `gains`, the full unscaled
-    tensor, is built on first access.
+    first use and kept (`_candidate_matrix`): the planners' one map gate,
+    which refuses a map without valid cells or whose envelope sum overflows.
+    `gains`, the full unscaled tensor, is built on first access.
     """
 
     def __init__(self, *, valid, points, los, grid, params):
@@ -156,14 +162,18 @@ class GainMap:
     def _matrix(self) -> np.ndarray:
         """The read-only `_scaled_valid_gains` matrix; keeps its `_envelope` as `_envelope_v`.
 
-        Refuses (ValueError) a non-finite envelope. No field of the non-negative
-        gains exceeds it, so no count, margin or deficit a solver compares is NaN.
+        Refuses (ValueError) a map without valid cells, before building
+        anything, and one whose envelope summed over the valid cells is not
+        finite. The gains are non-negative, so that sum bounds every sum a
+        solver takes (a margin; a deficit at a target of at most the
+        envelope's least cell), and no key a solver compares overflows or is NaN.
         """
-        with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+        _require_valid(self)
+        with np.errstate(over="ignore"):  # an overflow is refused, not warned of
             mat = _scaled_valid_gains(self, self.params.snr_scale)
             envelope = _envelope(mat)
-        if not np.isfinite(envelope).all():
-            raise ValueError("the gain map's best-tap SNR sum is not finite on a valid cell (a NaN or overflowing gain)")
+            if not np.isfinite(envelope.sum()):
+                raise ValueError("the gain map's best-tap SNR summed over the valid cells is not finite (a NaN or overflowing gain)")
         mat.flags.writeable = envelope.flags.writeable = False
         self._envelope_v = envelope
         return mat
@@ -196,6 +206,21 @@ def _tap_blocks(n_tap: int, n_cells: int) -> list[slice]:
     """
     step = max(1, _BLOCK_VALUES // n_cells)
     return [slice(start, min(start + step, n_tap)) for start in range(0, n_tap, step)]
+
+
+def _max_sq_distance(points: np.ndarray, grid: GridSpec) -> float:
+    """The largest d^2 that `_point_gains` forms for the (K, 3) `points`: inf when one overflows.
+
+    Its roundings are monotone, so each point's largest is at its widest x
+    and y offsets, from the first or last cell centre, summed in its order.
+    """
+    cx, cy = grid.x_centers(), grid.y_centers()
+    x, y, z = points.T
+    with np.errstate(over="ignore"):  # an overflow is refused by the caller, not warned of
+        dx, dy = np.maximum(cx[-1] - x, x - cx[0]), np.maximum(cy[-1] - y, y - cy[0])
+        d2 = dx * dx + dy * dy
+        d2 += z * z
+    return float(d2.max())
 
 
 def _point_gains(points: np.ndarray, los: np.ndarray, grid: GridSpec, params: ChannelParams, out=None) -> np.ndarray:
@@ -264,8 +289,9 @@ def _candidate_matrix(gain_map: GainMap, params: ChannelParams) -> np.ndarray:
     """The map's read-only `_scaled_valid_gains` matrix, built and checked on the first call and kept.
 
     A solver plans at the SNR scale its map was built for: params at any
-    other snr_scale are refused (ValueError), as is a non-finite map
-    (`GainMap._matrix`). A plan's field at another power is `avg_snr`.
+    other snr_scale are refused (ValueError), as is what the map's gate
+    (`GainMap._matrix`) refuses: no valid cell, or an envelope sum past the
+    float range. A plan's field at another power is `avg_snr`.
     """
     if params.snr_scale != gain_map.params.snr_scale:
         raise ValueError(f"the gain map is scaled for an SNR of {gain_map.params.snr_scale:g}, not {params.snr_scale:g}")
@@ -299,6 +325,18 @@ def avg_snr(selected, gain_map: GainMap, params: ChannelParams) -> np.ndarray:
     return field
 
 
+def _array_points(region: Region, params: ChannelParams, n_elements: int) -> np.ndarray:
+    """(n_elements, 3) positions of the baseline array's elements (`fixed_array_gain_map`)."""
+    if n_elements < 1:
+        raise ValueError("need at least one array element")
+    e = np.arange(n_elements, dtype=float)
+    points = np.empty((n_elements, 3))
+    points[:, 0] = region.x_len / 2.0
+    points[:, 1] = (e - (n_elements - 1) / 2.0) * (params.wavelength / 2.0)
+    points[:, 2] = region.height
+    return points
+
+
 def fixed_array_gain_map(
     region: Region,
     blockages: tuple[Blockage, ...] | list[Blockage],
@@ -313,14 +351,6 @@ def fixed_array_gain_map(
     has a single tap per element and the baseline field is
     avg_snr([0]*n_elements, ...).
     """
-    if n_elements < 1:
-        raise ValueError("need at least one array element")
-    e = np.arange(n_elements, dtype=float)
-    y_el = (e - (n_elements - 1) / 2.0) * (params.wavelength / 2.0)
-
-    points = np.empty((n_elements, 3))
-    points[:, 0] = region.x_len / 2.0
-    points[:, 1] = y_el
-    points[:, 2] = region.height
+    points = _array_points(region, params, n_elements)
     vis = points_visibility(points, blockages, grid)
     return GainMap(valid=vis.valid, points=points[:, None], los=vis.los[:, None], grid=grid, params=params)

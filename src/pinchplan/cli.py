@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import _selection_array, avg_snr, db_to_linear, linear_to_db
-from .coverage import Activation, BudgetError, _require_valid, coordinate_ascent, emit_milp, exact_enumerate
+from .channel import _require_valid, _selection_array, avg_snr, db_to_linear, linear_to_db
+from .coverage import Activation, BudgetError, coordinate_ascent, emit_milp, exact_enumerate
 from .geometry import CandidateGrid, GeometryError
 from .mapio import MAP_FORMATS, export_map
 from .minmax import bisection_maxmin, exact_maxmin
@@ -147,17 +147,16 @@ def _lp_file_name(text: str) -> str:
 # 1-based activation (or None); `_run` calls each writer on its path in --out
 # and turns the last three into the summary.
 def _cmd_gainmap(scn, args):
-    vis = scn.visibility()
-    gm = scn.gain_map(vis)
+    gm = scn.gain_map()
     arrays = {
         "gains": gm.gains,
-        "los": vis.los,
+        "los": gm.los,
         "valid": gm.valid,
         "x_centers": scn.grid.x_centers(),
         "y_centers": scn.grid.y_centers(),
     }
     objective = {
-        "blocked_fraction": float(1.0 - vis.los.mean()),
+        "blocked_fraction": float(1.0 - gm.los.mean()),
         "valid_cells": int(np.count_nonzero(gm.valid)),
         "total_cells": int(gm.valid.size),
     }

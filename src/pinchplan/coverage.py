@@ -118,11 +118,6 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError("SNR threshold must be positive and finite")
 
 
-def _require_valid(gain_map: GainMap) -> None:
-    if not np.any(gain_map.valid):
-        raise ValueError("no valid grid cells")
-
-
 def _covered(field: np.ndarray, threshold: float) -> np.ndarray:
     return field >= threshold * (1.0 - COVERAGE_SLACK)
 
@@ -272,7 +267,6 @@ def coordinate_ascent(
         raise BudgetError(
             f"{restarts} ascent restarts of {n_wg}x{n_tap} taps score over the budget of {ENUM_BUDGET} per sweep"
         )
-    _require_valid(gain_map)
     _selection_array(initial.selected, n_wg, n_tap)
 
     gains_v = _candidate_matrix(gain_map, params)
@@ -449,7 +443,6 @@ def _exact_coverages(gain_map: GainMap, params: ChannelParams, thresholds) -> li
     """`exact_enumerate` at each threshold, from one walk over the activations."""
     for threshold in thresholds:
         _check_threshold(threshold)
-    _require_valid(gain_map)
     thr_eff = [threshold * (1.0 - COVERAGE_SLACK) for threshold in thresholds]
     gains_v = _candidate_matrix(gain_map, params)
     counts = _coverage_counts(gains_v, thr_eff)
@@ -581,8 +574,8 @@ def emit_milp(
     since the threshold itself scales the indicator). Names are 1-based.
     Coefficients carry 17 significant digits so parsing the file back
     reproduces them bit-exactly. UTF-8, LF line endings. Refuses (ValueError),
-    before a file is opened, a threshold that is not positive and finite, a
-    map without valid cells and what `_candidate_matrix` refuses.
+    before a file is opened, a threshold that is not positive and finite and
+    what `_candidate_matrix` refuses (among it a map without valid cells).
 
     The coefficients are the solver matrix (`_candidate_matrix`), so an
     ascent and the LP of one map share it. The linking rows are written
@@ -591,7 +584,6 @@ def emit_milp(
     block's cell indices and coefficient texts (`_coef_texts`).
     """
     _check_threshold(threshold)
-    _require_valid(gain_map)
     n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
     coefs = _candidate_matrix(gain_map, params).reshape(n_wg * n_tap, -1)  # refused before a file opens
     if isinstance(out, str):

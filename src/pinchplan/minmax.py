@@ -8,7 +8,9 @@ branch-and-bound search within a node budget returns its best plan, and
 certifies it as the optimum when it finishes. It is the exact solver, and
 it gives bisection its first start (which meets every probe at or below
 its value), its bracket top (the worst cell of `GainMap._envelope_v`) and,
-once certified, a ceiling above which no probe can succeed.
+once certified, a ceiling above which no probe can succeed. Every planner
+reads its map through the gate of `GainMap._matrix`, whose envelope sum
+also bounds the deficit at any target within the bracket.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array, avg_snr
-from .coverage import Activation, BudgetError, DEFAULT_MAX_SWEEPS, _field, _pick_tap, _require_valid, _scan_buffer, _starts
+from .channel import ChannelParams, GainMap, _candidate_matrix, _require_valid, _selection_array, avg_snr
+from .coverage import Activation, BudgetError, DEFAULT_MAX_SWEEPS, _field, _pick_tap, _scan_buffer, _starts
 
 DEFAULT_EPS_T = 1e-3  # linear-SNR bracket width at which bisection stops
 DEFAULT_FEAS_RESTARTS = 16  # descent starts per feasibility check (first = caller's initial)
@@ -116,7 +118,6 @@ def deficit_feasibility(
         raise ValueError("max_sweeps must be at least 1")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    _require_valid(gain_map)
     _selection_array(initial.selected, gain_map.n_waveguides, gain_map.n_taps)
     gains_v = _candidate_matrix(gain_map, params)
 
@@ -132,7 +133,6 @@ def deficit_feasibility(
 
 def maxmin_upper_bound(gain_map: GainMap, params: ChannelParams) -> float:
     """Upper bound on any activation's worst-grid SNR: each cell takes its best taps (`GainMap._envelope_v`)."""
-    _require_valid(gain_map)
     _candidate_matrix(gain_map, params)  # builds and checks the envelope
     return float(gain_map._envelope_v.min())
 
@@ -267,7 +267,6 @@ def bisection_maxmin(
     """
     if not eps_t > 0:
         raise ValueError("eps_t must be positive")
-    _require_valid(gain_map)
 
     search = _bnb_maxmin(gain_map, params)
     best, t_lo, t_hi = search.activation, 0.0, maxmin_upper_bound(gain_map, params)
@@ -300,7 +299,6 @@ def exact_maxmin(gain_map: GainMap, params: ChannelParams) -> MinMaxResult:
     Refuses with BudgetError when the search needs more than BNB_NODE_BUDGET
     nodes.
     """
-    _require_valid(gain_map)
     search = _bnb_maxmin(gain_map, params)
     if not search.certified:
         raise BudgetError(f"branch-and-bound search needs more than {BNB_NODE_BUDGET} nodes")

@@ -27,10 +27,10 @@ reads) a number >= 1.
 
 Each value rule is checked in one place: `Region`, `Blockage`, `SolverDefaults`
 and `ChannelParams` (through `Scenario`, which also refuses an overflowing
-average SNR) check their own fields, and `scenario_from_dict` the rules that
-join sections (blockages against the region, the tensor budget). `to_dict`
-gives the normalized form (explicit tap coordinates), and loading it
-reproduces every value exactly.
+average SNR or squared tap-to-cell distance) check their own fields, and
+`scenario_from_dict` the rules that join sections (blockages against the
+region, the tensor budget). `to_dict` gives the normalized form (explicit tap
+coordinates), and loading it reproduces every value exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelParams, GainMap, db_to_linear, fixed_array_gain_map, precompute_gain_map
+from .channel import ChannelParams, GainMap, _array_points, _max_sq_distance, db_to_linear, fixed_array_gain_map, precompute_gain_map
 from .coverage import DEFAULT_MAX_SWEEPS, TENSOR_BYTES_BUDGET, Activation, BudgetError
 from .geometry import (
     Blockage,
@@ -108,7 +108,7 @@ class Scenario:
     solver: SolverDefaults
 
     def __post_init__(self) -> None:
-        _check_channel(self.channel, self.layout)
+        _check_overflows(self)
 
     @property
     def params(self) -> ChannelParams:
@@ -121,10 +121,8 @@ class Scenario:
     def visibility(self) -> VisibilityMap:
         return compute_visibility(self.layout, self.taps, self.blockages, self.grid)
 
-    def gain_map(self, vis: VisibilityMap | None = None) -> GainMap:
-        if vis is None:
-            vis = self.visibility()
-        return precompute_gain_map(self.layout, self.taps, self.grid, vis, self.params)
+    def gain_map(self) -> GainMap:
+        return precompute_gain_map(self.layout, self.taps, self.grid, self.visibility(), self.params)
 
     def fixed_array_map(self) -> GainMap:
         return fixed_array_gain_map(self.region, self.blockages, self.grid, self.params, self.layout.count)
@@ -171,18 +169,33 @@ def _check_tensor_bytes(n_wg: int, n_tap: int, nx: int, ny: int) -> None:
         )
 
 
-def _check_channel(channel: ChannelSpec, layout: WaveguideLayout) -> None:
-    """Refuse channel inputs whose linear values, or the average SNR they give, overflow."""
+def _check_overflows(scn: Scenario) -> None:
+    """Refuse a scenario whose squared distances, channel values or average SNR overflow a float.
+
+    The distances are the largest that `channel._point_gains` forms from a
+    tap and from an element of the fixed array to a grid cell.
+    """
+    region = scn.region
+    if not math.isfinite(_max_sq_distance(scn.layout.tap_points(scn.taps), scn.grid)):
+        raise ScenarioError(
+            f"region: the squared distance from a tap to a grid cell of a {region.x_len:g} x {region.y_len:g} m "
+            f"region {region.height:g} m high overflows a float"
+        )
     try:
-        params = channel.to_params()
+        params = scn.channel.to_params()
         # no tap is nearer a grid cell than the mounting height, so this bounds every SNR field
-        peak = params.snr_scale * layout.count * (params.los_ref_gain + params.nlos_power) / layout.height**2
+        peak = params.snr_scale * scn.layout.count * (params.los_ref_gain + params.nlos_power) / scn.layout.height**2
     except ValueError as exc:
         raise ScenarioError(f"channel: {exc}") from exc
-    except ArithmeticError:  # height**2 overflows or underflows to 0
+    except ArithmeticError:  # height**2 underflows to 0 (the distance check above bounds it from above)
         peak = math.inf
     if not math.isfinite(peak):
         raise ScenarioError("channel: the average SNR at the mounting height overflows a float")
+    if not math.isfinite(_max_sq_distance(_array_points(region, params, scn.layout.count), scn.grid)):
+        raise ScenarioError(
+            "channel: the squared distance from a fixed-array element to a grid cell overflows a float "
+            f"(elements half a {scn.channel.freq_hz:g} Hz wavelength apart)"
+        )
 
 
 def _check_keys(section: dict, path: str, required: set[str], optional: set[str] = frozenset()):

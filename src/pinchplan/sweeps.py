@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .channel import _candidate_matrix, avg_snr, db_to_linear, linear_to_db
-from .coverage import _WALK_CELLS, ENUM_BUDGET, TENSOR_BYTES_BUDGET, Activation, BudgetError, _covered, _exact_coverages, _field, _require_valid, coordinate_ascent
+from .coverage import _WALK_CELLS, ENUM_BUDGET, TENSOR_BYTES_BUDGET, Activation, BudgetError, _covered, _exact_coverages, _field, coordinate_ascent
 from .minmax import MinMaxResult, bisection_maxmin, exact_maxmin
 from .scenario import Scenario, random_activation
 
@@ -86,14 +86,15 @@ def threshold_sweep(
     """Coverage fraction of each method at each threshold (dB, ascending).
 
     The optimized activation is re-solved at every threshold, every solve
-    reading the map's candidate matrix; random draws are shared across thresholds
-    (the activations do not depend on the threshold), as is the fixed-array
-    field. Refuses with BudgetError, before the gain map is built or any
-    ascent runs, when the per-threshold bytes would exceed
+    reading the map's candidate matrix through its gate (`GainMap._matrix`),
+    which refuses a map without valid cells; random draws are shared across
+    thresholds (the activations do not depend on the threshold), as is the
+    fixed-array field. Refuses with BudgetError, before the gain map is
+    built or any ascent runs, when the per-threshold bytes would exceed
     TENSOR_BYTES_BUDGET: 8 per grid cell, a cap on the grid-sized scoring
-    each threshold runs (its plan's field, every random draw's compare),
-    and for the exhaustive walk an int64 count per activation and a bool
-    hit per tap and cell of a walk block.
+    each threshold runs (its plan's field, every random draw's compare), and
+    for the exhaustive walk an int64 count per activation and a bool hit per
+    tap and cell of a walk block.
     """
     thresholds_db = [float(t) for t in thresholds_db]
     if not thresholds_db:
@@ -116,8 +117,6 @@ def threshold_sweep(
 
     params = scenario.params
     gm = scenario.gain_map()
-    _require_valid(gm)
-    n_valid = int(np.count_nonzero(gm.valid))
 
     table = SweepTable(axis="threshold_db", columns={"threshold_db": thresholds_db})
     thresholds = [db_to_linear(thr_db) for thr_db in thresholds_db]
@@ -135,12 +134,11 @@ def threshold_sweep(
     ]
 
     fields = _draw_fields(scenario, gm, draws)
-    stats = [_mean_std([_covered_share(f, thr, n_valid) for f in fields]) for thr in thresholds]
+    stats = [_mean_std([_covered_share(f, thr) for f in fields]) for thr in thresholds]
     table.columns["random_mean"], table.columns["random_std"] = map(list, zip(*stats))
 
-    fixed_field, fixed_valid = _fixed_field(scenario)
-    fixed_v = fixed_field[fixed_valid]
-    table.columns["fixed"] = [_covered_share(fixed_v, thr, n_valid) for thr in thresholds]
+    fixed_v = _fixed_field(scenario)[gm.valid]
+    table.columns["fixed"] = [_covered_share(fixed_v, thr) for thr in thresholds]
     return table
 
 
@@ -177,16 +175,17 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(a.mean()), float(a.std(ddof=1)) if a.size > 1 else 0.0
 
 
-def _covered_share(field_v: np.ndarray, threshold: float, n_valid: int) -> float:
-    """Share of the n_valid cells that a valid-cell field covers, as `coverage_count` counts."""
-    return int(np.count_nonzero(_covered(field_v, threshold))) / n_valid
+def _covered_share(field_v: np.ndarray, threshold: float) -> float:
+    """Share of a valid-cell field's cells that it covers, as `coverage_count` counts."""
+    return int(np.count_nonzero(_covered(field_v, threshold))) / len(field_v)
 
 
-def _fixed_field(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """SNR field of the fixed array at scenario defaults, and its valid-cell mask."""
-    fgm = scenario.fixed_array_map()
-    fsel = np.zeros(scenario.layout.count, dtype=int)
-    return avg_snr(fsel, fgm, scenario.params), fgm.valid
+def _fixed_field(scenario: Scenario) -> np.ndarray:
+    """SNR field of the fixed array at scenario defaults.
+
+    Its map's valid mask is the tap map's: both are the blockage footprints.
+    """
+    return avg_snr(np.zeros(scenario.layout.count, dtype=int), scenario.fixed_array_map(), scenario.params)
 
 
 def _worst_dbs(selected, gm, per_power_params) -> list[float]:
@@ -260,18 +259,16 @@ def _baseline(scenario: Scenario, n_random: int) -> tuple[dict, np.ndarray, np.n
     """Fixed-array and random-activation reference numbers, and the fixed array's SNR field and valid mask."""
     draws = _draws(scenario, n_random)
     gm = scenario.gain_map()
-    _require_valid(gm)
-    n_valid = int(np.count_nonzero(gm.valid))
     thr = scenario.threshold_linear
 
-    fixed_field, fixed_valid = _fixed_field(scenario)
-    fixed_v = fixed_field[fixed_valid]
-    fields = _draw_fields(scenario, gm, draws)
-    cov_mean, cov_std = _mean_std([_covered_share(f, thr, n_valid) for f in fields])
+    fixed_field = _fixed_field(scenario)
+    fixed_v = fixed_field[gm.valid]
+    fields = _draw_fields(scenario, gm, draws)  # the map's gate, before a share of no cells is taken
+    cov_mean, cov_std = _mean_std([_covered_share(f, thr) for f in fields])
     worst_mean, worst_std = _mean_std([linear_to_db(float(f.min())) for f in fields])
     stats = {
         "threshold_db": scenario.solver.threshold_db,
-        "fixed_coverage": _covered_share(fixed_v, thr, n_valid),
+        "fixed_coverage": _covered_share(fixed_v, thr),
         "fixed_worst_db": linear_to_db(float(fixed_v.min())),
         "random_coverage_mean": cov_mean,
         "random_coverage_std": cov_std,
@@ -279,4 +276,4 @@ def _baseline(scenario: Scenario, n_random: int) -> tuple[dict, np.ndarray, np.n
         "random_worst_db_std": worst_std,
         "n_random": n_random,
     }
-    return stats, fixed_field, fixed_valid
+    return stats, fixed_field, gm.valid

@@ -18,8 +18,8 @@ from pinchplan import (
     maxmin_upper_bound,
     scenario_from_dict,
 )
-from pinchplan.channel import _scaled_valid_gains
-from pinchplan.coverage import _check_threshold, _require_valid
+from pinchplan.channel import _require_valid, _scaled_valid_gains
+from pinchplan.coverage import _check_threshold
 from pinchplan.geometry import SLAB_TOL
 
 UNIT_PARAMS = ChannelParams(freq_hz=1e9, tx_power_w=1.0, noise_power_w=1.0, nlos_power=0.0)

@@ -21,7 +21,7 @@ from pinchplan import (
     points_visibility,
     precompute_gain_map,
 )
-from pinchplan.channel import _point_gains
+from pinchplan.channel import _max_sq_distance, _point_gains
 from conftest import distance_sq, random_scenario, sample_instantaneous_snr
 
 
@@ -122,6 +122,22 @@ def test_avg_gain_branches():
     assert _point_gains(points, los, grid, p0)[0, 0, 0] == 0.0
 
 
+def test_max_sq_distance_is_the_largest_point_gains_forms():
+    # against every squared distance, formed in `_point_gains`' order, also past the float range
+    rng = np.random.default_rng(41)
+    for scale in (1.0, 1e153, 1e154, 1e155):
+        for _ in range(20):
+            nx, ny, k = (int(n) for n in rng.integers(1, 9, 3))
+            grid = GridSpec(nx=nx, ny=ny, cell_x=rng.uniform(0.1, 2.0) * scale, cell_y=rng.uniform(0.1, 2.0) * scale)
+            points = rng.uniform(-3.0, 9.0, (k, 3)) * scale
+            dx = grid.x_centers()[None, :, None] - points[:, 0, None, None]
+            dy = grid.y_centers()[None, None, :] - points[:, 1, None, None]
+            with np.errstate(over="ignore"):
+                d2 = dx * dx + dy * dy
+                d2 += points[:, 2, None, None] * points[:, 2, None, None]
+            assert _max_sq_distance(points, grid) == d2.max()
+
+
 def test_gain_map_all_los_limit():
     region = Region(x_len=60.0, y_len=24.0, height=8.0)
     layout = WaveguideLayout.uniform(region, 3)
@@ -164,7 +180,7 @@ def test_gain_rows_and_lazy_tensor_match_the_eager_tensor():
     elements[:, 2] = scn.region.height
     fixed_eager = _point_gains(elements, points_visibility(elements, scn.blockages, grid).los, grid, p)
     for gm, eager in (
-        (scn.gain_map(vis), taps_eager.reshape(vis.los.shape)),
+        (scn.gain_map(), taps_eager.reshape(vis.los.shape)),
         (scn.fixed_array_map(), fixed_eager[:, None]),
     ):
         for sel in np.ndindex(eager.shape[1:2] * n_el):
@@ -194,12 +210,11 @@ def test_gain_map_height_scaling():
 
 def test_gain_map_argmax_is_los_on_bundled():
     scn = load_bundled("table1").with_grid_scale(0.25)
-    vis = scn.visibility()
-    gm = scn.gain_map(vis)
+    gm = scn.gain_map()
     assert np.all(np.isfinite(gm.gains))
     assert np.all(gm.gains > 0)
     idx = np.unravel_index(np.argmax(gm.gains), gm.gains.shape)
-    assert vis.los[idx]
+    assert gm.los[idx]
 
 
 def test_avg_snr_single_waveguide_and_errors():
@@ -286,7 +301,7 @@ def test_sampler_mean_tracks_closed_form():
     rng = np.random.default_rng(11)
     scn = random_scenario(rng, waveguides=2, taps=2, nx=5, ny=4, k_max=1)
     vis = scn.visibility()
-    gm = scn.gain_map(vis)
+    gm = scn.gain_map()
     sel = np.zeros(2, dtype=int)
     want = avg_snr(sel, gm, scn.params)
     draws = sample_instantaneous_snr(

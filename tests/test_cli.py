@@ -33,9 +33,9 @@ def gain_map_builds(monkeypatch):
 
     original, calls = Scenario.gain_map, []
 
-    def counting(self, vis=None):
+    def counting(self):
         calls.append(self)
-        return original(self, vis)
+        return original(self)
 
     monkeypatch.setattr(Scenario, "gain_map", counting)
     return calls
@@ -610,6 +610,31 @@ def test_huge_grid_scale_refused(tmp_path, capsys, scale, expected):
     err = capsys.readouterr().err
     assert code == expected
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, changes, cause",
+    [
+        # grid cells up to 1e308 m from a tap
+        ("coverage", {"region": {"x_len": 1e308}}, "from a tap to a grid cell"),
+        # taps 1e160 m above the floor: the distance overflows, not the average SNR
+        ("minmax", {"region": {"height": 1e160}}, "from a tap to a grid cell"),
+        # array elements half a 1.4e155 m wavelength apart
+        ("baseline", {"channel": {"freq_hz": 2.2e-147, "tx_power_dbm": -2900.0}}, "from a fixed-array element"),
+    ],
+)
+def test_overflowing_squared_distance_exits_2(tmp_path, capsys, command, changes, cause):
+    doc = load_bundled("table1").to_dict()
+    for section, values in changes.items():
+        doc[section].update(values)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(tmp_path, command, "--config", str(path), *SMALL)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"the squared distance {cause}" in err and "overflows a float" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not out.exists()
 
 

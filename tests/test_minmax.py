@@ -9,9 +9,14 @@ from pinchplan import (
     BudgetError,
     ChannelParams,
     bisection_maxmin,
+    coordinate_ascent,
     deficit_feasibility,
+    emit_milp,
+    exact_enumerate,
     exact_maxmin,
+    load_bundled,
     maxmin_upper_bound,
+    scenario_from_dict,
     worst_grid_snr,
 )
 from pinchplan import minmax
@@ -135,6 +140,44 @@ def test_bisection_refuses_non_finite_bound():
         ChannelParams(freq_hz=1e9, tx_power_w=np.inf, noise_power_w=np.inf, nlos_power=0.0)
     with pytest.raises(ValueError, match="not finite"):
         bisection_maxmin(synthetic_map(np.full((2, 2, 2, 1), 1e308)), UNIT_PARAMS)
+
+
+# every planner, called on a 2-waveguide, 2-tap map with a threshold or target of 1
+PLANNERS = {
+    "coordinate_ascent": lambda gm, p, lp: coordinate_ascent(Activation.centered(2, 2), gm, p, 1.0),
+    "exact_enumerate": lambda gm, p, lp: exact_enumerate(gm, p, 1.0),
+    "emit_milp": lambda gm, p, lp: emit_milp(gm, p, 1.0, str(lp)),
+    "deficit_feasibility": lambda gm, p, lp: deficit_feasibility(1.0, gm, p, Activation.centered(2, 2)),
+    "maxmin_upper_bound": lambda gm, p, lp: maxmin_upper_bound(gm, p),
+    "bisection_maxmin": lambda gm, p, lp: bisection_maxmin(gm, p),
+    "exact_maxmin": lambda gm, p, lp: exact_maxmin(gm, p),
+}
+
+
+@pytest.mark.parametrize("planner", list(PLANNERS))
+def test_every_planner_refuses_a_map_without_valid_cells(tmp_path, planner):
+    # one gate (`GainMap._matrix`) refuses it before a gain row is built or a file opened
+    gm = synthetic_map(np.ones((2, 2, 2, 1)), valid=np.zeros((2, 1), dtype=bool))
+    gm._tap_gains = lambda *args, **kwargs: pytest.fail("a gain row was built")
+    with pytest.raises(ValueError, match="no valid grid cells"):
+        PLANNERS[planner](gm, UNIT_PARAMS, tmp_path / "model.lp")
+    assert not (tmp_path / "model.lp").exists()
+
+
+@pytest.mark.parametrize("planner", ["bisection_maxmin", "coordinate_ascent"])
+def test_planners_refuse_a_map_whose_envelope_sum_overflows(planner):
+    # each cell's best-tap sum is finite, but not their sum over the 2,784 valid
+    # cells of quarter table1, so a probe's deficit or a tie's margin would overflow
+    doc = load_bundled("table1").to_dict()
+    doc["channel"].update(nlos_db=100.0, tx_power_dbm=2906.0)
+    scn = scenario_from_dict(doc).with_grid_scale(0.25)
+    gm = scn.gain_map()
+    solve = {
+        "bisection_maxmin": lambda: bisection_maxmin(gm, scn.params),
+        "coordinate_ascent": lambda: coordinate_ascent(Activation.centered(4, 10), gm, scn.params, scn.threshold_linear),
+    }[planner]
+    with pytest.raises(ValueError, match="summed over the valid cells is not finite"):
+        solve()
 
 
 def test_bisection_ends_when_the_bracket_reaches_adjacent_floats():

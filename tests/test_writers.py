@@ -54,8 +54,7 @@ def assert_same(new, ref):
 @pytest.fixture(scope="module")
 def quarter():
     scn = load_bundled("table1").with_grid_scale(0.25)
-    vis = scn.visibility()
-    return scn, vis, scn.gain_map(vis)
+    return scn, scn.visibility(), scn.gain_map()
 
 
 def _field(scn, gm, zero_valid=True):
