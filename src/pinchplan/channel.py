@@ -8,7 +8,8 @@ Under maximum-ratio transmission the per-grid average SNR has the closed form
 
 with gains[n, m, u, v] = (los * los_ref_gain + nlos_power) / d^2. A
 `GainMap` holds the tap points and their visibility, decided once per
-scenario, and computes gains from them one tap row at a time: the solvers
+scenario, refuses points whose d^2 or peak gain overflows a float,
+and computes gains from them one tap row at a time: the solvers
 read one (waveguide, tap, valid-cell) matrix per map, at its own SNR scale
 and checked where it is built, `avg_snr` gives the whole-grid field a product
 needs, and only `gainmap.npz` builds the full (waveguide, tap, nx, ny) tensor
@@ -141,7 +142,9 @@ class GainMap:
     """Average channel gains of every (waveguide, tap) on the grid, and the footprint mask.
 
     Built from tap points (N, M, 3), their visibility `los` (N, M, nx, ny;
-    held, not copied), the grid and the channel `params`, it computes gains
+    held, not copied), the grid and the channel `params`, it refuses
+    (ValueError, `_check_ranges`) points whose squared distance to a cell or
+    peak gain or average SNR overflows a float, and computes gains
     a tap row at a time (`_tap_gains`), bit for bit the rows of the eager
     `_point_gains` tensor. Solvers read its one matrix, scaled by
     params.snr_scale, and its per-cell best-tap sum `_envelope_v`, built on
@@ -151,6 +154,7 @@ class GainMap:
     """
 
     def __init__(self, *, valid, points, los, grid, params):
+        _check_ranges(points, grid, params)
         self.valid, self.points, self.los, self.grid, self.params = valid, points, los, grid, params
 
     @cached_property
@@ -221,6 +225,25 @@ def _max_sq_distance(points: np.ndarray, grid: GridSpec) -> float:
         d2 = dx * dx + dy * dy
         d2 += z * z
     return float(d2.max())
+
+
+def _check_ranges(points: np.ndarray, grid: GridSpec, params: ChannelParams) -> None:
+    """Refuse (ValueError) (N, M, 3) tap points whose squared distance to a cell or peak gain overflows a float.
+
+    The distance is the largest `_point_gains` forms (`_max_sq_distance`). No
+    tap is nearer a cell than its height, so the peak gain,
+    (los_ref_gain + nlos_power) / min(|z|)^2, bounds every gain, and
+    snr_scale * N times it the average SNR of every selection of one tap
+    per waveguide.
+    """
+    if not math.isfinite(_max_sq_distance(points.reshape(-1, 3), grid)):
+        raise ValueError("the squared distance from a tap or array element to a grid cell overflows a float")
+    try:
+        peak = (params.los_ref_gain + params.nlos_power) / float(np.abs(points[..., 2]).min()) ** 2
+    except ZeroDivisionError:  # a tap on the floor, or a height whose square underflows
+        peak = math.inf
+    if not math.isfinite(max(params.snr_scale * len(points), 1.0) * peak):
+        raise ValueError("the peak gain or average SNR, at the lowest tap's height, overflows a float")
 
 
 def _point_gains(points: np.ndarray, los: np.ndarray, grid: GridSpec, params: ChannelParams, out=None) -> np.ndarray:
@@ -325,18 +348,6 @@ def avg_snr(selected, gain_map: GainMap, params: ChannelParams) -> np.ndarray:
     return field
 
 
-def _array_points(region: Region, params: ChannelParams, n_elements: int) -> np.ndarray:
-    """(n_elements, 3) positions of the baseline array's elements (`fixed_array_gain_map`)."""
-    if n_elements < 1:
-        raise ValueError("need at least one array element")
-    e = np.arange(n_elements, dtype=float)
-    points = np.empty((n_elements, 3))
-    points[:, 0] = region.x_len / 2.0
-    points[:, 1] = (e - (n_elements - 1) / 2.0) * (params.wavelength / 2.0)
-    points[:, 2] = region.height
-    return points
-
-
 def fixed_array_gain_map(
     region: Region,
     blockages: tuple[Blockage, ...] | list[Blockage],
@@ -351,6 +362,12 @@ def fixed_array_gain_map(
     has a single tap per element and the baseline field is
     avg_snr([0]*n_elements, ...).
     """
-    points = _array_points(region, params, n_elements)
+    if n_elements < 1:
+        raise ValueError("need at least one array element")
+    e = np.arange(n_elements, dtype=float)
+    points = np.empty((n_elements, 3))
+    points[:, 0] = region.x_len / 2.0
+    points[:, 1] = (e - (n_elements - 1) / 2.0) * (params.wavelength / 2.0)
+    points[:, 2] = region.height
     vis = points_visibility(points, blockages, grid)
     return GainMap(valid=vis.valid, points=points[:, None], los=vis.los[:, None], grid=grid, params=params)

@@ -26,11 +26,11 @@ legacy keys of older files, which are checked and ignored: "channel.n_clusters"
 reads) a number >= 1.
 
 Each value rule is checked in one place: `Region`, `Blockage`, `SolverDefaults`
-and `ChannelParams` (through `Scenario`, which also refuses an overflowing
-average SNR or squared tap-to-cell distance) check their own fields, and
+and `ChannelParams` (through `ChannelSpec`) check their own fields,
 `scenario_from_dict` the rules that join sections (blockages against the
-region, the tensor budget). `to_dict` gives the normalized form (explicit tap
-coordinates), and loading it reproduces every value exactly.
+region, the tensor budget), and `GainMap`, when a map is built, its squared
+tap-to-cell distances and peak average SNR. `to_dict` gives the normalized
+form (explicit tap coordinates), and loading it reproduces every value exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelParams, GainMap, _array_points, _max_sq_distance, db_to_linear, fixed_array_gain_map, precompute_gain_map
+from .channel import ChannelParams, GainMap, db_to_linear, fixed_array_gain_map, precompute_gain_map
 from .coverage import DEFAULT_MAX_SWEEPS, TENSOR_BYTES_BUDGET, Activation, BudgetError
 from .geometry import (
     Blockage,
@@ -73,6 +73,9 @@ class ChannelSpec:
     tx_power_dbm: float
     noise_dbm: float
     nlos_db: float
+
+    def __post_init__(self) -> None:
+        self.to_params()  # ValueError when a dB value or the power ratio overflows
 
     def to_params(self) -> ChannelParams:
         return ChannelParams.from_db(**asdict(self))
@@ -107,9 +110,6 @@ class Scenario:
     channel: ChannelSpec
     solver: SolverDefaults
 
-    def __post_init__(self) -> None:
-        _check_overflows(self)
-
     @property
     def params(self) -> ChannelParams:
         return self.channel.to_params()
@@ -139,7 +139,11 @@ class Scenario:
         return replace(self, grid=GridSpec.from_region(self.region, nx, ny))
 
     def with_power_dbm(self, tx_power_dbm: float) -> "Scenario":
-        return replace(self, channel=replace(self.channel, tx_power_dbm=tx_power_dbm))
+        try:
+            channel = replace(self.channel, tx_power_dbm=tx_power_dbm)
+        except ValueError as exc:
+            raise ScenarioError(f"channel: {exc}") from exc
+        return replace(self, channel=channel)
 
     def to_dict(self) -> dict:
         """Normalized JSON-ready form (explicit tap coordinates)."""
@@ -166,35 +170,6 @@ def _check_tensor_bytes(n_wg: int, n_tap: int, nx: int, ny: int) -> None:
         raise BudgetError(
             f"a {n_wg}x{n_tap}-tap float64 gain tensor on a {nx}x{ny} grid "
             f"exceeds the {TENSOR_BYTES_BUDGET}-byte budget"
-        )
-
-
-def _check_overflows(scn: Scenario) -> None:
-    """Refuse a scenario whose squared distances, channel values or average SNR overflow a float.
-
-    The distances are the largest that `channel._point_gains` forms from a
-    tap and from an element of the fixed array to a grid cell.
-    """
-    region = scn.region
-    if not math.isfinite(_max_sq_distance(scn.layout.tap_points(scn.taps), scn.grid)):
-        raise ScenarioError(
-            f"region: the squared distance from a tap to a grid cell of a {region.x_len:g} x {region.y_len:g} m "
-            f"region {region.height:g} m high overflows a float"
-        )
-    try:
-        params = scn.channel.to_params()
-        # no tap is nearer a grid cell than the mounting height, so this bounds every SNR field
-        peak = params.snr_scale * scn.layout.count * (params.los_ref_gain + params.nlos_power) / scn.layout.height**2
-    except ValueError as exc:
-        raise ScenarioError(f"channel: {exc}") from exc
-    except ArithmeticError:  # height**2 underflows to 0 (the distance check above bounds it from above)
-        peak = math.inf
-    if not math.isfinite(peak):
-        raise ScenarioError("channel: the average SNR at the mounting height overflows a float")
-    if not math.isfinite(_max_sq_distance(_array_points(region, params, scn.layout.count), scn.grid)):
-        raise ScenarioError(
-            "channel: the squared distance from a fixed-array element to a grid cell overflows a float "
-            f"(elements half a {scn.channel.freq_hz:g} Hz wavelength apart)"
         )
 
 

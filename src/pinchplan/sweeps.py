@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import _candidate_matrix, avg_snr, db_to_linear, linear_to_db
+from .channel import _candidate_matrix, _check_ranges, avg_snr, db_to_linear, linear_to_db
 from .coverage import _WALK_CELLS, ENUM_BUDGET, TENSOR_BYTES_BUDGET, Activation, BudgetError, _covered, _exact_coverages, _field, coordinate_ascent
 from .minmax import MinMaxResult, bisection_maxmin, exact_maxmin
 from .scenario import Scenario, random_activation
@@ -224,9 +224,13 @@ def power_sweep(
         raise ValueError("power list must not be empty")
     draws = _draws(scenario, n_random)
 
-    # an overflowing power is refused before the gain map is built
+    # an overflowing power is refused before the gain map is built, and an
+    # overflowing peak SNR at each power by the map's range check; the fixed
+    # array's peak is the taps': as many elements, at the same height
     per_power_params = [scenario.with_power_dbm(p).params for p in powers_dbm]
     gm = scenario.gain_map()
+    for p in per_power_params:
+        _check_ranges(gm.points, gm.grid, p)
     params0 = scenario.params
     table = SweepTable(axis="tx_power_dbm", columns={"tx_power_dbm": powers_dbm})
 

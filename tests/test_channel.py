@@ -8,6 +8,7 @@ import pytest
 from pinchplan import (
     CandidateGrid,
     ChannelParams,
+    GainMap,
     GridSpec,
     Region,
     WaveguideLayout,
@@ -136,6 +137,44 @@ def test_max_sq_distance_is_the_largest_point_gains_forms():
                 d2 = dx * dx + dy * dy
                 d2 += points[:, 2, None, None] * points[:, 2, None, None]
             assert _max_sq_distance(points, grid) == d2.max()
+
+
+def test_builders_refuse_overflowing_distances():
+    # cells up to 1e308 m from every tap and element: numpy warned of the overflow
+    # in `_point_gains` and the gains came out zero
+    region = Region(x_len=1e308, y_len=60.0, height=10.0)
+    grid = GridSpec.from_region(region, 20, 6)
+    layout, taps = WaveguideLayout.uniform(region, 4), CandidateGrid.uniform(region, 4, 10)
+    vis = compute_visibility(layout, taps, [], grid)
+    message = "squared distance from a tap or array element to a grid cell overflows"
+    with pytest.raises(ValueError, match=message):
+        precompute_gain_map(layout, taps, grid, vis, table1_params())
+    with pytest.raises(ValueError, match=message):
+        fixed_array_gain_map(region, [], grid, table1_params(), 4)
+    # elements half a 1.4e155 m wavelength apart
+    low = ChannelParams.from_db(freq_hz=2.2e-147, tx_power_dbm=-2900.0, noise_dbm=-70.0, nlos_db=-60.0)
+    table1 = load_bundled("table1").with_grid_scale(0.05)
+    with pytest.raises(ValueError, match=message):
+        fixed_array_gain_map(table1.region, table1.blockages, table1.grid, low, 4)
+
+
+def test_gain_map_refuses_a_tap_on_the_floor():
+    # d^2 = 0 under the tap, so no finite number bounds its average SNR
+    points = np.array([[[0.5, 0.0, 0.0]], [[1.5, 0.0, 5.0]]])
+    grid = GridSpec(nx=2, ny=1, cell_x=1.0, cell_y=1.0)
+    with pytest.raises(ValueError, match="peak gain or average SNR.* overflows"):
+        GainMap(valid=np.ones((2, 1), dtype=bool), points=points, los=np.ones((2, 1, 2, 1), dtype=bool),
+                grid=grid, params=table1_params())
+
+
+def test_gain_map_refuses_an_overflowing_unscaled_gain():
+    # 1 mm under a tap the gain of a 2.2e-147 Hz carrier, 1.2e308 at 1 m, overflows;
+    # the SNR scale of 1e-300 would bring every scaled gain back into range
+    points = np.array([[[0.5, 0.0, 1e-3]], [[0.5, 0.0, 1e-3]]])
+    params = ChannelParams(freq_hz=2.2e-147, tx_power_w=1e-300, noise_power_w=1.0, nlos_power=0.0)
+    with pytest.raises(ValueError, match="peak gain or average SNR.* overflows"):
+        GainMap(valid=np.ones((1, 1), dtype=bool), points=points, los=np.ones((2, 1, 1, 1), dtype=bool),
+                grid=GridSpec(nx=1, ny=1, cell_x=1.0, cell_y=1.0), params=params)
 
 
 def test_gain_map_all_los_limit():

@@ -8,7 +8,7 @@ import pytest
 
 from pinchplan import channel, coverage, linear_to_db, load_bundled, maxmin_upper_bound, sweeps
 from pinchplan.cli import main
-from conftest import WALL, scenario_dict
+from conftest import WALL, read_map_csv, scenario_dict
 
 SMALL = ["--grid-scale", "0.05"]  # table1 at 20x6, fast enough for every command
 # the keys of every summary file (perfbench/checks.py checks the same set)
@@ -613,30 +613,52 @@ def test_huge_grid_scale_refused(tmp_path, capsys, scale, expected):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "command, changes, cause",
-    [
-        # grid cells up to 1e308 m from a tap
-        ("coverage", {"region": {"x_len": 1e308}}, "from a tap to a grid cell"),
-        # taps 1e160 m above the floor: the distance overflows, not the average SNR
-        ("minmax", {"region": {"height": 1e160}}, "from a tap to a grid cell"),
-        # array elements half a 1.4e155 m wavelength apart
-        ("baseline", {"channel": {"freq_hz": 2.2e-147, "tx_power_dbm": -2900.0}}, "from a fixed-array element"),
-    ],
-)
-def test_overflowing_squared_distance_exits_2(tmp_path, capsys, command, changes, cause):
+FAR = {"region": {"x_len": 1e308}}  # grid cells up to 1e308 m from a tap
+# array elements half a 1.4e155 m wavelength apart; the taps' own distances and SNR are finite
+LOW_CARRIER = {"channel": {"freq_hz": 2.2e-147, "tx_power_dbm": -2900.0}}
+
+
+def _changed_table1(tmp_path, changes):
     doc = load_bundled("table1").to_dict()
     for section, values in changes.items():
         doc[section].update(values)
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out = run(tmp_path, command, "--config", str(path), *SMALL)
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, changes, cause",
+    [
+        ("coverage", FAR, "from a tap to a grid cell"),
+        # taps 1e160 m above the floor: the distance overflows, not the average SNR
+        ("minmax", {"region": {"height": 1e160}}, "from a tap to a grid cell"),
+        # the fixed array's gain map refuses, when it is built
+        ("baseline", LOW_CARRIER, "from a fixed-array element"),
+        ("gainmap", FAR, "from a tap to a grid cell"),
+        ("map --activation 1,1,1,1", FAR, "from a chosen tap to a grid cell"),
+        ("sweep-power --powers=-2900,-2890", LOW_CARRIER, "from a fixed-array element"),
+    ],
+)
+def test_overflowing_squared_distance_exits_2(tmp_path, capsys, command, changes, cause):
+    path = _changed_table1(tmp_path, changes)
+    code, out = run(tmp_path, *command.split(), "--config", str(path), *SMALL)
     err = capsys.readouterr().err
-    assert code == 2
-    assert f"the squared distance {cause}" in err and "overflows a float" in err
+    assert code == 2, cause
+    assert "the squared distance from a tap or array element to a grid cell overflows a float" in err, cause
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not out.exists()
 
+
+def test_low_carrier_coverage_plans_without_the_fixed_array(tmp_path, capsys):
+    # only the fixed array's distances overflow at this carrier, and coverage never builds it
+    path = _changed_table1(tmp_path, LOW_CARRIER)
+    code, out = run(tmp_path, "coverage", "--config", str(path), *SMALL)
+    assert code == 0 and "RuntimeWarning" not in capsys.readouterr().err
+    objective = read_json(out / "coverage_summary.json")["objective"]
+    assert 0 < objective["coverage_fraction"] <= 1
+    _, _, db, valid = read_map_csv(out / "coverage_map.csv")
+    assert valid.any() and np.isfinite(db[valid]).all()
 
 
 def test_map_refuses_a_zero_snr_cell_before_writing(tmp_path, capsys):

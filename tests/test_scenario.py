@@ -8,6 +8,7 @@ import pytest
 
 from pinchplan import (
     BudgetError,
+    channel,
     ScenarioError,
     bundled_scenario_names,
     load_bundled,
@@ -17,6 +18,7 @@ from pinchplan import (
 )
 from pinchplan.coverage import TENSOR_BYTES_BUDGET
 from pinchplan.scenario import SolverDefaults, _section
+from pinchplan.sweeps import power_sweep
 from conftest import WALL, random_scenario, scenario_dict
 
 
@@ -234,11 +236,29 @@ def test_power_rewrite_refuses_an_overflowing_snr():
     with pytest.raises(ScenarioError, match="overflows"):
         scn.with_power_dbm(3060.0)  # the transmit-to-noise ratio overflows
     assert scn.with_power_dbm(60.0).params.snr_scale == pytest.approx(1e16)
+    # the ratio is finite, the peak average SNR is not: refused where a gain map is built
     quiet = scenario_from_dict(scenario_dict(noise_dbm=-100.0, tx_power_dbm=-200.0, nlos_db=3000.0))
-    with pytest.raises(ScenarioError, match="overflows"):
-        quiet.with_power_dbm(30.0)  # the ratio is finite, the average SNR is not
-    with pytest.raises(ScenarioError, match="overflows"):
-        scenario_from_dict(scenario_dict(noise_dbm=-100.0, nlos_db=3000.0))
+    loud = quiet.with_power_dbm(30.0)
+    with pytest.raises(ValueError, match="peak gain or average SNR.* overflows"):
+        loud.gain_map()
+    with pytest.raises(ValueError, match="peak gain or average SNR.* overflows"):
+        power_sweep(quiet, [-200.0, 30.0], n_random=1)
+    with pytest.raises(ValueError, match="peak gain or average SNR.* overflows"):
+        scenario_from_dict(scenario_dict(noise_dbm=-100.0, nlos_db=3000.0)).gain_map()
+
+
+def test_deriving_a_scenario_checks_no_distances(monkeypatch):
+    # the distance rule runs where a gain map is built, not on each load or rewrite
+    original, calls = channel._max_sq_distance, []
+    monkeypatch.setattr(channel, "_max_sq_distance", lambda *args: calls.append(args) or original(*args))
+    scn = load_bundled("table1")
+    for power in (30.0, 35.0, 40.0, 45.0):
+        scn.with_power_dbm(power)
+    scn = scn.with_grid_scale(0.05)
+    replace(scn, solver=replace(scn.solver, seed=7))
+    assert calls == []
+    scn.gain_map()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400])

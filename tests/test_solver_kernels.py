@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from pinchplan import (
     Activation,
-    GainMap,
     GridSpec,
     avg_snr,
     bisection_maxmin,
@@ -32,7 +31,7 @@ from pinchplan import (
     threshold_sweep,
     worst_grid_snr,
 )
-from pinchplan.channel import _candidate_matrix, db_to_linear
+from pinchplan.channel import _candidate_matrix, _point_gains, db_to_linear
 from pinchplan import channel, coverage, minmax
 from pinchplan.coverage import (
     _activation_at,
@@ -162,12 +161,15 @@ def test_solvers_refuse_params_at_another_scale(tmp_path, matrix_builds):
 
 def test_planners_refuse_a_map_with_a_nan_gain(tmp_path):
     # tap (0, 0) lies on the floor under the centre of cell (0, 0), its link
-    # blocked and the NLoS gain 0: d^2 = 0 gives that cell a gain of 0/0
-    points = np.array([[[0.5, 0.0, 0.0], [1.5, 0.0, 5.0]], [[0.5, 0.0, 5.0], [1.5, 0.0, 5.0]]])
-    los = np.ones((2, 2, 2, 1), dtype=bool)
-    los[0, 0, 0, 0] = False
+    # blocked and the NLoS gain 0: d^2 = 0 gives that cell a gain of 0/0.
+    # `GainMap` refuses a tap on the floor, so the tensor is held as given
+    points = np.array([[0.5, 0.0, 0.0], [1.5, 0.0, 5.0], [0.5, 0.0, 5.0], [1.5, 0.0, 5.0]])
+    los = np.ones((4, 2, 1), dtype=bool)
+    los[0, 0, 0] = False
     grid = GridSpec(nx=2, ny=1, cell_x=1.0, cell_y=1.0)
-    gm = GainMap(valid=np.ones((2, 1), dtype=bool), points=points, los=los, grid=grid, params=UNIT_PARAMS)
+    with np.errstate(invalid="ignore"):  # the 0/0 itself
+        gains = _point_gains(points, los, grid, UNIT_PARAMS).reshape(2, 2, 2, 1)
+    gm = TensorMap(gains, np.ones((2, 1), dtype=bool))
     start, path = Activation(selected=(0, 0)), tmp_path / "model.lp"
     calls = [
         lambda: coordinate_ascent(start, gm, UNIT_PARAMS, 1.0),
@@ -178,11 +180,10 @@ def test_planners_refuse_a_map_with_a_nan_gain(tmp_path):
         lambda: maxmin_upper_bound(gm, UNIT_PARAMS),
         lambda: emit_milp(gm, UNIT_PARAMS, 1.0, str(path)),
     ]
-    with np.errstate(invalid="ignore"):  # the 0/0 itself
-        for call in calls:
-            with pytest.raises(ValueError, match="not finite"):
-                call()
-        field = avg_snr([0, 0], gm, UNIT_PARAMS)  # an evaluator still returns the field
+    for call in calls:
+        with pytest.raises(ValueError, match="not finite"):
+            call()
+    field = avg_snr([0, 0], gm, UNIT_PARAMS)  # an evaluator still returns the field
     assert np.isnan(field[0, 0]) and np.isfinite(field[1, 0])
     assert not path.exists()
 
