@@ -33,11 +33,9 @@ from .channel import ChannelParams, GainMap, _candidate_matrix, _selection_array
 # covered, so closed comparisons survive float roundoff.
 COVERAGE_SLACK = 1e-12
 
-# Activations an exhaustive search may score, and taps a restarted ascent may
-# score per sweep; larger instances are refused.
-ENUM_BUDGET = 1_000_000
-# Bytes the (waveguide, tap, nx, ny) float64 gain tensor, or the random draws'
-# fields, may take; inputs over it are refused before anything is allocated.
+# The work model of every refusal (`_check_budget`): cell operations, each one
+# tap, activation or draw scored on one grid cell, and kept bytes.
+OPS_BUDGET = 1 << 32
 TENSOR_BYTES_BUDGET = 1 << 30
 DEFAULT_MAX_SWEEPS = 50
 
@@ -70,9 +68,32 @@ _MAGNITUDE_BITS = np.int64((1 << 63) - 1)  # every bit of a float64 but the sign
 
 
 class BudgetError(RuntimeError):
-    """Work over a budget, refused before it starts: activations or restarted-ascent taps
-    to score, gain-tensor, random-draw or per-threshold bytes, or branch-and-bound nodes.
+    """Work over a budget, refused before it starts: cell operations over OPS_BUDGET, kept
+    bytes over TENSOR_BYTES_BUDGET (`_check_budget`), or branch-and-bound nodes.
     """
+
+
+def _check_budget(work: str, steps: int = 0, cells: int = 0, kept: int = 0) -> None:
+    """Refuse (BudgetError), before any work, a run over budget.
+
+    The run takes `steps` steps (a tap, activation or draw scored), each on `cells` grid
+    cells (known before a map is built; at least _WALK_CELLS are counted, since a step on
+    fewer costs as much in call overhead), and keeps `kept` bytes. `work` names the
+    factors, never their product: Python formats no int of over 4,300 digits.
+    """
+    if steps * max(cells, _WALK_CELLS) > OPS_BUDGET:
+        raise BudgetError(f"{work}: over the budget of {OPS_BUDGET} cell operations")
+    if kept > TENSOR_BYTES_BUDGET:
+        raise BudgetError(f"{work}: over the budget of {TENSOR_BYTES_BUDGET} kept bytes")
+
+
+def _check_walk(n_wg: int, n_tap: int, nx: int, ny: int, n_thr: int) -> None:
+    """`_check_budget` of `_coverage_counts`: each activation scores every cell at each threshold;
+    an int64 count per activation and threshold and a block's hits (a byte each) are kept."""
+    activations = n_tap**n_wg
+    at = f" at {n_thr} thresholds" if n_thr > 1 else ""
+    work = f"exhaustive search needs {n_tap}^{n_wg} activations{at} on a {nx}x{ny} grid"
+    _check_budget(work, activations, n_thr * nx * ny, n_thr * (8 * activations + n_tap * min(nx * ny, _WALK_CELLS)))
 
 
 @dataclass(frozen=True)
@@ -253,8 +274,8 @@ def coordinate_ascent(
     runs start from seeded uniform selections and the best final count wins
     (first winner kept on ties). `on_update(wg, tap, count)` is invoked after
     every single-waveguide update when given. Refuses with BudgetError, before
-    the first run, when the runs would score more than ENUM_BUDGET taps per
-    sweep (restarts * N * M).
+    the first run, when one sweep of the runs (restarts * N * M taps on every
+    grid cell) is over `_check_budget`.
     """
     _check_threshold(threshold)
     if max_sweeps < 1:
@@ -262,11 +283,9 @@ def coordinate_ascent(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     n_wg, n_tap = gain_map.n_waveguides, gain_map.n_taps
-    if restarts * n_wg * n_tap > ENUM_BUDGET:
-        # the factors, not their product: Python formats no int of over 4,300 digits
-        raise BudgetError(
-            f"{restarts} ascent restarts of {n_wg}x{n_tap} taps score over the budget of {ENUM_BUDGET} per sweep"
-        )
+    nx, ny = gain_map.valid.shape
+    work = f"a sweep of {restarts} ascent restarts of {n_wg}x{n_tap} taps on a {nx}x{ny} grid"
+    _check_budget(work, restarts * n_wg * n_tap, nx * ny)
     _selection_array(initial.selected, n_wg, n_tap)
 
     gains_v = _candidate_matrix(gain_map, params)
@@ -378,17 +397,13 @@ def _coverage_counts(gains_v: np.ndarray, thr_eff: list[float]) -> np.ndarray:
     threshold a cell of tap m counts when its partial sum p >= h[m]
     (`_last_tap_thresholds`), the same bits as fl(p + g) >= t without the
     add. With K > 1 thresholds one add per tap serves K compares, and K
-    tables would cost more than they save, so the field is formed.
-    Refuses with BudgetError, before anything is allocated, when there are
-    more than ENUM_BUDGET activations.
+    tables would cost more than they save, so the field is formed. Its
+    callers refuse a walk over budget first (`_check_walk`).
     """
     n_wg, n_tap, n_cells = gains_v.shape
-    total = n_tap**n_wg
-    if total > ENUM_BUDGET:
-        raise BudgetError(f"exhaustive search needs {n_tap}^{n_wg} activations, over the budget of {ENUM_BUDGET}")
     last = n_wg - 1
     n_thr = len(thr_eff)
-    counts = np.zeros((total, n_thr), dtype=np.int64)
+    counts = np.zeros((n_tap**n_wg, n_thr), dtype=np.int64)
     tally = np.empty((n_thr, n_tap), dtype=np.uint16)  # hits per tap of a block (< 2**16 cells)
     thresholds = np.reshape(thr_eff, (-1, 1, 1))
     for start in range(0, n_cells, _WALK_CELLS):
@@ -440,9 +455,10 @@ def exact_enumerate(gain_map: GainMap, params: ChannelParams, threshold: float) 
 
 
 def _exact_coverages(gain_map: GainMap, params: ChannelParams, thresholds) -> list[CoverageResult]:
-    """`exact_enumerate` at each threshold, from one walk over the activations."""
+    """`exact_enumerate` at each threshold, from one walk over the activations (`_check_walk` first)."""
     for threshold in thresholds:
         _check_threshold(threshold)
+    _check_walk(gain_map.n_waveguides, gain_map.n_taps, *gain_map.valid.shape, len(thresholds))
     thr_eff = [threshold * (1.0 - COVERAGE_SLACK) for threshold in thresholds]
     gains_v = _candidate_matrix(gain_map, params)
     counts = _coverage_counts(gains_v, thr_eff)

@@ -28,9 +28,10 @@ reads) a number >= 1.
 Each value rule is checked in one place: `Region`, `Blockage`, `SolverDefaults`
 and `ChannelParams` (through `ChannelSpec`) check their own fields,
 `scenario_from_dict` the rules that join sections (blockages against the
-region, the tensor budget), and `GainMap`, when a map is built, its squared
-tap-to-cell distances and peak average SNR. `to_dict` gives the normalized
-form (explicit tap coordinates), and loading it reproduces every value exactly.
+region, the gain tensor's kept bytes against `_check_budget`), and `GainMap`,
+when a map is built, its squared tap-to-cell distances and peak average SNR.
+`to_dict` gives the normalized form (explicit tap coordinates), and loading
+it reproduces every value exactly.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelParams, GainMap, db_to_linear, fixed_array_gain_map, precompute_gain_map
-from .coverage import DEFAULT_MAX_SWEEPS, TENSOR_BYTES_BUDGET, Activation, BudgetError
+from .coverage import DEFAULT_MAX_SWEEPS, Activation, _check_budget
 from .geometry import (
     Blockage,
     CandidateGrid,
@@ -135,7 +136,8 @@ class Scenario:
         if not all(math.isfinite(size) for size in scaled):
             raise ScenarioError(f"grid scale factor {factor:g} gives a non-finite grid size")
         nx, ny = (max(1, round(size)) for size in scaled)
-        _check_tensor_bytes(self.layout.count, self.taps.count, nx, ny)
+        n_wg, n_tap = self.layout.count, self.taps.count
+        _check_budget(f"a {n_wg}x{n_tap}-tap float64 gain tensor on a {nx}x{ny} grid", kept=n_wg * n_tap * nx * ny * 8)
         return replace(self, grid=GridSpec.from_region(self.region, nx, ny))
 
     def with_power_dbm(self, tx_power_dbm: float) -> "Scenario":
@@ -162,15 +164,6 @@ class Scenario:
         """Content hash of the normalized scenario; independent of file key order."""
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def _check_tensor_bytes(n_wg: int, n_tap: int, nx: int, ny: int) -> None:
-    """Refuse a grid whose float64 gain tensor would exceed TENSOR_BYTES_BUDGET."""
-    if n_wg * n_tap * nx * ny * 8 > TENSOR_BYTES_BUDGET:
-        raise BudgetError(
-            f"a {n_wg}x{n_tap}-tap float64 gain tensor on a {nx}x{ny} grid "
-            f"exceeds the {TENSOR_BYTES_BUDGET}-byte budget"
-        )
 
 
 def _check_keys(section: dict, path: str, required: set[str], optional: set[str] = frozenset()):
@@ -243,7 +236,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _check_keys(grid_doc, "grid", {"nx", "ny"})
     nx = _integer(grid_doc, "nx", "grid")
     ny = _integer(grid_doc, "ny", "grid")
-    # a grid without cells would pass the tensor budget whatever the tap count
+    # a grid without cells would pass the byte budget whatever the tap count
     if nx < 1 or ny < 1:
         raise ScenarioError("grid needs at least one cell per axis")
 
@@ -254,9 +247,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         count = _integer(taps_doc, "count", "taps")
         if count < 1:
             raise ScenarioError("taps.count must be at least 1")
-        # refused before the tap positions are allocated
-        _check_tensor_bytes(n_wg, count, nx, ny)
-        taps = CandidateGrid.uniform(region, n_wg, count)
     elif set(taps_doc) == {"x"}:
         rows = taps_doc["x"]
         if not isinstance(rows, list) or len(rows) != n_wg or not all(isinstance(row, list) for row in rows):
@@ -268,10 +258,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ScenarioError(f"taps.x invalid: {exc}") from exc
         if np.any(taps.x_taps < 0) or np.any(taps.x_taps > region.x_len):
             raise ScenarioError("tap x coordinates must lie within [0, region.x_len]")
-        _check_tensor_bytes(n_wg, taps.count, nx, ny)
+        count = taps.count
     else:
         raise ScenarioError("taps must contain exactly one of 'count' or 'x'")
-    # after the tensor budget, which also bounds the waveguide count
+    # before the tap positions of a count or the layout are allocated: the
+    # gain tensor's bytes also bound the waveguide count
+    _check_budget(f"a {n_wg}x{count}-tap float64 gain tensor on a {nx}x{ny} grid", kept=n_wg * count * nx * ny * 8)
+    if "count" in taps_doc:
+        taps = CandidateGrid.uniform(region, n_wg, count)
     layout = WaveguideLayout.uniform(region, n_wg)
 
     blk_docs = doc.get("blockages", [])

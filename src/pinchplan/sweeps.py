@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .channel import _candidate_matrix, _check_ranges, avg_snr, db_to_linear, linear_to_db
-from .coverage import _WALK_CELLS, ENUM_BUDGET, TENSOR_BYTES_BUDGET, Activation, BudgetError, _covered, _exact_coverages, _field, coordinate_ascent
+from .coverage import Activation, _check_budget, _check_walk, _covered, _exact_coverages, _field, coordinate_ascent
 from .minmax import MinMaxResult, bisection_maxmin, exact_maxmin
 from .scenario import Scenario, random_activation
 
@@ -90,11 +90,9 @@ def threshold_sweep(
     which refuses a map without valid cells; random draws are shared across
     thresholds (the activations do not depend on the threshold), as is the
     fixed-array field. Refuses with BudgetError, before the gain map is
-    built or any ascent runs, when the per-threshold bytes would exceed
-    TENSOR_BYTES_BUDGET: 8 per grid cell, a cap on the grid-sized scoring
-    each threshold runs (its plan's field, every random draw's compare), and
-    for the exhaustive walk an int64 count per activation and a bool hit per
-    tap and cell of a walk block.
+    built or any ascent runs, a sweep over `_check_budget`: the exhaustive
+    walk (`_check_walk`), or one ascent sweep per threshold, which scores
+    every tap, and the random draws' compares, on every grid cell.
     """
     thresholds_db = [float(t) for t in thresholds_db]
     if not thresholds_db:
@@ -102,17 +100,12 @@ def threshold_sweep(
     if any(b <= a for a, b in zip(thresholds_db, thresholds_db[1:])):
         raise ValueError("threshold list must be strictly ascending")
     nx, ny = scenario.grid.nx, scenario.grid.ny
-    n_tap, n_wg = scenario.taps.count, scenario.layout.count
-    per_threshold = 8 * nx * ny
-    if exact:  # the walk refuses more than ENUM_BUDGET activations itself
-        per_threshold += 8 * min(n_tap**n_wg, ENUM_BUDGET) + n_tap * min(nx * ny, _WALK_CELLS)
-    size = len(thresholds_db) * per_threshold
-    if size > TENSOR_BYTES_BUDGET:
-        walk = f" and {n_tap}^{n_wg} activations" if exact else ""
-        raise BudgetError(
-            f"{len(thresholds_db)} thresholds on a {nx}x{ny} grid{walk} keep {size} bytes "
-            f"of per-threshold arrays, over the {TENSOR_BYTES_BUDGET}-byte budget"
-        )
+    n_wg, n_tap, n_thr = scenario.layout.count, scenario.taps.count, len(thresholds_db)
+    if exact:
+        _check_walk(n_wg, n_tap, nx, ny, n_thr)
+    else:
+        work = f"ascents of {n_wg}x{n_tap} taps and {n_random} random draws at {n_thr} thresholds on a {nx}x{ny} grid"
+        _check_budget(work, n_thr * (n_wg * n_tap + n_random), nx * ny)
     draws = _draws(scenario, n_random)
 
     params = scenario.params
@@ -145,17 +138,13 @@ def threshold_sweep(
 def _draws(scenario: Scenario, n_random: int) -> list[Activation]:
     """The seeded random activations that every random-method column averages over.
 
-    Refuses with BudgetError, before any seed is drawn, when n_random grid-sized
-    float64 fields (what `_draw_fields` may keep) would exceed TENSOR_BYTES_BUDGET.
+    Refuses with BudgetError, before any seed is drawn, when their float64 fields
+    (what `_draw_fields` may keep, one per draw and grid cell) are over `_check_budget`.
     """
     if n_random < 1:
         raise ValueError(f"the number of random draws must be at least 1, got {n_random}")
     nx, ny = scenario.grid.nx, scenario.grid.ny
-    if n_random * nx * ny * 8 > TENSOR_BYTES_BUDGET:
-        raise BudgetError(
-            f"{n_random} random draws on a {nx}x{ny} grid exceed the "
-            f"{TENSOR_BYTES_BUDGET}-byte budget for their float64 fields"
-        )
+    _check_budget(f"{n_random} random draws on a {nx}x{ny} grid", kept=n_random * nx * ny * 8)
     return [random_activation(scenario, s) for s in derived_seeds(scenario.solver.seed, n_random)]
 
 

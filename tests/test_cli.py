@@ -780,8 +780,9 @@ def test_unbounded_restarts_exit_3_before_the_first_ascent(tmp_path, capsys, mon
 
 @pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["heuristic", "exact"])
 def test_unbounded_thresholds_exit_3_before_the_gain_map(tmp_path, capsys, monkeypatch, gain_map_builds, exact):
-    # the budget counts 8 bytes per grid cell and threshold, a cap on each threshold's
-    # grid-sized scoring: 3000 * 400 * 120 * 8 bytes on full table1, over 1 GiB
+    # 3000 thresholds on the 400x120 cells of full table1 take 3000 * (4x10 taps + 20
+    # draws) * 48,000 = 8.64e9 cell operations heuristically, and 3000 * 10^4 * 48,000
+    # exhaustively, both over the 2**32 budget
     monkeypatch.setattr(coverage, "_ascent_once", _unreachable)
     monkeypatch.setattr(coverage, "_coverage_counts", _unreachable)
     gammas = ",".join(str(i / 100) for i in range(3000))
@@ -790,6 +791,46 @@ def test_unbounded_thresholds_exit_3_before_the_gain_map(tmp_path, capsys, monke
     assert code == 3
     assert "budget refusal" in err and "3000 thresholds on a 400x120 grid" in err and "Traceback" not in err
     assert gain_map_builds == [] and not out.exists()
+
+
+def _table1_config(tmp_path, **changes):
+    doc = load_bundled("table1").to_dict()
+    doc.update(changes)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, changes, want",
+    [
+        (["coverage", "--exact"], {"taps": {"count": 31}}, "exhaustive search needs 31^4 activations on a 400x120 grid"),
+        (["coverage", "--exact"], {"taps": {"count": 20}}, "exhaustive search needs 20^4 activations on a 400x120 grid"),
+        (["coverage", "--restarts", "5000"], {}, "a sweep of 5000 ascent restarts of 4x10 taps on a 400x120 grid"),
+        (["sweep-threshold", "--exact", "--gammas", "12,15,18,21,24,27,30,33,36"], {},
+         "exhaustive search needs 10^4 activations at 9 thresholds on a 400x120 grid"),
+        (["sweep-threshold", "--gammas", ",".join(str(12 + i / 100) for i in range(1500))], {},
+         "ascents of 4x10 taps and 20 random draws at 1500 thresholds on a 400x120 grid"),
+        # a step on fewer than 6,144 cells counts as many: its call overhead is as large
+        (["coverage", "--restarts", "20000", "--grid-scale", "0.05"], {},
+         "a sweep of 20000 ascent restarts of 4x10 taps on a 20x6 grid"),
+        (["coverage", "--exact", "--grid-scale", "0.05"], {"waveguides": 6, "taps": {"count": 10}},
+         "exhaustive search needs 10^6 activations on a 20x6 grid"),
+    ],
+    ids=["walk-31-taps", "walk-20-taps", "restarts-5000", "exact-sweep-9", "heuristic-sweep-1500",
+         "restarts-20000-small-grid", "walk-6-waveguides-small-grid"],
+)
+def test_work_over_the_operation_budget_exits_3_before_any_work(tmp_path, capsys, monkeypatch, argv, changes, want):
+    # runs that the former budgets (10^6 activations, or restarted taps per sweep, and 8
+    # bytes per cell and threshold) admitted: each takes over 2**32 cell operations
+    for name in ("_candidate_matrix", "_ascent_once", "_coverage_counts"):
+        monkeypatch.setattr(coverage, name, _unreachable)
+    config = _table1_config(tmp_path, **changes)
+    code, out = run(tmp_path, *argv, "--config", config)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"budget refusal: {want}: over the budget of 4294967296 cell operations" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # Python formats no int of over 4,300 digits, so a refusal names the factors
@@ -813,13 +854,8 @@ MANY_WAVEGUIDES = {"waveguides": 10_000, "taps": {"count": 3}, "grid": {"nx": 2,
     ids=["coverage-exact", "sweep-threshold-exact", "coverage-restarts", "baseline-draws", "gainmap"],
 )
 def test_refusals_of_products_past_the_digit_limit_exit_3(tmp_path, capsys, command, changes, want):
-    config = "table1"
-    if changes is not None:
-        doc = load_bundled("table1").to_dict()
-        doc.update(changes)
-        config = tmp_path / "scenario.json"
-        config.write_text(json.dumps(doc), encoding="utf-8")
-    code, out = run(tmp_path, *command, "--config", str(config))
+    config = "table1" if changes is None else _table1_config(tmp_path, **changes)
+    code, out = run(tmp_path, *command, "--config", config)
     err = capsys.readouterr().err
     assert code == 3
     assert "budget refusal" in err and want in err and "Traceback" not in err

@@ -164,13 +164,21 @@ def test_ascent_determinism_and_restarts():
 
 
 def test_ascent_refuses_restarts_past_the_enumeration_budget(monkeypatch):
-    # each restart scores N*M taps per sweep; the refusal comes before any run
+    # one sweep of the runs scores restarts * N * M taps on every grid cell, counting
+    # at least _WALK_CELLS cells: 2 * 2x3 * 6,144 operations for 2 restarts on a 2x2
+    # grid; the refusal comes before any run
     gm = synthetic_map(np.ones((2, 3, 2, 2)))
-    monkeypatch.setattr(coverage, "ENUM_BUDGET", 12)
+    ops = 2 * 2 * 3 * coverage._WALK_CELLS
+    monkeypatch.setattr(coverage, "OPS_BUDGET", ops)
     assert coordinate_ascent(Activation.centered(2, 3), gm, UNIT_PARAMS, 1.0, restarts=2).covered_count == 4
     monkeypatch.setattr(coverage, "_ascent_once", None)  # a run would fail
-    with pytest.raises(BudgetError, match="3 ascent restarts of 2x3 taps score over the budget of 12 per sweep"):
+    monkeypatch.setattr(coverage, "_candidate_matrix", None)  # so would the solver matrix
+    want = f"a sweep of 3 ascent restarts of 2x3 taps on a 2x2 grid: over the budget of {ops} cell operations"
+    with pytest.raises(BudgetError, match=want):
         coordinate_ascent(Activation.centered(2, 3), gm, UNIT_PARAMS, 1.0, restarts=3)
+    monkeypatch.setattr(coverage, "OPS_BUDGET", ops - 1)
+    with pytest.raises(BudgetError, match=f"2 ascent restarts of 2x3 taps on a 2x2 grid: over the budget of {ops - 1} cell"):
+        coordinate_ascent(Activation.centered(2, 3), gm, UNIT_PARAMS, 1.0, restarts=2)
 
 
 def test_ascent_validation():
@@ -213,15 +221,32 @@ def test_exact_enumerate_lexicographic_ties():
     assert res.activation.selected == (0, 0)
 
 
-def test_exact_enumerate_budget_refusal():
+def test_exact_enumerate_budget_refusal(monkeypatch):
     gm = synthetic_map(np.ones((8, 20, 2, 1)))
     with pytest.raises(BudgetError) as err:
         exact_enumerate(gm, UNIT_PARAMS, 1.0)
     # the factors, not the product: 3^10000 activations would not format
-    assert str(err.value) == "exhaustive search needs 20^8 activations, over the budget of 1000000"
+    assert str(err.value) == "exhaustive search needs 20^8 activations on a 2x1 grid: over the budget of 4294967296 cell operations"
     # Table-I size stays inside the default budget
     gm4 = synthetic_map(np.ones((4, 10, 2, 1)))
     assert exact_enumerate(gm4, UNIT_PARAMS, 1.0).covered_count == 2
+    # 3^2 activations, each on 2 cells at 2 thresholds, counted as _WALK_CELLS cells, and
+    # 2 * (8 * 9 + 3 * 2) = 156 kept bytes (an int64 count per activation, a hit per tap
+    # and cell of a block)
+    gm2 = synthetic_map(np.ones((2, 3, 2, 1)))
+    ops = 9 * coverage._WALK_CELLS
+    monkeypatch.setattr(coverage, "OPS_BUDGET", ops)
+    monkeypatch.setattr(coverage, "TENSOR_BYTES_BUDGET", 156)
+    assert [r.covered_count for r in coverage._exact_coverages(gm2, UNIT_PARAMS, [1.0, 3.0])] == [2, 0]
+    monkeypatch.setattr(coverage, "_candidate_matrix", None)  # the walk's work would fail
+    monkeypatch.setattr(coverage, "_coverage_counts", None)
+    monkeypatch.setattr(coverage, "OPS_BUDGET", ops - 1)
+    with pytest.raises(BudgetError, match=rf"needs 3\^2 activations at 2 thresholds on a 2x1 grid: over the budget of {ops - 1} cell"):
+        coverage._exact_coverages(gm2, UNIT_PARAMS, [1.0, 3.0])
+    monkeypatch.setattr(coverage, "OPS_BUDGET", ops)
+    monkeypatch.setattr(coverage, "TENSOR_BYTES_BUDGET", 155)
+    with pytest.raises(BudgetError, match="on a 2x1 grid: over the budget of 155 kept bytes"):
+        coverage._exact_coverages(gm2, UNIT_PARAMS, [1.0, 3.0])
 
 
 def _parse_lp(text):

@@ -1,7 +1,9 @@
+import importlib
 import json
 import math
 import re
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +13,16 @@ from pinchplan import (
     channel,
     ScenarioError,
     bundled_scenario_names,
+    exact_enumerate,
     load_bundled,
     load_scenario,
     random_activation,
     scenario_from_dict,
 )
-from pinchplan.coverage import TENSOR_BYTES_BUDGET
-from pinchplan.scenario import SolverDefaults, _section
+from pinchplan import coverage
+from pinchplan.cli import main
+from pinchplan.geometry import CandidateGrid, WaveguideLayout
+from pinchplan.scenario import Scenario, SolverDefaults, _section
 from pinchplan.sweeps import power_sweep
 from conftest import WALL, random_scenario, scenario_dict
 
@@ -289,22 +294,120 @@ def test_blockage_entries_must_be_objects():
         scenario_from_dict(cfg)
 
 
-def test_tensor_budget_admits_the_largest_benchmark_grid():
+class _Admitted(Exception):
+    """Raised where a job's first work would begin: every budget check before it passed."""
+
+
+class _ShapeMap:
+    """A scenario's gain map with its shape alone; reading anything else raises _Admitted."""
+
+    def __init__(self, scn):
+        self.n_waveguides, self.n_taps = scn.layout.count, scn.taps.count
+        self.valid = np.ones((scn.grid.nx, scn.grid.ny), dtype=bool)
+
+    def __getattr__(self, name):
+        raise _Admitted(name)
+
+
+def _admitted(*args, **kwargs):
+    raise _Admitted
+
+
+def _plan(tmp_path, argv):
+    """A CLI job's budget verdict from shapes alone: "admitted" at its first work, else its exit code."""
+    try:
+        return main([*argv, "--out", str(tmp_path / "out")])
+    except _Admitted:
+        return "admitted"
+
+
+# every command of CI's package smoke test that exits 0, on table1 unless a
+# config is given (the 8x20-tap "wide" and 6x16-tap stress scenarios), and
+# the largest job at the default thresholds: the full-grid exhaustive sweep
+CI_JOBS = [
+    *(f"{cmd} --grid-scale 0.05" for cmd in (
+        "coverage", "sweep-threshold --exact", "sweep-threshold", "sweep-power", "sweep-power --exact",
+        "coverage --restarts 4", "minmax --exact", "minmax", "coverage --exact",
+        "map --activation 2,6,9,4", "map --activation 2,6,9,4 --format pgm",
+    )),
+    "minmax --config wide --grid-scale 0.25",
+    "coverage --exact",
+    "coverage --milp model.lp --grid-scale 0.25",
+    "coverage --milp model.lp",
+    "gainmap --grid-scale 0.25",
+    "baseline --grid-scale 0.25",
+    "map --activation 4,9,7,3",
+    "coverage --milp cover.lp --config stress",
+    "gainmap --config stress",
+    "sweep-threshold --exact",
+]
+
+
+def test_tensor_budget_admits_the_largest_benchmark_grid(tmp_path, monkeypatch):
     # 6 waveguides x 16 taps on 400 x 120 cells: a 37 MB gain tensor
     scn = scenario_from_dict(scenario_dict(waveguides=6, taps=16, nx=400, ny=120))
-    assert scn.grid.nx * scn.grid.ny * 6 * 16 * 8 < TENSOR_BYTES_BUDGET
+    assert scn.grid.nx * scn.grid.ny * 6 * 16 * 8 < coverage.TENSOR_BYTES_BUDGET
     scn.with_grid_scale(2.0)  # 4x the cells still fits
+    # every perfbench and CI job passes every budget check, each run only up to its first work
+    monkeypatch.setattr(Scenario, "gain_map", lambda scn: _ShapeMap(scn))
+    monkeypatch.setattr(Scenario, "fixed_array_map", _admitted)
+    monkeypatch.syspath_prepend(Path(__file__).parents[1] / "perfbench")
+    workloads = importlib.import_module("workloads")
+    configs = {"stress": tmp_path / "stress.json", "wide": tmp_path / "wide.json"}
+    configs["stress"].write_text(json.dumps(workloads.stress_scenario_dict(7)), encoding="utf-8")
+    wide = load_bundled("table1").to_dict()
+    wide.update(waveguides=8, taps={"count": 20})
+    configs["wide"].write_text(json.dumps(wide), encoding="utf-8")
+    jobs = []
+    for workload in workloads.WORKLOADS.values():
+        flags = workloads.prepare(workload, 7, tmp_path)
+        plan = ",".join(["1"] * (6 if workload.generated else 4))
+        jobs += [[plan if a == workloads.PLAN else a for a in job.argv] + flags for job in workload.jobs]
+    for line in CI_JOBS:
+        argv = line.split()
+        if "--config" in argv:
+            at = argv.index("--config") + 1
+            argv[at] = str(configs[argv[at]])
+        else:
+            argv += ["--config", "table1"]
+        jobs.append(argv)
+    assert len(jobs) == 19 + len(CI_JOBS)
+    for argv in jobs:
+        assert _plan(tmp_path, argv) == "admitted", argv
+    # the exhaustive walks past the operation budget: table1 with 31 taps per
+    # waveguide (31^4 activations x 48,000 cells) and the stress scenario
+    # (16^6 x 48,000), whose exact reference perfbench skips on this refusal
+    taps31 = load_bundled("table1").to_dict()
+    taps31["taps"] = {"count": 31}
+    configs["taps31"] = tmp_path / "taps31.json"
+    configs["taps31"].write_text(json.dumps(taps31), encoding="utf-8")
+    for name in ("taps31", "stress"):
+        assert _plan(tmp_path, ["coverage", "--exact", "--config", str(configs[name])]) == 3
+        assert not (tmp_path / "out").exists()
+    stress = load_scenario(configs["stress"])
+    with pytest.raises(BudgetError, match=r"needs 16\^6 activations on a 400x120 grid"):
+        exact_enumerate(stress.gain_map(), stress.params, stress.threshold_linear)
 
 
 def test_tensor_budget_refuses_grids_over_it(monkeypatch):
     cfg = scenario_dict(waveguides=2, taps=3, nx=6, ny=4)
-    monkeypatch.setattr("pinchplan.scenario.TENSOR_BYTES_BUDGET", 2 * 3 * 6 * 4 * 8)
-    scn = scenario_from_dict(cfg)  # exactly at the budget
-    with pytest.raises(BudgetError):
+    monkeypatch.setattr(coverage, "TENSOR_BYTES_BUDGET", 2 * 3 * 6 * 4 * 8)
+    scn = scenario_from_dict(cfg)  # exactly at the budget, by a count or by coordinates
+    x_cfg = dict(cfg, taps={"x": scn.to_dict()["taps"]["x"]})
+    assert scenario_from_dict(x_cfg).digest() == scn.with_grid_scale(1.0).digest() == scn.digest()
+    # refused before the tap positions or the layout are allocated
+    monkeypatch.setattr(CandidateGrid, "uniform", None)
+    monkeypatch.setattr(WaveguideLayout, "uniform", None)
+    with pytest.raises(BudgetError, match="a 2x3-tap float64 gain tensor on a 9x6 grid: over the budget of 1152 kept bytes"):
         scn.with_grid_scale(1.5)
-    cfg["grid"]["nx"] = 7
-    with pytest.raises(BudgetError):
-        scenario_from_dict(cfg)
+    with pytest.raises(BudgetError, match="on a 7x4 grid"):
+        scenario_from_dict(dict(cfg, grid={"nx": 7, "ny": 4}))
+    monkeypatch.setattr(coverage, "TENSOR_BYTES_BUDGET", 2 * 3 * 6 * 4 * 8 - 1)
+    for doc in (cfg, x_cfg):
+        with pytest.raises(BudgetError, match="a 2x3-tap float64 gain tensor on a 6x4 grid: over the budget of 1151"):
+            scenario_from_dict(doc)
+    with pytest.raises(BudgetError, match="on a 6x4 grid"):
+        scn.with_grid_scale(1.0)
 
 
 @pytest.mark.parametrize("section", ["region", "blockages", "channel", "solver"])

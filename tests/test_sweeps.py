@@ -21,6 +21,7 @@ from pinchplan import (
 )
 from pinchplan import BudgetError, coverage, sweeps
 from pinchplan.mapio import export_map
+from pinchplan.scenario import Scenario
 from pinchplan.sweeps import _baseline
 from conftest import brute_best_coverage, envelope_quantile, random_scenario, read_map_csv
 
@@ -152,7 +153,7 @@ def test_draws_refused_past_the_tensor_budget(monkeypatch):
     # the draws' fields are each at most one float64 grid; the refusal comes
     # before any seed is drawn
     scn = small_table1(0.05)
-    monkeypatch.setattr(sweeps, "TENSOR_BYTES_BUDGET", 3 * scn.grid.nx * scn.grid.ny * 8)
+    monkeypatch.setattr(coverage, "TENSOR_BYTES_BUDGET", 3 * scn.grid.nx * scn.grid.ny * 8)
     assert len(threshold_sweep(scn, [18.0], n_random=3).columns["random_mean"]) == 1
     monkeypatch.setattr(sweeps, "derived_seeds", None)  # drawing seeds would fail
     for call in (
@@ -160,8 +161,30 @@ def test_draws_refused_past_the_tensor_budget(monkeypatch):
         lambda: power_sweep(scn, [40.0], n_random=4),
         lambda: _baseline(scn, 4),
     ):
-        with pytest.raises(BudgetError, match="4 random draws on a 20x6 grid"):
+        with pytest.raises(BudgetError, match="4 random draws on a 20x6 grid: over the budget of 2880 kept bytes"):
             call()
+    monkeypatch.setattr(coverage, "TENSOR_BYTES_BUDGET", 3 * scn.grid.nx * scn.grid.ny * 8 - 1)
+    with pytest.raises(BudgetError, match="3 random draws on a 20x6 grid: over the budget of 2879 kept bytes"):
+        _baseline(scn, 3)
+
+
+def test_threshold_sweep_refused_past_the_operation_budget(monkeypatch):
+    # a heuristic sweep scores each of 4x10 taps and 3 draws on the 20x6 grid at each of 2
+    # thresholds, and the exhaustive one each of 10^4 activations on the grid at both; the
+    # cells of a step count as at least _WALK_CELLS. The refusal comes before the gain map
+    scn = small_table1(0.05)
+    heuristic, exact = 2 * (4 * 10 + 3) * coverage._WALK_CELLS, 10**4 * coverage._WALK_CELLS
+    for budget, flag in ((heuristic, False), (exact, True)):
+        monkeypatch.setattr(coverage, "OPS_BUDGET", budget)
+        assert len(threshold_sweep(scn, [18.0, 24.0], exact=flag, n_random=3).columns["optimized"]) == 2
+    monkeypatch.setattr(Scenario, "gain_map", None)  # building the gain map would fail
+    monkeypatch.setattr(coverage, "OPS_BUDGET", heuristic - 1)
+    want = f"ascents of 4x10 taps and 3 random draws at 2 thresholds on a 20x6 grid: over the budget of {heuristic - 1} cell"
+    with pytest.raises(BudgetError, match=want):
+        threshold_sweep(scn, [18.0, 24.0], n_random=3)
+    monkeypatch.setattr(coverage, "OPS_BUDGET", exact - 1)
+    with pytest.raises(BudgetError, match=rf"needs 10\^4 activations at 2 thresholds on a 20x6 grid: over the budget of {exact - 1} "):
+        threshold_sweep(scn, [18.0, 24.0], exact=True, n_random=3)
 
 
 def test_more_waveguides_lift_worst_grid():
